@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import CatenaryError, ConfigError
 from .revolution import (
+    _classify,
     clairaut_constant,
     critical_parallels,
     embed_revolution,
@@ -40,14 +41,12 @@ from .surfaces import (
     load_profile_csv,
     tabulated_profile,
 )
-from .tracing import CatenaryState, Trace, trace_catenary, trace_graph
+from .tracing import TOL_MAX, TOL_MIN, CatenaryState, Trace, trace_catenary, trace_graph
 from .validation import THRESHOLDS, run_all
 
 __all__ = ["RunConfig", "build_parser", "run", "main", "emit_trace"]
 
 log = logging.getLogger("catenary")
-
-TOL_MIN, TOL_MAX = 1e-12, 1e-3
 
 
 @dataclass
@@ -295,12 +294,6 @@ def _cmd_stability(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _classify(lam: float) -> str:
-    if abs(lam) < 1e-9:
-        return "degenerate"
-    return "stable" if lam > 0.0 else "unstable"
 
 
 def _cmd_quadrature(args) -> int:

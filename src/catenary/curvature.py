@@ -51,14 +51,26 @@ def _speed(g: float, jet: CurveJet2) -> float:
     return math.sqrt(s2)
 
 
+def _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv):
+    """(kappa, residual) of a jet from one metric evaluation (G, G_u, G_v).
+
+    With alpha None only kappa is formed, so u may be zero.
+    """
+    speed_sq = du * du + (g * dv) * (g * dv)
+    if not speed_sq > 0.0:
+        raise SingularJetError(f"zero-velocity jet at (u={u!r}, v={v!r})")
+    bend = dv * (gv * du * dv + 2.0 * gu * du * du + g * g * gu * dv * dv)
+    turn = g * (du * ddv - ddu * dv)
+    kappa = -(bend + turn) / math.sqrt(speed_sq) ** 3
+    if alpha is None:
+        return kappa, None
+    return kappa, ((alpha * dv * g / u) * speed_sq + bend + turn) / speed_sq ** 1.5
+
+
 def geodesic_curvature(spec: SurfaceSpec, jet: CurveJet2) -> float:
     """Signed geodesic curvature of the jet; zero exactly for geodesics."""
     g, gu, gv = eval_metric(spec, jet.u, jet.v)
-    speed = _speed(g, jet)
-    num = jet.dv * (gv * jet.du * jet.dv + 2.0 * gu * jet.du * jet.du
-                    + g * g * gu * jet.dv * jet.dv) \
-        + g * (jet.du * jet.ddv - jet.ddu * jet.dv)
-    return -num / speed ** 3
+    return _kappa_residual(None, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[0]
 
 
 def catenary_target_curvature(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
@@ -75,14 +87,7 @@ def catenary_residual(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     tolerance.
     """
     g, gu, gv = eval_metric(spec, jet.u, jet.v)
-    speed_sq = jet.du * jet.du + (g * jet.dv) * (g * jet.dv)
-    if not speed_sq > 0.0:
-        raise SingularJetError(f"zero-velocity jet at (u={jet.u!r}, v={jet.v!r})")
-    raw = (alpha * jet.dv * g / jet.u) * speed_sq \
-        + jet.dv * (gv * jet.du * jet.dv + 2.0 * gu * jet.du * jet.du
-                    + g * g * gu * jet.dv * jet.dv) \
-        + g * (jet.du * jet.ddv - jet.ddu * jet.dv)
-    return raw / speed_sq ** 1.5
+    return _kappa_residual(alpha, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[1]
 
 
 def normal_transversality(spec: SurfaceSpec, jet: CurveJet2) -> float:

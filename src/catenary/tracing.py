@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .curvature import CurveJet2, catenary_residual, geodesic_curvature
+from .curvature import _kappa_residual
 from .errors import CatenaryError, ConfigError, DomainError
 from .surfaces import SurfaceSpec
 
@@ -88,16 +88,22 @@ class Trace:
     mode: str = "arclength"
     _segments: list = field(default_factory=list, repr=False)
     _t_final: float = field(default=0.0, repr=False)
+    _starts: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._starts = [seg[0] for seg in self._segments]
 
     def at(self, t: float) -> tuple[float, ...]:
-        """Cubic-Hermite dense output of the integrated state at parameter t."""
+        """Cubic-Hermite dense output of the integrated state at parameter t.
+
+        t is clamped to the traced range.  The segment holding t is found by
+        bisection over segment starts built once per trace, so a lookup
+        costs O(log n) in the number of steps.
+        """
         if not self._segments:
             raise ValueError("empty trace has no dense output")
-        t = min(max(t, self._segments[0][0]), self._t_final)
-        starts = [seg[0] for seg in self._segments]
-        idx = _bisect.bisect_right(starts, t) - 1
-        idx = min(max(idx, 0), len(self._segments) - 1)
-        return _hermite(self._segments[idx], t)
+        t = min(max(t, self._starts[0]), self._t_final)
+        return _hermite(self._segments[_bisect.bisect_right(self._starts, t) - 1], t)
 
     @property
     def s_final(self) -> float:
@@ -140,21 +146,19 @@ def _hermite(seg, t):
     x = (t - t0) / h
     x2, x3 = x * x, x * x * x
     h00 = 2 * x3 - 3 * x2 + 1
-    h10 = x3 - 2 * x2 + x
     h01 = -2 * x3 + 3 * x2
-    h11 = x3 - x2
-    return tuple(
-        h00 * y0[i] + h10 * h * f0[i] + h01 * y1[i] + h11 * h * f1[i]
-        for i in range(len(y0))
-    )
+    g10 = (x3 - 2 * x2 + x) * h
+    g11 = (x3 - x2) * h
+    return (h00 * y0[0] + g10 * f0[0] + h01 * y1[0] + g11 * f1[0],
+            h00 * y0[1] + g10 * f0[1] + h01 * y1[1] + g11 * f1[1],
+            h00 * y0[2] + g10 * f0[2] + h01 * y1[2] + g11 * f1[2])
 
 
-def _rms_scaled(vec, y_old, y_new, tol):
-    acc = 0.0
-    for i, e in enumerate(vec):
-        sc = tol + tol * max(abs(y_old[i]), abs(y_new[i]))
-        acc += (e / sc) ** 2
-    return math.sqrt(acc / len(vec))
+def _rms_scaled(e, y_old, y_new, tol):
+    sa = tol + tol * max(abs(y_old[0]), abs(y_new[0]))
+    sb = tol + tol * max(abs(y_old[1]), abs(y_new[1]))
+    sc = tol + tol * max(abs(y_old[2]), abs(y_new[2]))
+    return math.sqrt(((e[0] / sa) ** 2 + (e[1] / sb) ** 2 + (e[2] / sc) ** 2) / 3)
 
 
 def _initial_step(f, t0, y0, f0, span, tol, max_step):
@@ -201,11 +205,19 @@ def _drive(f, t0, y0, t_end, tol, max_step, events):
     event fires inside a step the full segment is kept for dense output and
     (t_final, y_final) is the bisected event point.  Stage failures inside
     the domain guard are handled by shrinking the step, so the integration
-    only ever ends on t_end, an event, or step underflow.
+    only ever ends on t_end, an event, or step underflow.  Both tests on the
+    step are written so that a NaN step size or error fails them.
+
+    The state has dimension 3; each stage sum is spelled out in the order
+    0 + a1*k1 + a2*k2 + ..., zero coefficients included.
     """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A[1:]
+    b1, b2, b3, b4, b5, b6 = _B
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    c2, c3, c4, c5 = _C[1:5]
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
     segments: list = []
-    n = len(y0)
 
     f0 = f(t0, y0)
     stats["rhs_evals"] += 1
@@ -217,22 +229,35 @@ def _drive(f, t0, y0, t_end, tol, max_step, events):
 
     while True:
         h = min(h, max_step, t_end - t)
-        if h <= 1e-14 * max(1.0, abs(t)):
+        if not h > 1e-14 * max(1.0, abs(t)):
             termination = "step_underflow"
             break
+        ya, yb, yc = y
+        k1a, k1b, k1c = fy
         try:
-            k = [fy]
-            for i in range(1, 6):
-                yi = tuple(
-                    y[j] + h * sum(a * k[m][j] for m, a in enumerate(_A[i]))
-                    for j in range(n)
-                )
-                k.append(f(t + _C[i] * h, yi))
-            y_new = tuple(
-                y[j] + h * sum(b * k[m][j] for m, b in enumerate(_B)) for j in range(n)
-            )
-            f_new = f(t + h, y_new)
-            k.append(f_new)
+            k2a, k2b, k2c = f(t + c2 * h, (ya + h * (0.0 + a21 * k1a),
+                                           yb + h * (0.0 + a21 * k1b),
+                                           yc + h * (0.0 + a21 * k1c)))
+            k3a, k3b, k3c = f(t + c3 * h, (ya + h * (0.0 + a31 * k1a + a32 * k2a),
+                                           yb + h * (0.0 + a31 * k1b + a32 * k2b),
+                                           yc + h * (0.0 + a31 * k1c + a32 * k2c)))
+            k4a, k4b, k4c = f(t + c4 * h, (
+                ya + h * (0.0 + a41 * k1a + a42 * k2a + a43 * k3a),
+                yb + h * (0.0 + a41 * k1b + a42 * k2b + a43 * k3b),
+                yc + h * (0.0 + a41 * k1c + a42 * k2c + a43 * k3c)))
+            k5a, k5b, k5c = f(t + c5 * h, (
+                ya + h * (0.0 + a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
+                yb + h * (0.0 + a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
+                yc + h * (0.0 + a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c)))
+            k6a, k6b, k6c = f(t + h, (
+                ya + h * (0.0 + a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
+                yb + h * (0.0 + a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
+                yc + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)))
+            y_new = (
+                ya + h * (0.0 + b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a),
+                yb + h * (0.0 + b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b),
+                yc + h * (0.0 + b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c))
+            f_new = k7a, k7b, k7c = f(t + h, y_new)
             stats["rhs_evals"] += 6
         except CatenaryError:
             # a stage left the metric's domain: shrink and retry
@@ -240,12 +265,13 @@ def _drive(f, t0, y0, t_end, tol, max_step, events):
             h *= 0.5
             continue
 
-        err_vec = tuple(
-            h * sum(e * k[m][j] for m, e in enumerate(_E)) for j in range(n)
-        )
-        err = _rms_scaled(err_vec, y, y_new, tol)
+        err = _rms_scaled((
+            h * (0.0 + e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a),
+            h * (0.0 + e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b),
+            h * (0.0 + e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c),
+        ), y, y_new, tol)
 
-        if err > 1.0:
+        if not err <= 1.0:
             stats["steps_rejected"] += 1
             h /= min(_MAX_SHRINK, err ** _EXPO / _SAFETY)
             continue
@@ -290,13 +316,7 @@ def catenary_rhs(spec: SurfaceSpec, alpha: float,
     Substituting this field into the curve equation gives a zero residual
     identically; meridians (phi = 0) are invariant.
     """
-    g, gu, _ = spec.patch.evaluate(state.u, state.v)
-    sin_phi = math.sin(state.phi)
-    return (
-        math.cos(state.phi),
-        sin_phi / g,
-        -sin_phi * (alpha / state.u + gu / g),
-    )
+    return _flow_f(spec, alpha)(state.s, (state.u, state.v, state.phi))
 
 
 def _flow_f(spec: SurfaceSpec, alpha: float):
@@ -314,20 +334,41 @@ def _flow_f(spec: SurfaceSpec, alpha: float):
 def _flow_sample(spec: SurfaceSpec, alpha: float, t: float, y: tuple) -> TraceSample:
     u, v, phi = y
     g, gu, gv = spec.patch.evaluate(u, v)
+    sin_phi = math.sin(phi)
     du = math.cos(phi)
-    dv = math.sin(phi) / g
-    dphi = -math.sin(phi) * (alpha / u + gu / g)
-    ddu = -math.sin(phi) * dphi
-    ddv = (math.cos(phi) * dphi) / g - math.sin(phi) * (gu * du + gv * dv) / (g * g)
-    jet = CurveJet2(u=u, v=v, du=du, dv=dv, ddu=ddu, ddv=ddv)
-    kappa = geodesic_curvature(spec, jet)
-    residual = catenary_residual(spec, alpha, jet)
+    dv = sin_phi / g
+    dphi = -sin_phi * (alpha / u + gu / g)
+    ddu = -sin_phi * dphi
+    ddv = (du * dphi) / g - sin_phi * (gu * du + gv * dv) / (g * g)
+    kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv)
     return TraceSample(s=t, u=u, v=v, phi=phi, kappa=kappa, residual=residual)
 
 
-def _check_tol(tol: float) -> None:
+def _check_config(tol: float, max_step: float, finite: dict) -> None:
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ConfigError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
+    if not max_step > 0.0:
+        raise ConfigError(f"max_step={max_step!r} must be positive")
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}={value!r} must be finite")
+
+
+def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
+                   mode) -> Trace:
+    """Drive f from (t0, y0); sample the start, every step end and the exit point."""
+    segments, termination, flag, stats, t_final, y_final = _drive(
+        f, t0, y0, t_end, tol, max_step, events
+    )
+    samples = [sample(spec, alpha, t0, y0)]
+    samples += [sample(spec, alpha, seg[3], seg[4]) for seg in segments[:-1]]
+    if segments:
+        samples.append(sample(spec, alpha, t_final, y_final))
+    stats["max_residual"] = max(abs(smp.residual) for smp in samples)
+    if flag:
+        stats[flag] = True
+    return Trace(spec=spec, alpha=alpha, samples=samples, termination=termination,
+                 stats=stats, mode=mode, _segments=segments, _t_final=t_final)
 
 
 def _boundary_events(spec: SurfaceSpec, lower_margin: float) -> list[_Event]:
@@ -362,7 +403,11 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         start: initial (u, v, phi, s); u must be strictly inside the domain.
         s_max: arc length at which to stop if no event fires first.
         tol: per-step error tolerance, within [1e-12, 1e-3].
-        max_step: optional cap on the step size (improves dense accuracy).
+        max_step: cap on the step size, > 0.  The default inf leaves the step
+            to the error control, which already holds every step to ``tol``.
+            A smaller cap buys more samples and a more accurate cubic-Hermite
+            dense output (``Trace.at``) with proportionally more steps, each
+            costing seven metric evaluations.
         blowup_factor: terminate with "blow_up" once u > blowup_factor * u0.
         dphi_limit: terminate with "blow_up" once |dphi/ds| exceeds this.
         lower_margin: distance above u_min at which "hit_lower_u" fires.
@@ -371,9 +416,8 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         A Trace with one sample per accepted step (kappa and the normalized
         residual recorded at each), a termination reason and step statistics.
     """
-    _check_tol(tol)
-    if not math.isfinite(alpha):
-        raise ConfigError(f"alpha={alpha!r} must be finite")
+    _check_config(tol, max_step, {"alpha": alpha, "start.v": start.v,
+                                  "start.phi": start.phi, "start.s": start.s})
     if not s_max > 0.0:
         raise ConfigError(f"s_max={s_max!r} must be positive")
     dom = spec.domain
@@ -396,21 +440,9 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
 
     events.append(_Event("blow_up", None, g_dphi))
 
-    y0 = (start.u, start.v, start.phi)
-    segments, termination, flag, stats, t_final, y_final = _drive(
-        f, start.s, y0, start.s + s_max, tol, max_step, events
-    )
-
-    samples = [_flow_sample(spec, alpha, start.s, y0)]
-    for seg in segments[:-1]:
-        samples.append(_flow_sample(spec, alpha, seg[3], seg[4]))
-    if segments:
-        samples.append(_flow_sample(spec, alpha, t_final, y_final))
-    stats["max_residual"] = max(abs(smp.residual) for smp in samples)
-    if flag:
-        stats[flag] = True
-    return Trace(spec=spec, alpha=alpha, samples=samples, termination=termination,
-                 stats=stats, mode="arclength", _segments=segments, _t_final=t_final)
+    return _sampled_trace(spec, alpha, f, _flow_sample, start.s,
+                          (start.u, start.v, start.phi), start.s + s_max, tol,
+                          max_step, events, "arclength")
 
 
 # --------------------------------------------------------------------------
@@ -435,9 +467,7 @@ def _graph_sample(spec: SurfaceSpec, alpha: float, v: float, y: tuple) -> TraceS
     g, gu, gv = spec.patch.evaluate(u, v)
     ddu = ((alpha * g / u) * (w * w + g * g) + gv * w + 2.0 * gu * w * w
            + g * g * gu) / g
-    jet = CurveJet2(u=u, v=v, du=w, dv=1.0, ddu=ddu, ddv=0.0)
-    kappa = geodesic_curvature(spec, jet)
-    residual = catenary_residual(spec, alpha, jet)
+    kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, w, 1.0, ddu, 0.0)
     phi = math.atan2(g, w)
     return TraceSample(s=s, u=u, v=v, phi=phi, kappa=kappa, residual=residual)
 
@@ -453,9 +483,7 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
     flag in the stats when |du/dv| exceeds 1/tol: past such a point the
     curve continues as a meridian-tangent arc, which is no longer a graph.
     """
-    _check_tol(tol)
-    if not math.isfinite(alpha):
-        raise ConfigError(f"alpha={alpha!r} must be finite")
+    _check_config(tol, max_step, {"alpha": alpha, "du0": du0})
     v0, v1 = float(v_span[0]), float(v_span[1])
     if not v1 > v0:
         raise ConfigError(f"v_span={v_span!r} must be increasing")
@@ -471,18 +499,5 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
         _Event("left_domain", "vertical_tangent", lambda y, m=w_limit: m - abs(y[1]))
     )
 
-    y0 = (float(u0), float(du0), 0.0)
-    segments, termination, flag, stats, t_final, y_final = _drive(
-        f, v0, y0, v1, tol, max_step, events
-    )
-
-    samples = [_graph_sample(spec, alpha, v0, y0)]
-    for seg in segments[:-1]:
-        samples.append(_graph_sample(spec, alpha, seg[3], seg[4]))
-    if segments:
-        samples.append(_graph_sample(spec, alpha, t_final, y_final))
-    stats["max_residual"] = max(abs(smp.residual) for smp in samples)
-    if flag:
-        stats[flag] = True
-    return Trace(spec=spec, alpha=alpha, samples=samples, termination=termination,
-                 stats=stats, mode="graph", _segments=segments, _t_final=t_final)
+    return _sampled_trace(spec, alpha, f, _graph_sample, v0, (float(u0), float(du0), 0.0),
+                          v1, tol, max_step, events, "graph")

@@ -317,3 +317,51 @@ def test_plane_first_integral_general_alpha():
             w = tr.at(s.v)[1]
             vals.append((1.0 + w * w) / s.u ** (2.0 * alpha))
         assert max(vals) - min(vals) < 1e-8
+
+
+@pytest.mark.parametrize("call", [
+    "trace_catenary(catalog_surface('sphere'), 1, CatenaryState(0.7, 0, math.nan), 1.0)",
+    "trace_graph(catalog_surface('plane'), 1, 1.0, math.nan, (0, 1))",
+])
+def test_nan_start_is_rejected_without_hanging(call):
+    # both calls once looped forever, so each runs in a child with a deadline
+    import subprocess
+    import sys
+
+    code = ("import math\nfrom catenary import *\n"
+            f"try:\n    {call}\nexcept ConfigError as exc:\n    print('ConfigError:', exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ConfigError:")
+
+
+def test_non_finite_inputs_and_bad_max_step_rejected():
+    sphere = catalog_surface("sphere")
+    for start in (CatenaryState(0.7, math.inf, 1.0), CatenaryState(0.7, 0.0, -math.inf),
+                  CatenaryState(0.7, 0.0, 1.0, math.nan)):
+        with pytest.raises(ConfigError):
+            trace_catenary(sphere, 1.0, start, 1.0)
+    for max_step in (math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigError):
+            trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), 1.0,
+                           max_step=max_step)
+        with pytest.raises(ConfigError):
+            trace_graph(sphere, 1.0, 0.7, 0.0, (0.0, 1.0), max_step=max_step)
+    with pytest.raises(ConfigError):
+        trace_graph(sphere, 1.0, 0.7, math.inf, (0.0, 1.0))
+
+
+def test_nan_step_is_never_accepted():
+    # the derivative turns NaN past u = 1.5: the driver must reject those steps
+    # and end on step underflow instead of carrying NaN into the trace
+    from catenary.tracing import _drive
+
+    def f(t, y):
+        return (1.0, 0.0, 0.0) if y[0] <= 1.5 else (1.0, 0.0, math.nan)
+
+    segments, termination, _, _, _, y_final = _drive(
+        f, 0.0, (1.0, 0.0, 0.0), 10.0, 1e-9, math.inf, [])
+    assert termination == "step_underflow"
+    assert all(math.isfinite(x) for seg in segments for x in seg[4])
+    assert 1.5 - 1e-9 < y_final[0] <= 1.5
