@@ -209,7 +209,8 @@ def _drive(f, t0, y0, t_end, tol, max_step, events):
     step are written so that a NaN step size or error fails them.
 
     The state has dimension 3; each stage sum is spelled out in the order
-    0 + a1*k1 + a2*k2 + ..., zero coefficients included.
+    0 + a1*k1 + a2*k2 + ..., zero coefficients included, because that order
+    fixes every rounding and signed zero (tests/test_trace_digest.py pins it).
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]

@@ -119,9 +119,3 @@ def test_at_on_one_segment_trace():
     for t in _probe_points(trace, rng):
         assert trace.at(t) == _reference_at(trace, t), t
 
-
-def test_at_clamps_to_trace_ends(traces):
-    trace = traces["sphere"]
-    first = trace._segments[0]
-    assert trace.at(first[0] - 5.0) == _hermite(first, first[0])
-    assert trace.at(trace._t_final + 5.0) == trace.at(trace._t_final)
