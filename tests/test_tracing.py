@@ -353,7 +353,7 @@ def test_non_finite_inputs_and_bad_max_step_rejected():
 
 
 def test_nan_step_is_never_accepted():
-    # the derivative turns NaN past u = 1.5: the driver must reject those steps
+    # the derivative turns NaN past u = 1.5: _drive must reject those steps
     # and end on step underflow instead of carrying NaN into the trace
     from catenary.tracing import _drive
 
