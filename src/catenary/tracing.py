@@ -182,7 +182,9 @@ def _initial_step(f, t0, y0, f0, span, tol, max_step):
 class _Event(NamedTuple):
     termination: str
     flag: str | None
-    g: Callable[[tuple], float]  # positive inside, crossing at zero
+    # g(y, fy) is positive inside and crosses zero at the event; fy is the
+    # derivative at y at step ends and None at dense-output points
+    g: Callable[[tuple, tuple | None], float]
 
 
 def _locate_event(seg, g):
@@ -191,18 +193,21 @@ def _locate_event(seg, g):
     # endpoint values: g(a) > 0 (checked before the step), g(b) <= 0
     while (b - a) > 1e-12 * max(1.0, abs(b)):
         mid = 0.5 * (a + b)
-        if g(_hermite(seg, mid)) <= 0.0:
+        if g(_hermite(seg, mid), None) <= 0.0:
             b = mid
         else:
             a = mid
     return b
 
 
-def _drive(f, t0, y0, t_end, tol, max_step, events):
+def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     """Adaptive RK5(4) from t0 to t_end with endpoint event detection.
 
-    Returns (segments, termination, flag, stats, t_final, y_final).  When an
-    event fires inside a step the full segment is kept for dense output and
+    f0 = f(t0, y0) is supplied by the caller; ``rhs_evals`` counts it and
+    the initial-step probe.  Returns
+    (segments, termination, flag, stats, t_final, y_final, f_final), where
+    f_final is the derivative at the final point.  When an event fires
+    inside a step the full segment is kept for dense output and
     (t_final, y_final) is the bisected event point.  Stage failures inside
     the domain guard are handled by shrinking the step, so the integration
     only ever ends on t_end, an event, or step underflow.  Both tests on the
@@ -217,22 +222,17 @@ def _drive(f, t0, y0, t_end, tol, max_step, events):
     b1, b2, b3, b4, b5, b6 = _B
     e1, e2, e3, e4, e5, e6, e7 = _E
     c2, c3, c4, c5 = _C[1:5]
-    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 2}
     segments: list = []
 
-    f0 = f(t0, y0)
-    stats["rhs_evals"] += 1
     h = _initial_step(f, t0, y0, f0, t_end - t0, tol, max_step)
-    stats["rhs_evals"] += 1
     t, y, fy = t0, y0, f0
     facold = 1e-4
-    termination, flag = "reached_smax", None
 
     while True:
         h = min(h, max_step, t_end - t)
         if not h > 1e-14 * max(1.0, abs(t)):
-            termination = "step_underflow"
-            break
+            return segments, "step_underflow", None, stats, t, y, fy
         ya, yb, yc = y
         k1a, k1b, k1c = fy
         try:
@@ -283,27 +283,24 @@ def _drive(f, t0, y0, t_end, tol, max_step, events):
 
         hit = None
         for ev in events:
-            if ev.g(y_new) <= 0.0:
+            if ev.g(y_new, f_new) <= 0.0:
                 t_star = _locate_event(seg, ev.g)
                 if hit is None or t_star < hit[0]:
                     hit = (t_star, ev)
         if hit is not None:
             t_star, ev = hit
-            termination, flag = ev.termination, ev.flag
-            return (segments, termination, flag, stats, t_star,
-                    _hermite(seg, t_star))
+            y_star = _hermite(seg, t_star)
+            return (segments, ev.termination, ev.flag, stats, t_star, y_star,
+                    f(t_star, y_star))
 
         t, y, fy = t + h, y_new, f_new
         if t >= t_end:
-            termination = "reached_smax"
-            break
+            return segments, "reached_smax", None, stats, t, y, fy
 
         fac = err ** _EXPO / facold ** _BETA / _SAFETY
         fac = max(1.0 / _MAX_GROWTH, min(_MAX_SHRINK, fac))
         facold = max(err, 1e-4)
         h /= fac
-
-    return segments, termination, flag, stats, t, y
 
 
 # --------------------------------------------------------------------------
@@ -332,13 +329,12 @@ def _flow_f(spec: SurfaceSpec, alpha: float):
     return f
 
 
-def _flow_sample(spec: SurfaceSpec, alpha: float, t: float, y: tuple) -> TraceSample:
+def _flow_sample(spec: SurfaceSpec, alpha: float, t: float, y: tuple,
+                 fy: tuple) -> TraceSample:
     u, v, phi = y
+    du, dv, dphi = fy
     g, gu, gv = spec.patch.evaluate(u, v)
     sin_phi = math.sin(phi)
-    du = math.cos(phi)
-    dv = sin_phi / g
-    dphi = -sin_phi * (alpha / u + gu / g)
     ddu = -sin_phi * dphi
     ddv = (du * dphi) / g - sin_phi * (gu * du + gv * dv) / (g * g)
     kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv)
@@ -357,14 +353,18 @@ def _check_config(tol: float, max_step: float, finite: dict) -> None:
 
 def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
                    mode) -> Trace:
-    """Drive f from (t0, y0); sample the start, every step end and the exit point."""
-    segments, termination, flag, stats, t_final, y_final = _drive(
-        f, t0, y0, t_end, tol, max_step, events
+    """Drive f from (t0, y0); sample the start, every step end and the exit point.
+
+    Each sample is handed the derivative the drive already holds there.
+    """
+    f0 = f(t0, y0)
+    segments, termination, flag, stats, t_final, y_final, f_final = _drive(
+        f, t0, y0, f0, t_end, tol, max_step, events
     )
-    samples = [sample(spec, alpha, t0, y0)]
-    samples += [sample(spec, alpha, seg[3], seg[4]) for seg in segments[:-1]]
+    samples = [sample(spec, alpha, t0, y0, f0)]
+    samples += [sample(spec, alpha, seg[3], seg[4], seg[5]) for seg in segments[:-1]]
     if segments:
-        samples.append(sample(spec, alpha, t_final, y_final))
+        samples.append(sample(spec, alpha, t_final, y_final, f_final))
     stats["max_residual"] = max(abs(smp.residual) for smp in samples)
     if flag:
         stats[flag] = True
@@ -375,18 +375,18 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
 def _boundary_events(spec: SurfaceSpec, lower_margin: float) -> list[_Event]:
     dom = spec.domain
     events = [
-        _Event("hit_lower_u", None, lambda y, m=dom.u_min + lower_margin: y[0] - m)
+        _Event("hit_lower_u", None, lambda y, fy, m=dom.u_min + lower_margin: y[0] - m)
     ]
     if math.isfinite(dom.u_max):
         events.append(
-            _Event("left_domain", None, lambda y, m=dom.u_max - lower_margin: m - y[0])
+            _Event("left_domain", None, lambda y, fy, m=dom.u_max - lower_margin: m - y[0])
         )
     if math.isfinite(dom.v_min):
         vlo = dom.v_min + 1e-9 * (1.0 + abs(dom.v_min))
-        events.append(_Event("left_domain", None, lambda y, m=vlo: y[1] - m))
+        events.append(_Event("left_domain", None, lambda y, fy, m=vlo: y[1] - m))
     if math.isfinite(dom.v_max):
         vhi = dom.v_max - 1e-9 * (1.0 + abs(dom.v_max))
-        events.append(_Event("left_domain", None, lambda y, m=vhi: m - y[1]))
+        events.append(_Event("left_domain", None, lambda y, fy, m=vhi: m - y[1]))
     return events
 
 
@@ -402,7 +402,8 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         spec: surface to trace on.
         alpha: exponent of the distance weight (0 gives plain geodesics).
         start: initial (u, v, phi, s); u must be strictly inside the domain.
-        s_max: arc length at which to stop if no event fires first.
+        s_max: arc length, finite and > 0, at which to stop if no event fires
+            first.
         tol: per-step error tolerance, within [1e-12, 1e-3].
         max_step: cap on the step size, > 0.  The default inf leaves the step
             to the error control, which already holds every step to ``tol``.
@@ -418,7 +419,8 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         residual recorded at each), a termination reason and step statistics.
     """
     _check_config(tol, max_step, {"alpha": alpha, "start.v": start.v,
-                                  "start.phi": start.phi, "start.s": start.s})
+                                  "start.phi": start.phi, "start.s": start.s,
+                                  "s_max": s_max})
     if not s_max > 0.0:
         raise ConfigError(f"s_max={s_max!r} must be positive")
     dom = spec.domain
@@ -430,14 +432,16 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
     f = _flow_f(spec, alpha)
     events = _boundary_events(spec, lower_margin)
     events.append(
-        _Event("blow_up", None, lambda y, m=blowup_factor * start.u: m - y[0])
+        _Event("blow_up", None, lambda y, fy, m=blowup_factor * start.u: m - y[0])
     )
 
-    def g_dphi(y, lim=dphi_limit):
-        try:
-            return lim - abs(f(0.0, y)[2])
-        except CatenaryError:
-            return -1.0
+    def g_dphi(y, fy, lim=dphi_limit):
+        if fy is None:
+            try:
+                fy = f(0.0, y)
+            except CatenaryError:
+                return -1.0
+        return lim - abs(fy[2])
 
     events.append(_Event("blow_up", None, g_dphi))
 
@@ -463,12 +467,11 @@ def _graph_f(spec: SurfaceSpec, alpha: float):
     return f
 
 
-def _graph_sample(spec: SurfaceSpec, alpha: float, v: float, y: tuple) -> TraceSample:
+def _graph_sample(spec: SurfaceSpec, alpha: float, v: float, y: tuple,
+                  fy: tuple) -> TraceSample:
     u, w, s = y
     g, gu, gv = spec.patch.evaluate(u, v)
-    ddu = ((alpha * g / u) * (w * w + g * g) + gv * w + 2.0 * gu * w * w
-           + g * g * gu) / g
-    kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, w, 1.0, ddu, 0.0)
+    kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, w, 1.0, fy[1], 0.0)
     phi = math.atan2(g, w)
     return TraceSample(s=s, u=u, v=v, phi=phi, kappa=kappa, residual=residual)
 
@@ -478,14 +481,15 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
                 max_step: float = math.inf,
                 blowup_factor: float = 1e6,
                 lower_margin: float = 1e-9) -> Trace:
-    """Integrate the graph equation u = u(v) over ``v_span``.
+    """Integrate the graph equation u = u(v) over the finite ``v_span``.
 
     The solver stops with termination "left_domain" and a "vertical_tangent"
     flag in the stats when |du/dv| exceeds 1/tol: past such a point the
     curve continues as a meridian-tangent arc, which is no longer a graph.
     """
-    _check_config(tol, max_step, {"alpha": alpha, "du0": du0})
     v0, v1 = float(v_span[0]), float(v_span[1])
+    _check_config(tol, max_step, {"alpha": alpha, "du0": du0, "v_span[0]": v0,
+                                  "v_span[1]": v1})
     if not v1 > v0:
         raise ConfigError(f"v_span={v_span!r} must be increasing")
     dom = spec.domain
@@ -494,10 +498,10 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
 
     f = _graph_f(spec, alpha)
     events = _boundary_events(spec, lower_margin)
-    events.append(_Event("blow_up", None, lambda y, m=blowup_factor * u0: m - y[0]))
+    events.append(_Event("blow_up", None, lambda y, fy, m=blowup_factor * u0: m - y[0]))
     w_limit = 1.0 / tol
     events.append(
-        _Event("left_domain", "vertical_tangent", lambda y, m=w_limit: m - abs(y[1]))
+        _Event("left_domain", "vertical_tangent", lambda y, fy, m=w_limit: m - abs(y[1]))
     )
 
     return _sampled_trace(spec, alpha, f, _graph_sample, v0, (float(u0), float(du0), 0.0),

@@ -85,6 +85,21 @@ def bisect_oracle(fn, a, b, xtol=1e-14):
 # trace utilities
 # --------------------------------------------------------------------------
 
+def _bisect_dense(before, a, b):
+    """Parameter in [a, b] where ``before(t)`` turns from true to false.
+
+    Bisects a dense output to a relative width of 1e-13 and returns the
+    midpoint of the final bracket.
+    """
+    while (b - a) > 1e-13 * max(1.0, abs(b)):
+        mid = 0.5 * (a + b)
+        if before(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def find_turnings(trace: Trace) -> list[float]:
     """Arc-length values where the meridional velocity cos(phi) changes sign."""
     out = []
@@ -94,43 +109,25 @@ def find_turnings(trace: Trace) -> list[float]:
         if c0 == 0.0:
             out.append(samples[i].s)
         elif (c0 < 0.0) != (c1 < 0.0):
-            a, b = samples[i].s, samples[i + 1].s
-            while (b - a) > 1e-13 * max(1.0, abs(b)):
-                mid = 0.5 * (a + b)
-                cm = math.cos(trace.at(mid)[2])
-                if (c0 < 0.0) != (cm < 0.0):
-                    b = mid
-                else:
-                    a = mid
-            out.append(0.5 * (a + b))
+            out.append(_bisect_dense(
+                lambda t: (c0 < 0.0) == (math.cos(trace.at(t)[2]) < 0.0),
+                samples[i].s, samples[i + 1].s))
     return out
 
 
 def v_at_u(trace: Trace, u_target: float, s_hi: float) -> float:
     """v where a monotone-in-u stretch of the trace first reaches u_target."""
     s_lo = trace.samples[0].s
-    u_lo = trace.at(s_lo)[0]
-    increasing = trace.at(s_hi)[0] > u_lo
-    a, b = s_lo, s_hi
-    while (b - a) > 1e-13 * max(1.0, abs(b)):
-        mid = 0.5 * (a + b)
-        if (trace.at(mid)[0] < u_target) == increasing:
-            a = mid
-        else:
-            b = mid
-    return trace.at(0.5 * (a + b))[1]
+    increasing = trace.at(s_hi)[0] > trace.at(s_lo)[0]
+    s = _bisect_dense(lambda t: (trace.at(t)[0] < u_target) == increasing, s_lo, s_hi)
+    return trace.at(s)[1]
 
 
 def u_of_v(trace: Trace, v_target: float) -> float:
     """u at a given v along a trace with strictly monotone v(s)."""
-    a, b = trace.samples[0].s, trace.samples[-1].s
-    while (b - a) > 1e-13 * max(1.0, abs(b)):
-        mid = 0.5 * (a + b)
-        if trace.at(mid)[1] < v_target:
-            a = mid
-        else:
-            b = mid
-    return trace.at(0.5 * (a + b))[0]
+    s = _bisect_dense(lambda t: trace.at(t)[1] < v_target,
+                      trace.samples[0].s, trace.samples[-1].s)
+    return trace.at(s)[0]
 
 
 def conformal_geodesic(spec, alpha, start: CatenaryState, s_span: float):
@@ -141,12 +138,12 @@ def conformal_geodesic(spec, alpha, start: CatenaryState, s_span: float):
     length s is carried along for comparisons against traces.  Returns a
     callable s -> (u, v).
     """
-    G, Gu, Gv = spec.patch.G, spec.patch.G_u, spec.patch.G_v
+    metric = spec.patch.metric  # unchecked: the oracle may step below u = 0
     u0 = start.u
 
     def rhs(t, y):
         u, v, du, dv, _ = y
-        g, gu, gv = G(u, v), Gu(u, v), Gv(u, v)
+        g, gu, gv = metric(u, v)
         e = u ** (2.0 * alpha)
         e_u = 2.0 * alpha * u ** (2.0 * alpha - 1.0)
         g22 = e * g * g
@@ -160,7 +157,7 @@ def conformal_geodesic(spec, alpha, start: CatenaryState, s_span: float):
         ddv = -(2.0 * gam212 * du * dv + gam222 * dv * dv)
         return [du, dv, ddu, ddv, (u0 / u) ** alpha]
 
-    g0 = G(start.u, start.v)
+    g0 = metric(start.u, start.v)[0]
     y0 = [start.u, start.v, math.cos(start.phi), math.sin(start.phi) / g0, 0.0]
     sol = solve_ivp(rhs, (0.0, 2.5 * s_span), y0, rtol=1e-11, atol=1e-12,
                     dense_output=True, max_step=max(s_span / 50.0, 1e-3))
@@ -168,17 +165,21 @@ def conformal_geodesic(spec, alpha, start: CatenaryState, s_span: float):
     def at_s(s: float) -> tuple[float, float]:
         if sol.sol(sol.t[-1])[4] < s:
             raise ValueError(f"oracle geodesic too short for s={s}")
-        a, b = 0.0, sol.t[-1]
-        while (b - a) > 1e-13 * max(1.0, abs(b)):
-            mid = 0.5 * (a + b)
-            if sol.sol(mid)[4] < s:
-                a = mid
-            else:
-                b = mid
-        y = sol.sol(0.5 * (a + b))
+        y = sol.sol(_bisect_dense(lambda t: sol.sol(t)[4] < s, 0.0, sol.t[-1]))
         return float(y[0]), float(y[1])
 
     return at_s
+
+
+def _oracle_gap(oracle, trace: Trace, s_max: float) -> float:
+    """Worst |oracle - sample| in u and v over the samples with s <= s_max."""
+    worst = 0.0
+    for smp in trace.samples:
+        if smp.s > s_max:
+            break
+        ou, ov = oracle(smp.s)
+        worst = max(worst, abs(ou - smp.u), abs(ov - smp.v))
+    return worst
 
 
 # --------------------------------------------------------------------------
@@ -377,13 +378,8 @@ def check_triple_oracle() -> list[CheckResult]:
         out.append(_result(f"flow_vs_quadrature[{kind}]", abs(dv_quad - dv_flow), thr))
 
         oracle = conformal_geodesic(spec, 1.0, start, 2.0)
-        worst = 0.0
-        for smp in flow.samples:
-            if smp.s > 2.0:
-                break
-            ou, ov = oracle(smp.s)
-            worst = max(worst, abs(ou - smp.u), abs(ov - smp.v))
-        out.append(_result(f"flow_vs_conformal_geodesic[{kind}]", worst, thr))
+        out.append(_result(f"flow_vs_conformal_geodesic[{kind}]",
+                           _oracle_gap(oracle, flow, 2.0), thr))
     return out
 
 
@@ -442,13 +438,7 @@ def check_criterion_equivalence(jets_per_surface: int = 10_000) -> list[CheckRes
     out.append(_result("geodesic_kappa[alpha=0]", worst_kappa, 1e-8))
 
     oracle = conformal_geodesic(sphere, 0.0, CatenaryState(0.7, 0.0, 1.0), 3.0)
-    worst = 0.0
-    for smp in tr.samples:
-        if smp.s > 3.0:
-            break
-        ou, ov = oracle(smp.s)
-        worst = max(worst, abs(ou - smp.u), abs(ov - smp.v))
-    out.append(_result("geodesic_vs_conformal[alpha=0]", worst,
+    out.append(_result("geodesic_vs_conformal[alpha=0]", _oracle_gap(oracle, tr, 3.0),
                        THRESHOLDS["cross_oracle"]))
     return out
 

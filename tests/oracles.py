@@ -48,11 +48,11 @@ def conformal_geodesic_oracle(spec, alpha, u0, v0, phi0, s_span):
 
     Returns a callable mapping unweighted arc length s to (u, v).
     """
-    G, Gu, Gv = spec.patch.G, spec.patch.G_u, spec.patch.G_v
+    metric = spec.patch.metric
 
     def rhs(t, y):
         u, v, du, dv, _ = y
-        g, gu, gv = G(u, v), Gu(u, v), Gv(u, v)
+        g, gu, gv = metric(u, v)
         e = u ** (2.0 * alpha)
         e_u = 2.0 * alpha * u ** (2.0 * alpha - 1.0)
         g22 = e * g * g
@@ -62,7 +62,7 @@ def conformal_geodesic_oracle(spec, alpha, u0, v0, phi0, s_span):
         ddv = -(g22_u / g22) * du * dv - (g22_v / (2.0 * g22)) * dv * dv
         return [du, dv, ddu, ddv, (u0 / u) ** alpha]
 
-    g0 = G(u0, v0)
+    g0 = metric(u0, v0)[0]
     y0 = [u0, v0, math.cos(phi0), math.sin(phi0) / g0, 0.0]
     sol = solve_ivp(rhs, (0.0, 2.5 * s_span), y0, rtol=1e-11, atol=1e-12,
                     dense_output=True, max_step=max(s_span / 50.0, 1e-3))

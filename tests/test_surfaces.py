@@ -137,8 +137,8 @@ def test_finite_difference_partials_match_analytic():
         for u, v in zip(us, vs):
             u, v = float(u), float(v)
             _, gu, gv = eval_metric(spec, u, v)
-            gu_fd = fd1(lambda x: spec.patch.G(x, v), u)
-            gv_fd = fd1(lambda x: spec.patch.G(u, x), v)
+            gu_fd = fd1(lambda x: spec.patch.metric(x, v)[0], u)
+            gv_fd = fd1(lambda x: spec.patch.metric(u, x)[0], v)
             assert abs(gu - gu_fd) < 1e-6
             assert abs(gv - gv_fd) < 1e-6
 
@@ -148,8 +148,8 @@ def test_richardson_convergence_of_partials():
     sphere = catalog_surface("sphere")
     for u in (0.3, 0.8, 1.2):
         _, gu, _ = eval_metric(sphere, u, 0.0)
-        e1 = abs(fd1(lambda x: sphere.patch.G(x, 0.0), u, h=1e-3) - gu)
-        e2 = abs(fd1(lambda x: sphere.patch.G(x, 0.0), u, h=5e-4) - gu)
+        e1 = abs(fd1(lambda x: sphere.patch.metric(x, 0.0)[0], u, h=1e-3) - gu)
+        e2 = abs(fd1(lambda x: sphere.patch.metric(x, 0.0)[0], u, h=5e-4) - gu)
         assert 2.0 < e1 / e2 < 8.0
 
 
@@ -191,8 +191,8 @@ def test_ruled_surface_from_samples_partials():
     assert not spec.is_revolution
     for u, v in ((0.5, 0.1), (1.2, -1.33), (0.8, 2.0)):
         _, gu, gv = eval_metric(spec, u, v)
-        assert abs(gu - fd1(lambda x: spec.patch.G(x, v), u)) < 1e-6
-        assert abs(gv - fd1(lambda x: spec.patch.G(u, x), v)) < 1e-5
+        assert abs(gu - fd1(lambda x: spec.patch.metric(x, v)[0], u)) < 1e-6
+        assert abs(gv - fd1(lambda x: spec.patch.metric(u, x)[0], v)) < 1e-5
 
 
 def test_tabulated_profile_matches_sphere():
@@ -255,4 +255,4 @@ def test_catalog_positive_on_domain_grid():
         spec = catalog_surface(kind)
         hi = 1.5 if kind == "sphere" else 6.0
         for u in np.linspace(0.01, hi, 40):
-            assert spec.patch.G(float(u), 0.3) > 0.0
+            assert spec.patch.metric(float(u), 0.3)[0] > 0.0

@@ -81,7 +81,7 @@ def test_unit_speed_identity_along_trace():
     sphere = catalog_surface("sphere")
     tr = trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), s_max=5.0)
     for s in tr.samples:
-        g = sphere.patch.G(s.u, s.v)
+        g = sphere.patch.metric(s.u, s.v)[0]
         dv = math.sin(s.phi) / g
         assert abs(math.cos(s.phi) ** 2 + (g * dv) ** 2 - 1.0) < 1e-10
 
@@ -322,9 +322,10 @@ def test_plane_first_integral_general_alpha():
 @pytest.mark.parametrize("call", [
     "trace_catenary(catalog_surface('sphere'), 1, CatenaryState(0.7, 0, math.nan), 1.0)",
     "trace_graph(catalog_surface('plane'), 1, 1.0, math.nan, (0, 1))",
+    "trace_catenary(catalog_surface('sphere'), 1, CatenaryState(0.7, 0, 1.0), math.inf)",
 ])
 def test_nan_start_is_rejected_without_hanging(call):
-    # both calls once looped forever, so each runs in a child with a deadline
+    # these calls once looped forever, so each runs in a child with a deadline
     import subprocess
     import sys
 
@@ -360,8 +361,38 @@ def test_nan_step_is_never_accepted():
     def f(t, y):
         return (1.0, 0.0, 0.0) if y[0] <= 1.5 else (1.0, 0.0, math.nan)
 
-    segments, termination, _, _, _, y_final = _drive(
-        f, 0.0, (1.0, 0.0, 0.0), 10.0, 1e-9, math.inf, [])
+    y0 = (1.0, 0.0, 0.0)
+    segments, termination, _, _, _, y_final, _ = _drive(
+        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, [])
     assert termination == "step_underflow"
     assert all(math.isfinite(x) for seg in segments for x in seg[4])
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
+
+
+def test_one_metric_evaluation_per_rhs_call_and_sample(monkeypatch):
+    # the step-end dphi event reuses the step's derivative instead of
+    # evaluating the metric again, and each sample evaluates it once
+    from catenary.surfaces import MetricPatch
+
+    calls = [0]
+    evaluate = MetricPatch.evaluate
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return evaluate(self, u, v)
+
+    monkeypatch.setattr(MetricPatch, "evaluate", counting)
+    tr = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
+                        s_max=100.0, max_step=0.02)
+    assert tr.termination == "reached_smax"
+    assert calls[0] == tr.stats["rhs_evals"] + len(tr.samples)
+
+
+def test_dphi_limit_ends_trace_on_blow_up():
+    sphere = catalog_surface("sphere")
+    tr = trace_catenary(sphere, 1.0, CatenaryState(1.0, 0.0, 1.2), s_max=5.0,
+                        dphi_limit=1.0)
+    assert tr.termination == "blow_up"
+    assert len(tr.samples) == 14
+    assert tr.s_final == 0.40993796986360853
+    assert abs(abs(catenary_rhs(sphere, 1.0, tr.final_state)[2]) - 1.0) < 1e-9
