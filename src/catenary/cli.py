@@ -6,9 +6,13 @@ tracing), ``trace-graph`` (graph formulation u = u(v)), ``clairaut``
 a parallel), ``quadrature`` (v-advance by first-integral quadrature) and
 ``validate`` (the self-validation suite).
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.  Output
-files are written atomically (temp file + rename) and contain no
-timestamps, so identical invocations produce byte-identical artifacts.
+Handlers pass parsed arguments straight to the library, which checks them.
+
+Exit codes: 0 success, 1 validation failure, 2 configuration error (any NaN
+or infinite number included).  Output goes to ``--out`` or else to stdout,
+with the same bytes in the same ``--format``.  Output files are written
+atomically (temp file + rename) and contain no timestamps, so identical
+invocations produce byte-identical artifacts.
 Set CATENARY_LOG to error/info/debug to control diagnostics on stderr.
 """
 
@@ -21,10 +25,10 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 from .errors import CatenaryError, ConfigError
 from .revolution import (
+    CriticalParallel,
     _classify,
     clairaut_constant,
     critical_parallels,
@@ -41,35 +45,12 @@ from .surfaces import (
     load_profile_csv,
     tabulated_profile,
 )
-from .tracing import TOL_MAX, TOL_MIN, CatenaryState, Trace, trace_catenary, trace_graph
+from .tracing import CatenaryState, Trace, trace_catenary, trace_graph
 from .validation import THRESHOLDS, run_all
 
-__all__ = ["RunConfig", "build_parser", "run", "main", "emit_trace"]
+__all__ = ["build_parser", "run", "main", "emit_trace"]
 
 log = logging.getLogger("catenary")
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
-
-    command: str
-    surface: str | None = None
-    params: dict = field(default_factory=dict)
-    profile: str | None = None
-    alpha: float = 1.0
-    tol: float = 1e-9
-    out: str | None = None
-    format: str = "csv"
-    embed: bool = False
-
-    def validate(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha={self.alpha!r} must be finite")
-        if not (TOL_MIN <= self.tol <= TOL_MAX):
-            raise ConfigError(f"tol={self.tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.format!r}")
 
 
 def _parse_params(items) -> dict:
@@ -85,17 +66,17 @@ def _parse_params(items) -> dict:
     return params
 
 
-def _build_surface(cfg: RunConfig) -> SurfaceSpec:
-    if cfg.profile is not None:
-        if cfg.surface not in (None, "revolution_profile"):
+def _build_surface(args) -> SurfaceSpec:
+    if args.profile is not None:
+        if args.surface not in (None, "revolution_profile"):
             raise ConfigError("--profile implies --surface revolution_profile")
-        return tabulated_profile(load_profile_csv(cfg.profile),
-                                 identifier=os.path.basename(cfg.profile))
-    if cfg.surface is None:
+        return tabulated_profile(load_profile_csv(args.profile),
+                                 identifier=os.path.basename(args.profile))
+    if args.surface is None:
         raise ConfigError("a --surface kind is required")
-    if cfg.surface == "revolution_profile":
+    if args.surface == "revolution_profile":
         raise ConfigError("revolution_profile needs --profile CSV with columns u,a")
-    return catalog_surface(cfg.surface, cfg.params)
+    return catalog_surface(args.surface, _parse_params(args.param))
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +87,11 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write(text: str, path: str | None) -> None:
+    """Write text atomically (temp file + rename) to path, or to stdout."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catenary-")
     try:
@@ -119,7 +104,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _trace_table(trace: Trace, embed: bool) -> tuple[list[str], list[list[float]]]:
+def _write_json(doc, path: str | None) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", path)
+
+
+def _trace_text(trace: Trace, format: str, embed: bool) -> str:
+    if not trace.samples:
+        raise ConfigError("refusing to emit an empty trace")
     columns = ["s", "u", "v", "phi", "kappa", "residual"]
     spec = trace.spec
     if spec.is_revolution:
@@ -137,7 +128,21 @@ def _trace_table(trace: Trace, embed: bool) -> tuple[list[str], list[list[float]
         if embed:
             row.extend(embed_revolution(spec, s.u, s.v))
         rows.append(row)
-    return columns, rows
+    if format == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(x) for x in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    if format == "json":
+        return json.dumps({
+            "surface": trace.spec.identifier,
+            "alpha": trace.alpha,
+            "mode": trace.mode,
+            "termination": trace.termination,
+            "stats": trace.stats,
+            "columns": columns,
+            "samples": rows,
+        }, indent=2) + "\n"
+    raise ConfigError(f"unknown format {format!r}")
 
 
 def emit_trace(trace: Trace, format: str, path: str, embed: bool = False) -> None:
@@ -147,46 +152,25 @@ def emit_trace(trace: Trace, format: str, path: str, embed: bool = False) -> Non
     rotationally symmetric surfaces and x,y,z when ``embed`` is set.  The
     JSON variant carries the same samples plus termination and stats.
     """
-    if not trace.samples:
-        raise ConfigError("refusing to emit an empty trace")
-    columns, rows = _trace_table(trace, embed)
-    if format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        _atomic_write(path, "\n".join(lines) + "\n")
-    elif format == "json":
-        doc = {
-            "surface": trace.spec.identifier,
-            "alpha": trace.alpha,
-            "mode": trace.mode,
-            "termination": trace.termination,
-            "stats": trace.stats,
-            "columns": columns,
-            "samples": rows,
-        }
-        _atomic_write(path, json.dumps(doc, indent=2) + "\n")
-    else:
-        raise ConfigError(f"unknown format {format!r}")
+    _write(_trace_text(trace, format, embed), path)
 
 
-def _emit_or_print(trace: Trace, cfg: RunConfig) -> None:
-    if cfg.out is None:
-        columns, rows = _trace_table(trace, cfg.embed)
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(_fmt(x) for x in row))
+def _emit_or_print(trace: Trace, args) -> None:
+    if args.format:
+        format = args.format
     else:
-        emit_trace(trace, cfg.format, cfg.out, embed=cfg.embed)
+        format = "json" if args.out and args.out.endswith(".json") else "csv"
+    if args.out is None:
+        _write(_trace_text(trace, format, args.embed), None)
+    else:
+        emit_trace(trace, format, args.out, embed=args.embed)
     log.info("trace: %d samples, termination=%s", len(trace.samples),
              trace.termination)
 
 
-def _format_from_args(args) -> str:
-    if args.format:
-        return args.format
-    if args.out and args.out.endswith(".json"):
-        return "json"
-    return "csv"
+def _parallels_doc(parallels) -> list[dict]:
+    return [{"u": cp.u, "lambda": cp.lam, "classification": cp.classification}
+            for cp in parallels]
 
 
 # --------------------------------------------------------------------------
@@ -216,95 +200,56 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    cfg = RunConfig(command="trace", surface=args.surface,
-                    params=_parse_params(args.param), profile=args.profile,
-                    alpha=args.alpha, tol=args.tol, out=args.out,
-                    format=_format_from_args(args), embed=args.embed)
-    cfg.validate()
-    spec = _build_surface(cfg)
+    spec = _build_surface(args)
     start = CatenaryState(u=args.u0, v=args.v0, phi=args.phi0)
-    trace = trace_catenary(spec, cfg.alpha, start, s_max=args.smax, tol=cfg.tol,
+    trace = trace_catenary(spec, args.alpha, start, s_max=args.smax, tol=args.tol,
                            max_step=args.max_step,
                            blowup_factor=args.blowup_factor)
-    _emit_or_print(trace, cfg)
+    _emit_or_print(trace, args)
     return 0
 
 
 def _cmd_trace_graph(args) -> int:
-    cfg = RunConfig(command="trace-graph", surface=args.surface,
-                    params=_parse_params(args.param), profile=args.profile,
-                    alpha=args.alpha, tol=args.tol, out=args.out,
-                    format=_format_from_args(args), embed=args.embed)
-    cfg.validate()
-    spec = _build_surface(cfg)
-    trace = trace_graph(spec, cfg.alpha, args.u0, args.du0, (args.v0, args.v1),
-                        tol=cfg.tol, max_step=args.max_step)
-    _emit_or_print(trace, cfg)
+    spec = _build_surface(args)
+    trace = trace_graph(spec, args.alpha, args.u0, args.du0, (args.v0, args.v1),
+                        tol=args.tol, max_step=args.max_step)
+    _emit_or_print(trace, args)
     return 0
 
 
 def _cmd_clairaut(args) -> int:
-    cfg = RunConfig(command="clairaut", surface=args.surface,
-                    params=_parse_params(args.param), profile=args.profile,
-                    alpha=args.alpha, out=args.out)
-    cfg.validate()
-    spec = _build_surface(cfg)
+    spec = _build_surface(args)
     u_range = None
     if args.umin is not None and args.umax is not None:
         u_range = (args.umin, args.umax)
-    found = critical_parallels(spec, cfg.alpha, u_range)
     doc = {
         "surface": spec.identifier,
-        "alpha": cfg.alpha,
-        "critical_parallels": [
-            {"u": cp.u, "lambda": cp.lam, "classification": cp.classification}
-            for cp in found
-        ],
+        "alpha": args.alpha,
+        "critical_parallels": _parallels_doc(critical_parallels(spec, args.alpha,
+                                                                u_range)),
     }
     if args.c is not None:
         doc["c"] = args.c
-        doc["turning_points"] = turning_points(spec, cfg.alpha, args.c, u_range)
-    text = json.dumps(doc, indent=2)
-    if cfg.out:
-        _atomic_write(cfg.out, text + "\n")
-    else:
-        print(text)
+        doc["turning_points"] = turning_points(spec, args.alpha, args.c, u_range)
+    _write_json(doc, args.out)
     return 0
 
 
 def _cmd_stability(args) -> int:
-    cfg = RunConfig(command="stability", surface=args.surface,
-                    params=_parse_params(args.param), profile=args.profile,
-                    alpha=args.alpha, out=args.out)
-    cfg.validate()
-    spec = _build_surface(cfg)
+    spec = _build_surface(args)
     if args.ustar is not None:
-        lam = stability_exponent(spec, cfg.alpha, args.ustar)
-        reports = [{"u": args.ustar, "lambda": lam,
-                    "classification": _classify(lam)}]
+        lam = stability_exponent(spec, args.alpha, args.ustar)
+        parallels = [CriticalParallel(args.ustar, lam, _classify(lam))]
     else:
-        reports = [
-            {"u": cp.u, "lambda": cp.lam, "classification": cp.classification}
-            for cp in critical_parallels(spec, cfg.alpha)
-        ]
-    text = json.dumps({"surface": spec.identifier, "alpha": cfg.alpha,
-                       "parallels": reports}, indent=2)
-    if cfg.out:
-        _atomic_write(cfg.out, text + "\n")
-    else:
-        print(text)
+        parallels = critical_parallels(spec, args.alpha)
+    _write_json({"surface": spec.identifier, "alpha": args.alpha,
+                 "parallels": _parallels_doc(parallels)}, args.out)
     return 0
 
 
 def _cmd_quadrature(args) -> int:
-    cfg = RunConfig(command="quadrature", surface=args.surface,
-                    params=_parse_params(args.param), profile=args.profile,
-                    alpha=args.alpha)
-    cfg.validate()
-    spec = _build_surface(cfg)
-    u1 = math.inf if args.u1.lower() in ("inf", "+inf", "infinity") else float(args.u1)
-    dv = quadrature_v(spec, cfg.alpha, args.c, args.u0, u1)
-    print(_fmt(dv))
+    spec = _build_surface(args)
+    print(_fmt(quadrature_v(spec, args.alpha, args.c, args.u0, args.u1)))
     return 0
 
 
@@ -323,7 +268,7 @@ def _cmd_validate(args) -> int:
         "results": [r.to_dict() for r in results],
     }
     if args.out:
-        _atomic_write(args.out, json.dumps(report, indent=2) + "\n")
+        _write_json(report, args.out)
     print(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in results)}"
           f"/{len(results)} checks passed")
     return 0 if passed else 1
@@ -405,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_options(sp)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--u0", type=float, required=True)
-    sp.add_argument("--u1", required=True, help="upper u (or 'inf')")
+    sp.add_argument("--u1", type=float, required=True, help="upper u (or inf)")
     sp.set_defaults(func=_cmd_quadrature)
 
     sp = sub.add_parser("validate", help="run the self-validation suite")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
 
 
 class CatenaryError(Exception):
@@ -35,3 +37,10 @@ class NotCriticalError(CatenaryError):
 
 class NotRealizableError(CatenaryError):
     """The profile cannot be realized as a Euclidean surface of revolution."""
+
+
+def check_finite(**values: float) -> None:
+    """Raise ConfigError naming the first NaN or infinite value; not for hot loops."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}={value!r} must be finite")

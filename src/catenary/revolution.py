@@ -26,6 +26,7 @@ from .errors import (
     KindError,
     NotCriticalError,
     NotRealizableError,
+    check_finite,
 )
 from .surfaces import RevolutionProfile, SurfaceSpec
 from .tracing import CatenaryState
@@ -93,12 +94,17 @@ def _rho_funcs(profile: RevolutionProfile, alpha: float):
 def clairaut_constant(spec: SurfaceSpec, alpha: float, state: CatenaryState) -> float:
     """Conserved quantity u^alpha * a(u) * sin(phi) of a unit-speed state."""
     profile = _require_profile(spec)
+    check_finite(alpha=alpha, u=state.u, phi=state.phi)
     if state.u <= spec.domain.u_min:
         raise DomainError(f"u={state.u!r} at or below u_min={spec.domain.u_min!r}")
     return state.u ** alpha * profile.a(state.u) * math.sin(state.phi)
 
 
-def _default_range(spec: SurfaceSpec) -> tuple[float, float]:
+def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
+    """The given u_range, checked finite, or the domain's default scan range."""
+    if u_range is not None:
+        check_finite(**{"u_range[0]": u_range[0], "u_range[1]": u_range[1]})
+        return u_range
     dom = spec.domain
     lo = dom.u_min + (1e-6 if dom.u_min == 0.0 else 1e-9 * (1.0 + dom.u_min))
     hi = dom.u_max - 1e-9 if math.isfinite(dom.u_max) else 100.0
@@ -158,7 +164,8 @@ def critical_parallels(spec: SurfaceSpec, alpha: float,
     an empty list means no parallel of the surface is a critical curve.
     """
     profile = _require_profile(spec)
-    lo, hi = u_range if u_range is not None else _default_range(spec)
+    check_finite(alpha=alpha)
+    lo, hi = _scan_range(spec, u_range)
     _, rho_u, _ = _rho_funcs(profile, alpha)
     out = []
     for r in _scan_roots(rho_u, lo, hi):
@@ -190,10 +197,11 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     Transversal roots come from a sign-change scan; tangential roots (c at a
     critical value of rho) are added from the critical parallels.
     """
+    check_finite(alpha=alpha, c=c)
     if not c > 0.0:
         raise ConfigError(f"Clairaut constant c={c!r} must be positive")
     profile = _require_profile(spec)
-    lo, hi = u_range if u_range is not None else _default_range(spec)
+    lo, hi = _scan_range(spec, u_range)
     rho, rho_u, _ = _rho_funcs(profile, alpha)
     roots = _scan_roots(lambda u: rho(u) - c, lo, hi)
     for r in _scan_roots(rho_u, lo, hi):
@@ -220,6 +228,8 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     faster than 1/t.
     """
     profile = _require_profile(spec)
+    # u1 = +inf is the improper upper limit
+    check_finite(alpha=alpha, c=c, u0=u0, **({} if u1 == math.inf else {"u1": u1}))
     if not c > 0.0:
         raise ConfigError(f"Clairaut constant c={c!r} must be positive")
     if u0 == u1:
@@ -257,6 +267,18 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     return sign * integrate_with_endpoints(q, u0, u1)
 
 
+def _anchored(spec: SurfaceSpec, u: float, u_ref: float | None, **finite):
+    """Profile and anchor (default u_min) of an integral from u_ref to interior u."""
+    profile = _require_profile(spec)
+    dom = spec.domain
+    if u_ref is None:
+        u_ref = dom.u_min
+    check_finite(u=u, u_ref=u_ref, **finite)
+    if not dom.u_min < u < dom.u_max:
+        raise DomainError(f"u={u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
+    return profile, u_ref
+
+
 def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None) -> float:
     """Conformal coordinate z(u) = int_{u_ref}^{u} dt/a(t), increasing in u.
 
@@ -265,20 +287,15 @@ def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None
     profiles with a(u_min) = 0 (for example the cone), where the default
     integral diverges.
     """
-    profile = _require_profile(spec)
-    dom = spec.domain
-    if not dom.u_min < u < dom.u_max:
-        raise DomainError(f"u={u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
-    if u_ref is None:
-        u_ref = dom.u_min
-    result = quad(lambda t: 1.0 / profile.a(t), u_ref, u,
-                  epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)
-    # a fourth element is QUADPACK's failure message (e.g. divergent anchor)
-    if len(result) > 3 or not math.isfinite(result[0]):
+    profile, u_ref = _anchored(spec, u, u_ref)
+    z, abserr = quad(lambda t: 1.0 / profile.a(t), u_ref, u,
+                     epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)[:2]
+    # only the error estimate decides: QUADPACK flags round-off on accurate values
+    if not (math.isfinite(z) and abserr <= 1e-9 * max(1.0, abs(z))):
         raise DomainError(
             f"1/a is not integrable from u_ref={u_ref!r}; choose a different anchor"
         )
-    return result[0]
+    return z
 
 
 def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
@@ -294,6 +311,7 @@ def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
     (rho has a maximum), negative means exponential departure.
     """
     profile = _require_profile(spec)
+    check_finite(alpha=alpha, u_star=u_star)
     rho, rho_u, rho_uu = _rho_funcs(profile, alpha)
     slope = rho_u(u_star)
     if not abs(slope) < root_tol:
@@ -316,12 +334,7 @@ def embed_revolution(spec: SurfaceSpec, u: float, v: float,
     The height b(u) integrates sqrt(1 - a'(t)^2) from the anchor, which
     requires |a'| <= 1 along the way (arc-length realizability).
     """
-    profile = _require_profile(spec)
-    dom = spec.domain
-    if not dom.u_min < u < dom.u_max:
-        raise DomainError(f"u={u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
-    if u_ref is None:
-        u_ref = dom.u_min
+    profile, u_ref = _anchored(spec, u, u_ref, v=v)
     lo, hi = (u_ref, u) if u_ref <= u else (u, u_ref)
     for t in np.linspace(lo, hi, 257):
         if abs(profile.a_u(float(t))) > 1.0 + 1e-12:

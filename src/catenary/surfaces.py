@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, DegenerateMetricError, DomainError
+from .errors import ConfigError, DegenerateMetricError, DomainError, check_finite
 
 __all__ = [
     "Domain",
@@ -60,8 +60,9 @@ class MetricPatch:
     ``metric(u, v)`` returns (G, G_u, G_v) in one call and checks nothing:
     it may be queried outside ``domain`` (the conformal-geodesic oracles
     rely on that).  ``evaluate`` is the checked entry point: it rejects
-    points outside the open domain with DomainError and G <= 0 with
-    DegenerateMetricError.  G must be smooth and positive on the domain.
+    points outside the open domain with DomainError, and G <= 0 or an
+    ArithmeticError or ValueError raised by ``metric`` (say, an overflow)
+    with DegenerateMetricError.  G must be smooth and positive on the domain.
     """
 
     identifier: str
@@ -74,7 +75,11 @@ class MetricPatch:
             raise DomainError(
                 f"({u!r}, {v!r}) outside domain {tuple(self.domain)} of {self.identifier}"
             )
-        values = self.metric(u, v)
+        try:
+            values = self.metric(u, v)
+        except (ArithmeticError, ValueError) as exc:
+            raise DegenerateMetricError(f"metric of {self.identifier} fails at "
+                                        f"({u!r}, {v!r}): {exc}") from exc
         if not values[0] > 0.0:
             raise DegenerateMetricError(
                 f"G({u!r}, {v!r}) = {values[0]!r} is not positive on {self.identifier}"
@@ -378,11 +383,13 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
                       identifier: str = "profile") -> SurfaceSpec:
     """Revolution surface with a(u) given by monotone cubic interpolation.
 
-    Requires at least 4 samples with strictly increasing u and positive a.
+    Requires at least 4 finite samples with strictly increasing u and positive a.
     Shape-preserving (PCHIP) interpolation is used so that no spurious
     critical parallels are introduced by overshoot.
     """
     pts = [(float(u), float(a)) for u, a in samples]
+    for u, a in pts:
+        check_finite(u=u, a=a)
     if len(pts) < 4:
         raise ConfigError(f"need at least 4 profile samples, got {len(pts)}")
     us = np.array([p[0] for p in pts])

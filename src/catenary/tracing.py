@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .curvature import _kappa_residual
-from .errors import CatenaryError, ConfigError, DomainError
+from .errors import CatenaryError, ConfigError, DomainError, check_finite
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -45,6 +45,12 @@ __all__ = [
 TERMINATIONS = ("reached_smax", "hit_lower_u", "blow_up", "left_domain", "step_underflow")
 
 TOL_MIN, TOL_MAX = 1e-12, 1e-3
+
+# distance inside the u-range at which "hit_lower_u" and "left_domain" fire
+LOWER_MARGIN = 1e-9
+
+# a stage that raises one of these (domain guard, overflow) rejects the step
+_STAGE_ERRORS = (CatenaryError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,7 @@ def _initial_step(f, t0, y0, f0, span, tol, max_step):
         y1 = tuple(y0[i] + h0 * f0[i] for i in range(n))
         f1 = f(t0 + h0, y1)
         d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(n)) / n) / h0
-    except CatenaryError:
+    except _STAGE_ERRORS:
         d2 = d1
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
@@ -260,8 +266,8 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
                 yc + h * (0.0 + b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c))
             f_new = k7a, k7b, k7c = f(t + h, y_new)
             stats["rhs_evals"] += 6
-        except CatenaryError:
-            # a stage left the metric's domain: shrink and retry
+        except _STAGE_ERRORS:
+            # a stage left the metric's domain or overflowed: shrink and retry
             stats["steps_rejected"] += 1
             h *= 0.5
             continue
@@ -346,9 +352,7 @@ def _check_config(tol: float, max_step: float, finite: dict) -> None:
         raise ConfigError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
     if not max_step > 0.0:
         raise ConfigError(f"max_step={max_step!r} must be positive")
-    for name, value in finite.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{name}={value!r} must be finite")
+    check_finite(**finite)
 
 
 def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
@@ -372,14 +376,22 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
                  stats=stats, mode=mode, _segments=segments, _t_final=t_final)
 
 
-def _boundary_events(spec: SurfaceSpec, lower_margin: float) -> list[_Event]:
+def _boundary_events(spec: SurfaceSpec, u0: float, v0: float,
+                     blowup_factor: float) -> list[_Event]:
+    """Domain-exit and u blow-up events of a trace that starts at (u0, v0).
+
+    Raises DomainError unless the start lies strictly inside the domain and
+    above the "hit_lower_u" margin.
+    """
     dom = spec.domain
+    if not dom.contains(u0, v0) or u0 <= dom.u_min + LOWER_MARGIN:
+        raise DomainError(f"start (u={u0!r}, v={v0!r}) not strictly inside {tuple(dom)}")
     events = [
-        _Event("hit_lower_u", None, lambda y, fy, m=dom.u_min + lower_margin: y[0] - m)
+        _Event("hit_lower_u", None, lambda y, fy, m=dom.u_min + LOWER_MARGIN: y[0] - m)
     ]
     if math.isfinite(dom.u_max):
         events.append(
-            _Event("left_domain", None, lambda y, fy, m=dom.u_max - lower_margin: m - y[0])
+            _Event("left_domain", None, lambda y, fy, m=dom.u_max - LOWER_MARGIN: m - y[0])
         )
     if math.isfinite(dom.v_min):
         vlo = dom.v_min + 1e-9 * (1.0 + abs(dom.v_min))
@@ -387,6 +399,7 @@ def _boundary_events(spec: SurfaceSpec, lower_margin: float) -> list[_Event]:
     if math.isfinite(dom.v_max):
         vhi = dom.v_max - 1e-9 * (1.0 + abs(dom.v_max))
         events.append(_Event("left_domain", None, lambda y, fy, m=vhi: m - y[1]))
+    events.append(_Event("blow_up", None, lambda y, fy, m=blowup_factor * u0: m - y[0]))
     return events
 
 
@@ -394,8 +407,7 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
                    s_max: float, tol: float = 1e-9, *,
                    max_step: float = math.inf,
                    blowup_factor: float = 1e6,
-                   dphi_limit: float = 1e12,
-                   lower_margin: float = 1e-9) -> Trace:
+                   dphi_limit: float = 1e12) -> Trace:
     """Trace the weighted critical curve through ``start`` up to arc length s_max.
 
     Args:
@@ -412,34 +424,25 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
             costing seven metric evaluations.
         blowup_factor: terminate with "blow_up" once u > blowup_factor * u0.
         dphi_limit: terminate with "blow_up" once |dphi/ds| exceeds this.
-        lower_margin: distance above u_min at which "hit_lower_u" fires.
 
     Returns:
         A Trace with one sample per accepted step (kappa and the normalized
         residual recorded at each), a termination reason and step statistics.
     """
-    _check_config(tol, max_step, {"alpha": alpha, "start.v": start.v,
+    _check_config(tol, max_step, {"alpha": alpha, "start.u": start.u, "start.v": start.v,
                                   "start.phi": start.phi, "start.s": start.s,
-                                  "s_max": s_max})
+                                  "s_max": s_max, "blowup_factor": blowup_factor,
+                                  "dphi_limit": dphi_limit})
     if not s_max > 0.0:
         raise ConfigError(f"s_max={s_max!r} must be positive")
-    dom = spec.domain
-    if not dom.contains(start.u, start.v) or start.u <= dom.u_min + lower_margin:
-        raise DomainError(
-            f"start (u={start.u!r}, v={start.v!r}) not strictly inside {tuple(dom)}"
-        )
-
+    events = _boundary_events(spec, start.u, start.v, blowup_factor)
     f = _flow_f(spec, alpha)
-    events = _boundary_events(spec, lower_margin)
-    events.append(
-        _Event("blow_up", None, lambda y, fy, m=blowup_factor * start.u: m - y[0])
-    )
 
     def g_dphi(y, fy, lim=dphi_limit):
         if fy is None:
             try:
                 fy = f(0.0, y)
-            except CatenaryError:
+            except _STAGE_ERRORS:
                 return -1.0
         return lim - abs(fy[2])
 
@@ -479,8 +482,7 @@ def _graph_sample(spec: SurfaceSpec, alpha: float, v: float, y: tuple,
 def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
                 v_span: tuple[float, float], tol: float = 1e-9, *,
                 max_step: float = math.inf,
-                blowup_factor: float = 1e6,
-                lower_margin: float = 1e-9) -> Trace:
+                blowup_factor: float = 1e6) -> Trace:
     """Integrate the graph equation u = u(v) over the finite ``v_span``.
 
     The solver stops with termination "left_domain" and a "vertical_tangent"
@@ -488,17 +490,13 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
     curve continues as a meridian-tangent arc, which is no longer a graph.
     """
     v0, v1 = float(v_span[0]), float(v_span[1])
-    _check_config(tol, max_step, {"alpha": alpha, "du0": du0, "v_span[0]": v0,
-                                  "v_span[1]": v1})
+    _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0,
+                                  "v_span[0]": v0, "v_span[1]": v1,
+                                  "blowup_factor": blowup_factor})
     if not v1 > v0:
         raise ConfigError(f"v_span={v_span!r} must be increasing")
-    dom = spec.domain
-    if not dom.contains(u0, v0) or u0 <= dom.u_min + lower_margin:
-        raise DomainError(f"start (u={u0!r}, v={v0!r}) not strictly inside {tuple(dom)}")
-
+    events = _boundary_events(spec, u0, v0, blowup_factor)
     f = _graph_f(spec, alpha)
-    events = _boundary_events(spec, lower_margin)
-    events.append(_Event("blow_up", None, lambda y, fy, m=blowup_factor * u0: m - y[0]))
     w_limit = 1.0 / tol
     events.append(
         _Event("left_domain", "vertical_tangent", lambda y, fy, m=w_limit: m - abs(y[1]))

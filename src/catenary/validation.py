@@ -383,6 +383,7 @@ def check_triple_oracle() -> list[CheckResult]:
     return out
 
 
+_JETS_PER_SURFACE = 10_000
 _JET_BOXES = {
     "plane": (0.2, 5.0),
     "cylinder": (0.2, 5.0),
@@ -396,7 +397,7 @@ _JET_BOXES = {
 }
 
 
-def check_criterion_equivalence(jets_per_surface: int = 10_000) -> list[CheckResult]:
+def check_criterion_equivalence() -> list[CheckResult]:
     """Criterion 9: residual and curvature criteria agree; alpha = 0 gives geodesics."""
     out = []
     rng = np.random.default_rng(20240817)
@@ -404,10 +405,10 @@ def check_criterion_equivalence(jets_per_surface: int = 10_000) -> list[CheckRes
     total = 0
     for kind, (u_lo, u_hi) in _JET_BOXES.items():
         spec = catalog_surface(kind)
-        us = rng.uniform(u_lo, u_hi, jets_per_surface)
-        vs = rng.uniform(-3.0, 3.0, jets_per_surface)
-        vel = rng.normal(size=(jets_per_surface, 4))
-        for i in range(jets_per_surface):
+        us = rng.uniform(u_lo, u_hi, _JETS_PER_SURFACE)
+        vs = rng.uniform(-3.0, 3.0, _JETS_PER_SURFACE)
+        vel = rng.normal(size=(_JETS_PER_SURFACE, 4))
+        for i in range(_JETS_PER_SURFACE):
             jet = CurveJet2(float(us[i]), float(vs[i]), float(vel[i, 0]),
                             float(vel[i, 1]), float(vel[i, 2]), float(vel[i, 3]))
             r = catenary_residual(spec, 1.0, jet)

@@ -211,3 +211,45 @@ def test_empty_trace_emission_rejected(tmp_path):
     from catenary import ConfigError
     with pytest.raises(ConfigError):
         emit_trace(trace, "csv", str(tmp_path / "e.csv"))
+
+
+def test_quadrature_non_numeric_u1_exits_2(capsys):
+    code = run(["quadrature", "--surface", "cylinder", "--c", "1", "--u0", "1",
+                "--u1", "abc"])
+    assert code == 2
+    assert "invalid float value" in capsys.readouterr().err
+
+
+def test_json_format_on_stdout_matches_out_file(tmp_path, capsys):
+    args = ["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1.0",
+            "--smax", "3", "--format", "json"]
+    out = tmp_path / "t.json"
+    assert run(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_metric_overflow_ends_trace_on_step_underflow(tmp_path, capsys):
+    # cosh(u) overflows past u = 710.5 on the hyperbolic plane; the driver
+    # rejects those steps instead of leaking the OverflowError
+    out = tmp_path / "h.json"
+    code = run(["trace", "--surface", "hyperbolic", "--u0", "1", "--phi0", "0",
+                "--smax", "2000", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["termination"] == "step_underflow"
+    assert 710.0 < doc["samples"][-1][1] < 711.0
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1", "--smax", "1"],
+    ["trace-graph", "--surface", "plane", "--u0", "1", "--v1", "1"],
+    ["clairaut", "--surface", "sphere", "--c", "0.5"],
+    ["stability", "--surface", "sphere"],
+    ["quadrature", "--surface", "cylinder", "--c", "1", "--u0", "1", "--u1", "2"],
+])
+def test_non_finite_alpha_exits_2(argv, alpha, capsys):
+    assert run(argv + ["--alpha", alpha]) == 2
+    assert "must be finite" in capsys.readouterr().err

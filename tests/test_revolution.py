@@ -332,3 +332,36 @@ def test_quadrature_agrees_with_trace_half_period():
     dv_quad = quadrature_v(sphere, 1.0, 0.5, UM_HALF, UM_BIG)
     assert abs((v1 - v0) - dv_quad) < 1e-5
     assert abs((v2 - v1) - dv_quad) < 1e-5
+
+
+@pytest.mark.parametrize("call", [
+    "quadrature_v(sphere, 1, 0.5, math.nan, 1)",
+    "quadrature_v(sphere, 1, 0.5, 0.6, -math.inf)",
+    "critical_parallels(sphere, math.nan)",
+    "critical_parallels(sphere, 1, (0.1, math.inf))",
+    "turning_points(sphere, 1, math.inf)",
+    "stability_exponent(sphere, 1, math.nan)",
+    "clairaut_constant(sphere, 1, CatenaryState(0.5, 0.0, math.nan))",
+    "embed_revolution(sphere, 0.5, math.nan)",
+])
+def test_non_finite_inputs_raise_config_error(call):
+    # each of these once returned NaN, [] or a wrong root without complaint
+    with pytest.raises(ConfigError, match="must be finite"):
+        eval(call, globals(), {"sphere": catalog_surface("sphere")})
+
+
+def test_conformal_coordinate_accepts_accurate_value_despite_roundoff_flag():
+    from scipy.integrate import quad
+
+    from catenary import DomainError, tabulated_profile
+
+    # QUADPACK flags round-off here although its error estimate is ~7e-12
+    us = [0.1 + 1.3 * j / 39 for j in range(40)]
+    spec = tabulated_profile([(u, math.cos(0.95 * u) + 0.08) for u in us])
+    knots = [u for u in us if u < 1.2] + [1.2]
+    ref = sum(quad(lambda t: 1.0 / spec.profile.a(t), lo, hi)[0]
+              for lo, hi in zip(knots, knots[1:]))
+    assert conformal_coordinate(spec, 1.2) == pytest.approx(ref, abs=1e-10)
+    # the cone's default anchor diverges for real and still raises
+    with pytest.raises(DomainError):
+        conformal_coordinate(catalog_surface("cone"), 1.0)

@@ -256,3 +256,15 @@ def test_catalog_positive_on_domain_grid():
         hi = 1.5 if kind == "sphere" else 6.0
         for u in np.linspace(0.01, hi, 40):
             assert spec.patch.metric(float(u), 0.3)[0] > 0.0
+
+
+def test_metric_overflow_is_degenerate_metric_error():
+    # cosh(800) overflows; evaluate turns the OverflowError into a library error
+    with pytest.raises(DegenerateMetricError):
+        eval_metric(catalog_surface("hyperbolic"), 800.0, 0.0)
+
+
+def test_tabulated_profile_rejects_non_finite_samples():
+    for bad in ((math.inf, 1.0), (0.4, math.inf), (0.4, math.nan)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            tabulated_profile([(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), bad])

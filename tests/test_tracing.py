@@ -396,3 +396,37 @@ def test_dphi_limit_ends_trace_on_blow_up():
     assert len(tr.samples) == 14
     assert tr.s_final == 0.40993796986360853
     assert abs(abs(catenary_rhs(sphere, 1.0, tr.final_state)[2]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("error", [OverflowError, ValueError, ZeroDivisionError])
+def test_arithmetic_error_in_stage_halves_the_step(error):
+    # a stage past u = 1.5 raises: _drive rejects the step like a domain
+    # failure and ends on step underflow instead of leaking the exception
+    from catenary.tracing import _drive
+
+    def f(t, y):
+        if y[0] > 1.5:
+            raise error("math range error")
+        return (1.0, 0.0, 0.0)
+
+    y0 = (1.0, 0.0, 0.0)
+    segments, termination, _, stats, _, y_final, _ = _drive(
+        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, [])
+    assert termination == "step_underflow"
+    assert stats["steps_rejected"] > 0
+    assert 1.5 - 1e-9 < y_final[0] <= 1.5
+
+
+def test_non_finite_start_u_and_limits_raise_config_error():
+    # a NaN blow-up factor or dphi limit would silently switch its event off
+    sphere = catalog_surface("sphere")
+    good = CatenaryState(0.7, 0.0, 1.0)
+    for kwargs in ({"blowup_factor": math.nan}, {"dphi_limit": math.nan}):
+        with pytest.raises(ConfigError, match="must be finite"):
+            trace_catenary(sphere, 1.0, good, 1.0, **kwargs)
+    with pytest.raises(ConfigError, match="must be finite"):
+        trace_catenary(sphere, 1.0, CatenaryState(math.inf, 0.0, 1.0), 1.0)
+    with pytest.raises(ConfigError, match="must be finite"):
+        trace_graph(sphere, 1.0, math.nan, 0.0, (0.0, 1.0))
+    with pytest.raises(ConfigError, match="must be finite"):
+        trace_graph(sphere, 1.0, 0.7, 0.0, (0.0, 1.0), blowup_factor=math.nan)
