@@ -30,9 +30,9 @@ from .errors import CatenaryError, ConfigError
 from .revolution import (
     CriticalParallel,
     _classify,
+    _embedding,
     clairaut_constant,
     critical_parallels,
-    embed_revolution,
     quadrature_v,
     stability_exponent,
     turning_points,
@@ -125,9 +125,10 @@ def _trace_text(trace: Trace, format: str, embed: bool) -> str:
         if spec.is_revolution:
             row.append(clairaut_constant(spec, trace.alpha,
                                          CatenaryState(s.u, s.v, s.phi, s.s)))
-        if embed:
-            row.extend(embed_revolution(spec, s.u, s.v))
         rows.append(row)
+    if embed:
+        for row, xyz in zip(rows, _embedding(spec, [(s.u, s.v) for s in trace.samples])):
+            row.extend(xyz)
     if format == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(x) for x in row) for row in rows]

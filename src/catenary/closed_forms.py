@@ -32,10 +32,6 @@ __all__ = [
     "validate_closed_form",
 ]
 
-FAMILIES = ("euclidean", "cone", "grusin_catenary", "grusin_geodesic",
-            "hyperbolic_quadrature")
-
-
 @dataclass(frozen=True)
 class ClosedFormFamily:
     """A parametrized exact solution with analytic derivatives.
@@ -55,15 +51,13 @@ class ClosedFormFamily:
 
 def euclidean_catenary(mu: float, nu: float, t: float) -> float:
     """u(t) = cosh(mu t + nu)/mu, the plane solution for alpha = 1."""
-    if not mu > 0.0:
-        raise ConfigError(f"mu={mu!r} must be positive")
+    _positive("mu", mu)
     return math.cosh(mu * t + nu) / mu
 
 
 def cone_catenary(mu: float, nu: float, v: float) -> float:
     """u(v) = mu/sqrt(cos(sqrt(2) v + nu)) on the 45-degree cone, alpha = 1."""
-    if not mu > 0.0:
-        raise ConfigError(f"mu={mu!r} must be positive")
+    _positive("mu", mu)
     w = math.sqrt(2.0) * v + nu
     cw = math.cos(w)
     if not cw > 0.0:
@@ -73,8 +67,7 @@ def cone_catenary(mu: float, nu: float, v: float) -> float:
 
 def grusin_catenary(mu: float, nu: float, v: float) -> float:
     """u(v) = mu*sqrt(2 v + nu) in the Grusin half-plane, alpha = 1."""
-    if not mu > 0.0:
-        raise ConfigError(f"mu={mu!r} must be positive")
+    _positive("mu", mu)
     arg = 2.0 * v + nu
     if not arg > 0.0:
         raise DomainError(f"2 v + nu = {arg!r} <= 0 at v={v!r}")
@@ -83,8 +76,7 @@ def grusin_catenary(mu: float, nu: float, v: float) -> float:
 
 def grusin_geodesic(u0: float, v0: float, s: float) -> tuple[float, float]:
     """Non-vertical unit-speed Grusin geodesic through (u0, v0), one arch."""
-    if not u0 > 0.0:
-        raise ConfigError(f"u0={u0!r} must be positive")
+    _positive("u0", u0)
     u = u0 * math.cos(s / u0)
     if not u > 0.0:
         raise DomainError(f"geodesic leaves u > 0 at s={s!r}")
@@ -120,7 +112,7 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
         mu, nu = _mu_nu(params)
         return ClosedFormFamily(
             family, {"mu": mu, "nu": nu}, (-math.inf, math.inf),
-            value=lambda t: math.cosh(mu * t + nu) / mu,
+            value=lambda t: euclidean_catenary(mu, nu, t),
             d1=lambda t: math.sinh(mu * t + nu),
             d2=lambda t: mu * math.cosh(mu * t + nu),
         )
@@ -155,8 +147,7 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
         u0 = float(params.pop("u0"))
         v0 = float(params.pop("v0", 0.0))
         _no_extras(params)
-        if not u0 > 0.0:
-            raise ConfigError(f"u0={u0!r} must be positive")
+        _positive("u0", u0)
         half = math.pi * u0 / 2.0
 
         def d1(s):
@@ -188,9 +179,13 @@ def _mu_nu(params: dict) -> tuple[float, float]:
     mu = float(params.pop("mu", 1.0))
     nu = float(params.pop("nu", 0.0))
     _no_extras(params)
-    if not mu > 0.0:
-        raise ConfigError(f"mu={mu!r} must be positive")
-    return mu, nu
+    return _positive("mu", mu), nu
+
+
+def _positive(name: str, value: float) -> float:
+    if not value > 0.0:
+        raise ConfigError(f"{name}={value!r} must be positive")
+    return value
 
 
 def _no_extras(params: dict) -> None:

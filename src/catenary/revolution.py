@@ -7,6 +7,11 @@ This module finds critical parallels (roots of rho'), classifies their
 linear stability, solves for v by quadrature, builds the conformal
 coordinate z with dz = du/a(u), and exports the Euclidean embedding when
 |a'| <= 1.
+
+The quadrature integrand q(t) = 1/(a(t)*sqrt(rho(t)^2/c^2 - 1)) blows up
+like an inverse square root at turning points rho(t) = c.  The substitution
+t = endpoint +/- xi^2 removes these integrable singularities; improper
+upper limits are delegated to the tail transformation built into QUADPACK.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from ._quadsing import integrate_with_endpoints
 from .errors import (
     ConfigError,
     DomainError,
@@ -264,18 +268,31 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
             raise ConfigError(
                 "improper upper limit needs an integrand decaying faster than 1/t"
             )
-    return sign * integrate_with_endpoints(q, u0, u1)
+    # t = endpoint +/- xi^2 on a stretch of width w at each finite endpoint
+    w = min((u1 - u0) / 3.0, 1.0)
+    total = _quad(lambda xi: 2.0 * xi * q(u0 + xi * xi), 0.0, math.sqrt(w))
+    if not finite:
+        return sign * (total + _quad(q, u0 + w, math.inf))
+    total += _quad(lambda xi: 2.0 * xi * q(u1 - xi * xi), 0.0, math.sqrt(w))
+    if u0 + w < u1 - w:
+        total += _quad(q, u0 + w, u1 - w)
+    return sign * total
 
 
-def _anchored(spec: SurfaceSpec, u: float, u_ref: float | None, **finite):
-    """Profile and anchor (default u_min) of an integral from u_ref to interior u."""
+def _quad(fn, lo: float, hi: float) -> float:
+    return quad(fn, lo, hi, full_output=1, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
+
+
+def _anchored(spec: SurfaceSpec, points, u_ref: float | None):
+    """Profile and anchor (default u_min) of integrals from u_ref to interior (u, v)."""
     profile = _require_profile(spec)
     dom = spec.domain
     if u_ref is None:
         u_ref = dom.u_min
-    check_finite(u=u, u_ref=u_ref, **finite)
-    if not dom.u_min < u < dom.u_max:
-        raise DomainError(f"u={u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
+    for u, v in points:
+        check_finite(u=u, u_ref=u_ref, v=v)
+        if not dom.u_min < u < dom.u_max:
+            raise DomainError(f"u={u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
     return profile, u_ref
 
 
@@ -287,7 +304,7 @@ def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None
     profiles with a(u_min) = 0 (for example the cone), where the default
     integral diverges.
     """
-    profile, u_ref = _anchored(spec, u, u_ref)
+    profile, u_ref = _anchored(spec, [(u, 0.0)], u_ref)
     z, abserr = quad(lambda t: 1.0 / profile.a(t), u_ref, u,
                      epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)[:2]
     # only the error estimate decides: QUADPACK flags round-off on accurate values
@@ -320,11 +337,47 @@ def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
         )
     a_val = profile.a(u_star)
     a_slope = profile.a_u(u_star)
-    c = rho(u_star)
     rb = rho(u_star)
     rb_z = a_val * slope
     rb_zz = a_val * a_val * rho_uu(u_star) + a_val * a_slope * slope
-    return -2.0 * (rb * rb_zz + rb_z * rb_z) / c ** 4
+    return -2.0 * (rb * rb_zz + rb_z * rb_z) / rb ** 4
+
+
+def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
+               ) -> list[tuple[float, float, float]]:
+    """``embed_revolution`` of every (u, v) in points, from one anchor.
+
+    Realizability is checked once: on 257 points from the anchor to the
+    farthest u on each side of it, and at every point's own u.  A singular
+    or non-finite a' counts as |a'| > 1.
+    """
+    profile, u_ref = _anchored(spec, points, u_ref)
+    scan = [u for u, _ in points]
+    for lo, hi in ((min(scan, default=u_ref), u_ref), (u_ref, max(scan, default=u_ref))):
+        if lo < hi:
+            scan.extend(np.linspace(lo, hi, 257))
+    for t in scan:
+        t = float(t)
+        try:
+            slope = abs(profile.a_u(t))
+        except (ArithmeticError, ValueError):
+            slope = math.inf
+        if not slope <= 1.0 + 1e-12:
+            raise NotRealizableError(
+                f"|a'({t:.6g})| = {slope:.6g} > 1; "
+                "the metric is valid but has no arc-length revolution embedding here"
+            )
+
+    def db(t):
+        rad = 1.0 - profile.a_u(t) ** 2
+        return math.sqrt(rad) if rad > 0.0 else 0.0
+
+    out = []
+    for u, v in points:
+        b, _ = quad(db, u_ref, u, epsabs=1e-13, epsrel=1e-12, limit=200)
+        a_val = profile.a(u)
+        out.append((a_val * math.cos(v), a_val * math.sin(v), b))
+    return out
 
 
 def embed_revolution(spec: SurfaceSpec, u: float, v: float,
@@ -334,22 +387,7 @@ def embed_revolution(spec: SurfaceSpec, u: float, v: float,
     The height b(u) integrates sqrt(1 - a'(t)^2) from the anchor, which
     requires |a'| <= 1 along the way (arc-length realizability).
     """
-    profile, u_ref = _anchored(spec, u, u_ref, v=v)
-    lo, hi = (u_ref, u) if u_ref <= u else (u, u_ref)
-    for t in np.linspace(lo, hi, 257):
-        if abs(profile.a_u(float(t))) > 1.0 + 1e-12:
-            raise NotRealizableError(
-                f"|a'({float(t):.6g})| = {abs(profile.a_u(float(t))):.6g} > 1; "
-                "the metric is valid but has no arc-length revolution embedding here"
-            )
-
-    def db(t):
-        rad = 1.0 - profile.a_u(t) ** 2
-        return math.sqrt(rad) if rad > 0.0 else 0.0
-
-    b, _ = quad(db, u_ref, u, epsabs=1e-13, epsrel=1e-12, limit=200)
-    a_val = profile.a(u)
-    return a_val * math.cos(v), a_val * math.sin(v), b
+    return _embedding(spec, [(u, v)], u_ref)[0]
 
 
 def export_embedding_csv(trace, path, u_ref: float | None = None) -> None:
@@ -358,10 +396,10 @@ def export_embedding_csv(trace, path, u_ref: float | None = None) -> None:
     Every sample must lie on a realizable stretch of the profile; floats are
     serialized with 17 significant digits so parsing them back is exact.
     """
+    points = _embedding(trace.spec, [(smp.u, smp.v) for smp in trace.samples], u_ref)
     lines = ["s,u,v,x,y,z"]
-    for smp in trace.samples:
-        x, y, z = embed_revolution(trace.spec, smp.u, smp.v, u_ref=u_ref)
+    for smp, xyz in zip(trace.samples, points):
         lines.append(",".join(format(val, ".17g")
-                              for val in (smp.s, smp.u, smp.v, x, y, z)))
+                              for val in (smp.s, smp.u, smp.v, *xyz)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

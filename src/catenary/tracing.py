@@ -369,7 +369,9 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
     samples += [sample(spec, alpha, seg[3], seg[4], seg[5]) for seg in segments[:-1]]
     if segments:
         samples.append(sample(spec, alpha, t_final, y_final, f_final))
-    stats["max_residual"] = max(abs(smp.residual) for smp in samples)
+    residuals = [abs(smp.residual) for smp in samples]
+    # max() keeps a finite first value over a later NaN
+    stats["max_residual"] = math.nan if any(map(math.isnan, residuals)) else max(residuals)
     if flag:
         stats[flag] = True
     return Trace(spec=spec, alpha=alpha, samples=samples, termination=termination,

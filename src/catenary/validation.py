@@ -16,7 +16,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .closed_forms import closed_form_family, validate_closed_form
+from .closed_forms import (
+    closed_form_family,
+    cone_catenary,
+    euclidean_catenary,
+    grusin_catenary,
+    validate_closed_form,
+)
 from .curvature import (
     CurveJet2,
     catenary_residual,
@@ -211,23 +217,21 @@ def check_closed_form_residuals() -> list[CheckResult]:
     return out
 
 
+# surface kind, exact u(v) with mu = 1, its nu, u'(0), end of the v-span, threshold
+_GRAPH_CLOSED_FORMS = (
+    ("plane", euclidean_catenary, 0.0, 0.0, 2.0, 1e-7),
+    ("cone", cone_catenary, 0.0, 0.0, 0.9, 1e-6),
+    ("grusin", grusin_catenary, 1.0, 1.0, 4.0, 1e-6),
+)
+
+
 def check_trace_vs_closed_forms() -> list[CheckResult]:
     """Criterion 2: graph traces against the exact solutions."""
-    plane = catalog_surface("plane")
-    tr = trace_graph(plane, 1.0, 1.0, 0.0, (0.0, 2.0), tol=1e-9)
-    worst = max(abs(s.u - math.cosh(s.v)) for s in tr.samples)
-    out = [_result("trace_vs_closed_form[plane]", worst, 1e-7)]
-
-    cone = catalog_surface("cone")
-    tr = trace_graph(cone, 1.0, 1.0, 0.0, (0.0, 0.9), tol=1e-9)
-    worst = max(abs(s.u - 1.0 / math.sqrt(math.cos(math.sqrt(2.0) * s.v)))
-                for s in tr.samples)
-    out.append(_result("trace_vs_closed_form[cone]", worst, 1e-6))
-
-    grusin = catalog_surface("grusin")
-    tr = trace_graph(grusin, 1.0, 1.0, 1.0, (0.0, 4.0), tol=1e-9)
-    worst = max(abs(s.u - math.sqrt(2.0 * s.v + 1.0)) for s in tr.samples)
-    out.append(_result("trace_vs_closed_form[grusin]", worst, 1e-6))
+    out = []
+    for kind, exact, nu, du0, v1, thr in _GRAPH_CLOSED_FORMS:
+        tr = trace_graph(catalog_surface(kind), 1.0, 1.0, du0, (0.0, v1), tol=1e-9)
+        worst = max(abs(s.u - exact(1.0, nu, s.v)) for s in tr.samples)
+        out.append(_result(f"trace_vs_closed_form[{kind}]", worst, thr))
     return out
 
 

@@ -77,6 +77,30 @@ def test_embed_columns_satisfy_sphere_identity(tmp_path):
         assert abs(x * x + y * y + z * z - 1.0) < 1e-9
 
 
+def test_embed_columns_match_export_embedding_csv(tmp_path):
+    from catenary import export_embedding_csv
+
+    out, exported = tmp_path / "emb.csv", tmp_path / "export.csv"
+    assert run(["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1.0",
+                "--smax", "3", "--out", str(out), "--embed"]) == 0
+    trace = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
+                           s_max=3.0)
+    export_embedding_csv(trace, exported)
+    with open(out, newline="") as a, open(exported, newline="") as b:
+        cli_rows, export_rows = list(csv.reader(a)), list(csv.reader(b))
+    assert len(cli_rows) == len(export_rows) == len(trace.samples) + 1
+    for cli_row, export_row in zip(cli_rows, export_rows):
+        assert cli_row[:3] + cli_row[-3:] == export_row
+
+
+def test_embed_on_singular_anchor_exits_2(capsys):
+    # the Grusin slope -1/u^2 is singular at the default anchor u = 0
+    code = run(["trace", "--surface", "grusin", "--u0", "2", "--phi0", "1",
+                "--smax", "3", "--embed"])
+    assert code == 2
+    assert "no arc-length revolution embedding" in capsys.readouterr().err
+
+
 def test_catenoid_json_reports_blow_up(tmp_path):
     out = tmp_path / "cat.json"
     code = run(["trace", "--surface", "catenoid", "--u0", "1", "--phi0",

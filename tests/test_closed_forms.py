@@ -194,3 +194,22 @@ def test_hyperbolic_quadrature_matches_trace():
     dv_trace = tr.at(0.5 * (a + b))[1]
     dv_quad = hyperbolic_quadrature(1.0, 1.0, c, u0, u1)
     assert abs(dv_trace - dv_quad) < 1e-5
+
+
+@pytest.mark.parametrize("family, params", [
+    ("euclidean", {"mu": 0.0}),
+    ("euclidean", {"mu": -1.0}),
+    ("cone", {"mu": 0.0}),
+    ("cone", {"mu": math.nan}),
+    ("grusin_catenary", {"mu": -2.0}),
+    ("grusin_geodesic", {"u0": 0.0}),
+    ("grusin_geodesic", {"u0": -1.0}),
+    ("euclidean", {"mu": 1.0, "lam": 2.0}),
+    ("grusin_geodesic", {"u0": 1.0, "nu": 0.0}),
+    ("hyperbolic_quadrature", {"c": 1.0, "mu": 1.0}),
+    ("catenoid", {}),
+    ("hyperbolic_quadrature", {"c": 0.0}),
+])
+def test_family_rejects_bad_parameters(family, params):
+    with pytest.raises(ConfigError):
+        closed_form_family(family, **params)

@@ -286,6 +286,18 @@ def test_grusin_embeddable_above_one():
         embed_revolution(grusin, 0.5, 0.0, u_ref=1.5)
 
 
+def test_singular_or_non_finite_slope_is_not_realizable():
+    # a' = -1/u^2 of the Grusin profile divides by zero at the anchor u = 0
+    with pytest.raises(NotRealizableError):
+        embed_revolution(catalog_surface("grusin"), 2.0, 0.0)
+    # a NaN slope once passed the |a'| <= 1 test and gave a flat height
+    nan_below = profile_surface(lambda u: 1.0, lambda u: math.nan if u < 0.5 else 0.0,
+                                lambda u: 0.0, (0.0, 10.0))
+    with pytest.raises(NotRealizableError):
+        embed_revolution(nan_below, 1.0, 0.0)
+    assert embed_revolution(nan_below, 2.0, 0.0, u_ref=1.0) == (1.0, 0.0, 1.0)
+
+
 def test_conservation_along_traces():
     for kind, start in (("sphere", CatenaryState(0.7, 0.0, 1.0)),
                         ("cone", CatenaryState(1.0, 0.0, 0.9)),

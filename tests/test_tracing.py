@@ -430,3 +430,16 @@ def test_non_finite_start_u_and_limits_raise_config_error():
         trace_graph(sphere, 1.0, math.nan, 0.0, (0.0, 1.0))
     with pytest.raises(ConfigError, match="must be finite"):
         trace_graph(sphere, 1.0, 0.7, 0.0, (0.0, 1.0), blowup_factor=math.nan)
+
+
+def test_max_residual_is_nan_when_any_residual_is_nan():
+    # G = cosh u overflows when squared from u ~ 495 on, so later samples
+    # carry NaN residuals behind finite first ones
+    tr = trace_catenary(catalog_surface("hyperbolic"), 1.0, CatenaryState(1.0, 0.0, 0.0),
+                        s_max=2000.0)
+    assert math.isfinite(tr.samples[0].residual)
+    assert any(math.isnan(s.residual) for s in tr.samples)
+    assert math.isnan(tr.stats["max_residual"])
+    finite = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
+                            s_max=3.0)
+    assert finite.stats["max_residual"] == max(abs(s.residual) for s in finite.samples)
