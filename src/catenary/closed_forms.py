@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-# revolution first: it loads scipy.integrate before .surfaces loads
-# scipy.interpolate, and that order makes `import catenary` about 5% faster
-from .revolution import quadrature_v
 from .curvature import CurveJet2, catenary_residual
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_finite
+from .revolution import quadrature_v
 from .surfaces import SurfaceSpec, catalog_surface
 
 __all__ = [
@@ -144,8 +142,8 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
             d2=lambda v: -mu * (2.0 * v + nu) ** -1.5,
         )
     if family == "grusin_geodesic":
-        u0 = float(params.pop("u0"))
-        v0 = float(params.pop("v0", 0.0))
+        u0 = _param(params, "u0")
+        v0 = _param(params, "v0", 0.0)
         _no_extras(params)
         _positive("u0", u0)
         half = math.pi * u0 / 2.0
@@ -161,9 +159,9 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
             value=lambda s: grusin_geodesic(u0, v0, s), d1=d1, d2=d2,
         )
     if family == "hyperbolic_quadrature":
-        r = float(params.pop("r", 1.0))
-        alpha = float(params.pop("alpha", 1.0))
-        c = float(params.pop("c"))
+        r = _param(params, "r", 1.0)
+        alpha = _param(params, "alpha", 1.0)
+        c = _param(params, "c")
         _no_extras(params)
         if not r > 0.0 or c == 0.0:
             raise ConfigError("hyperbolic family needs r > 0 and c != 0")
@@ -176,10 +174,23 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
 
 
 def _mu_nu(params: dict) -> tuple[float, float]:
-    mu = float(params.pop("mu", 1.0))
-    nu = float(params.pop("nu", 0.0))
+    mu = _param(params, "mu", 1.0)
+    nu = _param(params, "nu", 0.0)
     _no_extras(params)
     return _positive("mu", mu), nu
+
+
+def _param(params: dict, name: str, default: float | None = None) -> float:
+    """Pop ``params[name]`` (or ``default``) as a finite float, else ConfigError."""
+    if name not in params and default is None:
+        raise ConfigError(f"family parameter {name!r} is required")
+    value = params.pop(name, default)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"family parameter {name}={value!r} is not a number") from None
+    check_finite(**{name: value})
+    return value
 
 
 def _positive(name: str, value: float) -> float:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConfigError,
@@ -70,6 +69,13 @@ class ClairautProfile:
     rho_u: Callable[[float], float]
     rho_uu: Callable[[float], float]
     critical_parallels: tuple[CriticalParallel, ...]
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call: importing catenary loads no scipy."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _require_profile(spec: SurfaceSpec) -> RevolutionProfile:

@@ -10,13 +10,13 @@ tabulated revolution profiles and ruled surfaces.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DegenerateMetricError, DomainError, check_finite
 
@@ -297,6 +297,76 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
 
 
 # --------------------------------------------------------------------------
+# monotone cubic interpolation
+# --------------------------------------------------------------------------
+
+def _sign(t: float) -> int:
+    return (t > 0.0) - (t < 0.0)
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point estimate, made shape-preserving (Moler,
+    # Numerical Computing with MATLAB, section 3.6)
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: Sequence[float], y: Sequence[float]):
+    """PCHIP interpolant of samples y(x) and its first two derivatives.
+
+    Returns callables (a, a_u, a_uu) equal bit for bit to scipy's
+    ``PchipInterpolator(x, y)`` and its ``derivative()`` and
+    ``derivative(2)``: the same knot slopes (weighted harmonic mean inside,
+    Fritsch & Carlson 1980), the same cubic coefficients, the same piece
+    (the end pieces extend beyond the knots, x[-1] belongs to the last one)
+    and the same order of floating-point operations.  x must be strictly
+    increasing with at least 3 entries; nothing is checked here.
+    """
+    x = [float(t) for t in x]
+    y = [float(t) for t in y]
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / hk for a, b, hk in zip(y, y[1:], h)]
+    d = [_pchip_end_slope(h[0], h[1], m[0], m[1])]
+    for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+        if _sign(m0) != _sign(m1) or m0 == 0.0 or m1 == 0.0:
+            d.append(0.0)
+        else:
+            w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+            d.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+    d.append(_pchip_end_slope(h[-1], h[-2], m[-1], m[-2]))
+    # per piece: y + d s + c1 s^2 + c0 s^3, and the scaled derivative terms
+    pieces = []
+    for k, hk in enumerate(h):
+        t = (d[k] + d[k + 1] - 2.0 * m[k]) / hk
+        c0, c1 = t / hk, (m[k] - d[k]) / hk - t
+        pieces.append((y[k], d[k], c1, c0, 2.0 * c1, 3.0 * c0, 6.0 * c0))
+    hi = len(x) - 1  # bisect over x[1:-1]: clamps t to the end pieces
+
+    def a(t: float) -> float:
+        k = bisect.bisect_right(x, t, 1, hi) - 1
+        s = t - x[k]
+        c3, c2, c1, c0, _, _, _ = pieces[k]
+        return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+    def a_u(t: float) -> float:
+        k = bisect.bisect_right(x, t, 1, hi) - 1
+        s = t - x[k]
+        _, c2, _, _, e1, e0, _ = pieces[k]
+        return 0.0 + c2 + e1 * s + e0 * (s * s)
+
+    def a_uu(t: float) -> float:
+        k = bisect.bisect_right(x, t, 1, hi) - 1
+        _, _, _, _, e1, _, f0 = pieces[k]
+        return 0.0 + e1 + f0 * (t - x[k])
+
+    return a, a_u, a_uu
+
+
+# --------------------------------------------------------------------------
 # ruled surfaces
 # --------------------------------------------------------------------------
 
@@ -338,23 +408,31 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
                                g_samples: Sequence[float],
                                u_range=(0.0, _INF),
                                identifier: str = "ruled") -> SurfaceSpec:
-    """Ruled surface with f and g given by samples over v (PCHIP interpolated)."""
-    v_arr = np.asarray(v_samples, dtype=float)
+    """Ruled surface with f and g given by samples over v.
+
+    f and g are interpolated by PCHIP, the monotone piecewise cubic of
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980); the interpolant equals
+    scipy's ``PchipInterpolator``.  Requires at least 4 finite samples, one
+    f and one g per v, strictly increasing v and nonnegative g.
+    """
+    v_arr, f_arr, g_arr = (np.asarray(t, dtype=float)
+                           for t in (v_samples, f_samples, g_samples))
     if v_arr.ndim != 1 or len(v_arr) < 4:
         raise ConfigError("need at least 4 samples of f and g")
+    if f_arr.shape != v_arr.shape or g_arr.shape != v_arr.shape:
+        raise ConfigError(f"need one f and one g sample per v sample: got "
+                          f"{f_arr.shape}, {g_arr.shape} for {v_arr.shape}")
+    for v, f, g in zip(v_arr.tolist(), f_arr.tolist(), g_arr.tolist()):
+        check_finite(v=v, f=f, g=g)
     if not np.all(np.diff(v_arr) > 0):
         raise ConfigError("v samples must be strictly increasing")
-    if np.any(np.asarray(g_samples, dtype=float) < 0):
+    if np.any(g_arr < 0):
         raise ConfigError("g = ||W'||^2 samples must be nonnegative")
-    fi = PchipInterpolator(v_arr, np.asarray(f_samples, dtype=float))
-    gi = PchipInterpolator(v_arr, np.asarray(g_samples, dtype=float))
-    fd, gd = fi.derivative(), gi.derivative()
-    return ruled_surface(
-        lambda v: float(fi(v)), lambda v: float(gi(v)),
-        lambda v: float(fd(v)), lambda v: float(gd(v)),
-        u_range=u_range, v_range=(float(v_arr[0]), float(v_arr[-1])),
-        identifier=identifier,
-    )
+    f, f_v, _ = _pchip(v_arr, f_arr)
+    g, g_v, _ = _pchip(v_arr, g_arr)
+    return ruled_surface(f, g, f_v, g_v, u_range=u_range,
+                         v_range=(float(v_arr[0]), float(v_arr[-1])),
+                         identifier=identifier)
 
 
 # --------------------------------------------------------------------------
@@ -384,8 +462,10 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
     """Revolution surface with a(u) given by monotone cubic interpolation.
 
     Requires at least 4 finite samples with strictly increasing u and positive a.
-    Shape-preserving (PCHIP) interpolation is used so that no spurious
-    critical parallels are introduced by overshoot.
+    The interpolant is PCHIP, the shape-preserving piecewise cubic of
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980), so that no spurious
+    critical parallels are introduced by overshoot; it equals scipy's
+    ``PchipInterpolator``.
     """
     pts = [(float(u), float(a)) for u, a in samples]
     for u, a in pts:
@@ -398,14 +478,11 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
         raise ConfigError("profile u samples must be strictly increasing")
     if not np.all(vals > 0):
         raise ConfigError("profile values a(u) must be positive")
-    interp = PchipInterpolator(us, vals)
-    d1 = interp.derivative()
-    d2 = interp.derivative(2)
-    fine = np.linspace(us[0], us[-1], max(2000, 20 * len(us)))
-    warning = bool(np.max(np.abs(d1(fine))) > 1.0)
+    a, a_u, a_uu = _pchip(us, vals)
+    fine = np.linspace(us[0], us[-1], max(2000, 20 * len(us))).tolist()
+    warning = max(abs(a_u(t)) for t in fine) > 1.0
     return _revolution_spec(
-        "revolution_profile", {}, identifier,
-        lambda u: float(interp(u)), lambda u: float(d1(u)), lambda u: float(d2(u)),
+        "revolution_profile", {}, identifier, a, a_u, a_uu,
         Domain(float(us[0]), float(us[-1])), warning=warning,
     )
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .closed_forms import (
     closed_form_family,
@@ -144,6 +143,8 @@ def conformal_geodesic(spec, alpha, start: CatenaryState, s_span: float):
     length s is carried along for comparisons against traces.  Returns a
     callable s -> (u, v).
     """
+    from scipy.integrate import solve_ivp
+
     metric = spec.patch.metric  # unchecked: the oracle may step below u = 0
     u0 = start.u
 

@@ -277,3 +277,13 @@ def test_metric_overflow_ends_trace_on_step_underflow(tmp_path, capsys):
 def test_non_finite_alpha_exits_2(argv, alpha, capsys):
     assert run(argv + ["--alpha", alpha]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    code = "import sys, catenary.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

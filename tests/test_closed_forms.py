@@ -209,6 +209,9 @@ def test_hyperbolic_quadrature_matches_trace():
     ("hyperbolic_quadrature", {"c": 1.0, "mu": 1.0}),
     ("catenoid", {}),
     ("hyperbolic_quadrature", {"c": 0.0}),
+    ("grusin_geodesic", {}),
+    ("hyperbolic_quadrature", {}),
+    ("euclidean", {"mu": "abc"}),
 ])
 def test_family_rejects_bad_parameters(family, params):
     with pytest.raises(ConfigError):

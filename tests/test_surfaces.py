@@ -15,6 +15,7 @@ from catenary import (
     ruled_surface_from_samples,
     tabulated_profile,
 )
+from catenary.surfaces import _pchip
 from oracles import fd1
 
 
@@ -268,3 +269,49 @@ def test_tabulated_profile_rejects_non_finite_samples():
     for bad in ((math.inf, 1.0), (0.4, math.inf), (0.4, math.nan)):
         with pytest.raises(ConfigError, match="must be finite"):
             tabulated_profile([(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), bad])
+
+
+def test_ruled_surface_from_samples_rejects_bad_samples():
+    vs = [0.0, 0.5, 1.0, 1.5, 2.0]
+    fs = [0.1, 0.2, 0.1, 0.0, -0.1]
+    gs = [0.5, 0.4, 0.6, 0.5, 0.5]
+    for bad in (math.nan, math.inf, -math.inf):
+        for which in range(3):
+            columns = [list(vs), list(fs), list(gs)]
+            columns[which][2] = bad
+            with pytest.raises(ConfigError, match="must be finite"):
+                ruled_surface_from_samples(*columns)
+    for columns in ((vs, fs[:-1], gs), (vs, fs, gs + [0.5]), (vs[:-1], fs, gs)):
+        with pytest.raises(ConfigError, match="one f and one g sample per v"):
+            ruled_surface_from_samples(*columns)
+
+
+def _random_profile(rng, n):
+    x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+    y = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+    flat = rng.random(n) < 0.2  # flat runs: repeat the previous value
+    for k in range(1, n):
+        if flat[k]:
+            y[k] = y[k - 1]
+    y[rng.random(n) < 0.1] = 0.0  # exact zeros, slope sign changes around them
+    return x, y
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pchip_matches_scipy_bit_for_bit(seed):
+    # scipy serves only as the oracle here: the library never imports it
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(seed)
+    for n in (4, 5, 6, 13, 40, 400, *rng.integers(4, 401, 4)):
+        x, y = _random_profile(rng, int(n))
+        ref = PchipInterpolator(x, y)
+        pts = np.concatenate([
+            x,
+            rng.uniform(x[0], x[-1], 50),
+            rng.uniform(x[0] - 2.0, x[0], 5),  # outside the knots
+            rng.uniform(x[-1], x[-1] + 2.0, 5),
+        ])
+        for fn, oracle in zip(_pchip(x, y), (ref, ref.derivative(), ref.derivative(2))):
+            got = np.array([fn(t) for t in pts.tolist()])
+            np.testing.assert_array_equal(got.view(np.int64), oracle(pts).view(np.int64))
