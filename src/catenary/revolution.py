@@ -204,8 +204,11 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
                    u_range: tuple[float, float] | None = None) -> list[float]:
     """Sorted solutions of rho(u) = c in the range (extrema of u along traces).
 
-    Transversal roots come from a sign-change scan; tangential roots (c at a
-    critical value of rho) are added from the critical parallels.
+    The critical parallels split the range into pieces on which rho is
+    monotone.  One with |rho - c| <= 1e-10 * max(1, c) is a tangential root,
+    reported once, and the pieces beside it add none.  Every other piece on
+    which rho - c changes sign holds one root, found by bisection.  An exact
+    zero at an end of the range is a root too.
     """
     check_finite(alpha=alpha, c=c)
     if not c > 0.0:
@@ -213,16 +216,18 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     profile = _require_profile(spec)
     lo, hi = _scan_range(spec, u_range)
     rho, rho_u, _ = _rho_funcs(profile, alpha)
-    roots = _scan_roots(lambda u: rho(u) - c, lo, hi)
-    for r in _scan_roots(rho_u, lo, hi):
-        if abs(rho(r) - c) <= 1e-10 * max(1.0, abs(c)):
-            roots.append(r)
-    roots.sort()
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-9:
-            dedup.append(r)
-    return dedup
+    knots = [lo, *_scan_roots(rho_u, lo, hi), hi]
+    gaps = [rho(u) - c for u in knots]
+    hits = [g == 0.0 or (0 < i < len(knots) - 1 and abs(g) <= 1e-10 * max(1.0, c))
+            for i, g in enumerate(gaps)]
+    roots: list[float] = []
+    for i, u in enumerate(knots):
+        if i and not (hits[i - 1] or hits[i]) and (gaps[i - 1] < 0.0) != (gaps[i] < 0.0):
+            roots.append(_bisect_root(lambda t: rho(t) - c, knots[i - 1], u,
+                                      gaps[i - 1], gaps[i]))
+        if hits[i] and (not roots or u > roots[-1]):  # a parallel at lo or hi comes twice
+            roots.append(u)
+    return roots
 
 
 def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,

@@ -201,18 +201,6 @@ def _positive_param(params: dict, key: str, default: float | None, kind: str) ->
     return value
 
 
-CATALOG_KINDS = (
-    "plane",
-    "cylinder",
-    "sphere",
-    "hyperbolic",
-    "cone",
-    "catenoid",
-    "helicoid",
-    "binormal",
-    "grusin",
-)
-
 CATALOG_PARAMS = {
     "plane": (),
     "cylinder": (),
@@ -224,6 +212,8 @@ CATALOG_PARAMS = {
     "binormal": ("tau",),
     "grusin": (),
 }
+
+CATALOG_KINDS = tuple(CATALOG_PARAMS)
 
 
 def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceSpec:
@@ -415,8 +405,11 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
     scipy's ``PchipInterpolator``.  Requires at least 4 finite samples, one
     f and one g per v, strictly increasing v and nonnegative g.
     """
-    v_arr, f_arr, g_arr = (np.asarray(t, dtype=float)
-                           for t in (v_samples, f_samples, g_samples))
+    try:
+        v_arr, f_arr, g_arr = (np.asarray(t, dtype=float)
+                               for t in (v_samples, f_samples, g_samples))
+    except (TypeError, ValueError):
+        raise ConfigError("v, f and g samples must be sequences of numbers") from None
     if v_arr.ndim != 1 or len(v_arr) < 4:
         raise ConfigError("need at least 4 samples of f and g")
     if f_arr.shape != v_arr.shape or g_arr.shape != v_arr.shape:
@@ -467,13 +460,15 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
     critical parallels are introduced by overshoot; it equals scipy's
     ``PchipInterpolator``.
     """
-    pts = [(float(u), float(a)) for u, a in samples]
+    try:
+        pts = [(float(u), float(a)) for u, a in samples]
+    except (TypeError, ValueError):
+        raise ConfigError("profile samples must be (u, a) pairs of numbers") from None
     for u, a in pts:
         check_finite(u=u, a=a)
     if len(pts) < 4:
         raise ConfigError(f"need at least 4 profile samples, got {len(pts)}")
-    us = np.array([p[0] for p in pts])
-    vals = np.array([p[1] for p in pts])
+    us, vals = map(np.array, zip(*pts))
     if not np.all(np.diff(us) > 0):
         raise ConfigError("profile u samples must be strictly increasing")
     if not np.all(vals > 0):

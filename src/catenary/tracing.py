@@ -23,8 +23,8 @@ as exceptions.
 
 from __future__ import annotations
 
-import bisect as _bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -109,7 +109,7 @@ class Trace:
         if not self._segments:
             raise ValueError("empty trace has no dense output")
         t = min(max(t, self._starts[0]), self._t_final)
-        return _hermite(self._segments[_bisect.bisect_right(self._starts, t) - 1], t)
+        return _hermite(self._segments[bisect_right(self._starts, t) - 1], t)
 
     @property
     def s_final(self) -> float:
@@ -193,24 +193,22 @@ class _Event(NamedTuple):
     g: Callable[[tuple, tuple | None], float]
 
 
-def _locate_event(seg, g):
-    """First parameter in the segment where g(dense(t)) <= 0, by bisection."""
-    a, b = seg[0], seg[3]
-    # endpoint values: g(a) > 0 (checked before the step), g(b) <= 0
-    while (b - a) > 1e-12 * max(1.0, abs(b)):
+def _bisect(before, a, b, rtol):
+    """Halve [a, b], where ``before`` holds at a and fails at b, to rtol * max(1, |b|)."""
+    while (b - a) > rtol * max(1.0, abs(b)):
         mid = 0.5 * (a + b)
-        if g(_hermite(seg, mid), None) <= 0.0:
-            b = mid
-        else:
+        if before(mid):
             a = mid
-    return b
+        else:
+            b = mid
+    return a, b
 
 
 def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     """Adaptive RK5(4) from t0 to t_end with endpoint event detection.
 
-    f0 = f(t0, y0) is supplied by the caller; ``rhs_evals`` counts it and
-    the initial-step probe.  Returns
+    ``rhs_evals`` counts f0 = f(t0, y0) (from the caller), the initial-step
+    probe and the derivative at an event exit, not an event g's own calls.  Returns
     (segments, termination, flag, stats, t_final, y_final, f_final), where
     f_final is the derivative at the final point.  When an event fires
     inside a step the full segment is kept for dense output and
@@ -290,12 +288,16 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
         hit = None
         for ev in events:
             if ev.g(y_new, f_new) <= 0.0:
-                t_star = _locate_event(seg, ev.g)
+                # g > 0 held at the step start; a NaN g counts as inside.  The
+                # event point is b, the first point of the final bracket past it.
+                t_star = _bisect(lambda t: not ev.g(_hermite(seg, t), None) <= 0.0,
+                                 seg[0], seg[3], 1e-12)[1]
                 if hit is None or t_star < hit[0]:
                     hit = (t_star, ev)
         if hit is not None:
             t_star, ev = hit
             y_star = _hermite(seg, t_star)
+            stats["rhs_evals"] += 1
             return (segments, ev.termination, ev.flag, stats, t_star, y_star,
                     f(t_star, y_star))
 
@@ -439,9 +441,12 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         raise ConfigError(f"s_max={s_max!r} must be positive")
     events = _boundary_events(spec, start.u, start.v, blowup_factor)
     f = _flow_f(spec, alpha)
+    dense_rhs_evals = 0
 
     def g_dphi(y, fy, lim=dphi_limit):
+        nonlocal dense_rhs_evals
         if fy is None:
+            dense_rhs_evals += 1
             try:
                 fy = f(0.0, y)
             except _STAGE_ERRORS:
@@ -450,9 +455,11 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
 
     events.append(_Event("blow_up", None, g_dphi))
 
-    return _sampled_trace(spec, alpha, f, _flow_sample, start.s,
-                          (start.u, start.v, start.phi), start.s + s_max, tol,
-                          max_step, events, "arclength")
+    trace = _sampled_trace(spec, alpha, f, _flow_sample, start.s,
+                           (start.u, start.v, start.phi), start.s + s_max, tol,
+                           max_step, events, "arclength")
+    trace.stats["rhs_evals"] += dense_rhs_evals
+    return trace
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .revolution import (
     turning_points,
 )
 from .surfaces import catalog_surface, eval_metric, profile_surface
-from .tracing import CatenaryState, Trace, trace_catenary, trace_graph
+from .tracing import CatenaryState, Trace, _bisect, trace_catenary, trace_graph
 
 __all__ = ["CheckResult", "THRESHOLDS", "run_all"]
 
@@ -91,17 +91,8 @@ def bisect_oracle(fn, a, b, xtol=1e-14):
 # --------------------------------------------------------------------------
 
 def _bisect_dense(before, a, b):
-    """Parameter in [a, b] where ``before(t)`` turns from true to false.
-
-    Bisects a dense output to a relative width of 1e-13 and returns the
-    midpoint of the final bracket.
-    """
-    while (b - a) > 1e-13 * max(1.0, abs(b)):
-        mid = 0.5 * (a + b)
-        if before(mid):
-            a = mid
-        else:
-            b = mid
+    """Parameter in [a, b] where ``before(t)`` turns from true to false, to 1e-13."""
+    a, b = _bisect(before, a, b, 1e-13)
     return 0.5 * (a + b)
 
 

@@ -23,6 +23,7 @@ from catenary import (
     trace_catenary,
     turning_points,
 )
+from catenary.validation import bisect_oracle
 from oracles import (
     CATENOID_IMPROPER_HALF,
     RHO_STAR,
@@ -165,6 +166,31 @@ def test_turning_points_tangent_case_single_root():
     tp = turning_points(sphere, 1.0, RHO_STAR)
     assert len(tp) == 1
     assert tp[0] == pytest.approx(USTAR, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_turning_points_near_critical_pair_straddles_parallel(k):
+    # both roots of rho = c can lie within one scan cell of u*; the monotone
+    # pieces on either side of the critical parallel still find each of them
+    sphere = catalog_surface("sphere")
+    c = RHO_STAR * (1.0 - 10.0 ** -k)
+    tp = turning_points(sphere, 1.0, c)
+    assert len(tp) == 2
+    assert tp[0] < USTAR < tp[1]
+
+    def gap(u):
+        return u * math.cos(u) - c
+
+    assert tp[0] == pytest.approx(bisect_oracle(gap, 0.3, USTAR), abs=1e-12)
+    assert tp[1] == pytest.approx(bisect_oracle(gap, USTAR, 1.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12, 14, 16, math.inf])
+def test_turning_points_within_tangential_tolerance_give_one_root(k):
+    # |rho* - c| <= 1e-10 max(1, c): the critical parallel is the one root
+    sphere = catalog_surface("sphere")
+    tp = turning_points(sphere, 1.0, RHO_STAR * (1.0 - 10.0 ** -k))
+    assert tp == [critical_parallels(sphere, 1.0)[0].u]
 
 
 def test_turning_points_cylinder():

@@ -269,6 +269,9 @@ def test_tabulated_profile_rejects_non_finite_samples():
     for bad in ((math.inf, 1.0), (0.4, math.inf), (0.4, math.nan)):
         with pytest.raises(ConfigError, match="must be finite"):
             tabulated_profile([(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), bad])
+    for bad in (("x", 1.0), (0.4, "x"), (0.4, None), (0.4, 1.0, 2.0), 0.4):
+        with pytest.raises(ConfigError, match="pairs of numbers"):
+            tabulated_profile([(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), bad])
 
 
 def test_ruled_surface_from_samples_rejects_bad_samples():
@@ -284,6 +287,13 @@ def test_ruled_surface_from_samples_rejects_bad_samples():
     for columns in ((vs, fs[:-1], gs), (vs, fs, gs + [0.5]), (vs[:-1], fs, gs)):
         with pytest.raises(ConfigError, match="one f and one g sample per v"):
             ruled_surface_from_samples(*columns)
+    for which in range(3):
+        columns = [list(vs), list(fs), list(gs)]
+        columns[which][3] = "x"
+        with pytest.raises(ConfigError, match="sequences of numbers"):
+            ruled_surface_from_samples(*columns)
+    with pytest.raises(ConfigError, match="sequences of numbers"):
+        ruled_surface_from_samples([0, 1, 2, "x"], fs[:4], gs[:4])
 
 
 def _random_profile(rng, n):

@@ -68,8 +68,8 @@ EXPECTED = {
     "helicoid": "f971b7ee1d84963bd23379f0b038689c8b1c364a92025dc7448e73a7e15dbce2",
     "binormal": "f971b7ee1d84963bd23379f0b038689c8b1c364a92025dc7448e73a7e15dbce2",
     "grusin": "6c84380c8f0142986e8306d3ad54d4ca11aaad3437281cc205c93657418acb2b",
-    "cone_graph": "d00d1a352dc2d26b5950d636bdddf81a4cbde41109401eb113521c3fd3e1f136",
-    "tabulated": "dd2aead1076ca1d5968d94f011b686898ca23933437565b9af3706893a0af45a",
+    "cone_graph": "040399f8eb46ec07f2e1105e2232ce035f7936ab511d664c38a070b703d01900",
+    "tabulated": "43d6d6169d188e515b944f270f94679403902bf6e8466a3c8425fb66eb535910",
     "ruled": "514c014cea163d29d6ab28f316e80a11d1ccb220f57f8013e24b31cf76b9b4ae",
 }
 

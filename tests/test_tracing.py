@@ -369,9 +369,7 @@ def test_nan_step_is_never_accepted():
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
 
 
-def test_one_metric_evaluation_per_rhs_call_and_sample(monkeypatch):
-    # the step-end dphi event reuses the step's derivative instead of
-    # evaluating the metric again, and each sample evaluates it once
+def _count_evaluations(monkeypatch):
     from catenary.surfaces import MetricPatch
 
     calls = [0]
@@ -382,10 +380,32 @@ def test_one_metric_evaluation_per_rhs_call_and_sample(monkeypatch):
         return evaluate(self, u, v)
 
     monkeypatch.setattr(MetricPatch, "evaluate", counting)
+    return calls
+
+
+def test_one_metric_evaluation_per_rhs_call_and_sample(monkeypatch):
+    # the step-end dphi event reuses the step's derivative instead of
+    # evaluating the metric again, and each sample evaluates it once
+    calls = _count_evaluations(monkeypatch)
     tr = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
                         s_max=100.0, max_step=0.02)
     assert tr.termination == "reached_smax"
     assert calls[0] == tr.stats["rhs_evals"] + len(tr.samples)
+
+
+@pytest.mark.parametrize("run, termination, evaluations", [
+    # the dphi event is located by bisection on the dense output, with one
+    # RHS call per probe; the exit point's derivative is one more call
+    (lambda: trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(1.0, 0.0, 1.2),
+                            s_max=5.0, dphi_limit=1.0), "blow_up", 131),
+    (lambda: trace_graph(catalog_surface("cone"), 1.0, 1.0, 0.3, (0.0, 1.5)),
+     "left_domain", 3413),
+], ids=["sphere_dphi", "cone_graph"])
+def test_event_exit_counts_every_rhs_call(monkeypatch, run, termination, evaluations):
+    calls = _count_evaluations(monkeypatch)
+    tr = run()
+    assert tr.termination == termination
+    assert calls[0] == tr.stats["rhs_evals"] + len(tr.samples) == evaluations
 
 
 def test_dphi_limit_ends_trace_on_blow_up():
