@@ -84,14 +84,15 @@ def _require_profile(spec: SurfaceSpec) -> RevolutionProfile:
     return spec.profile
 
 
-def _rho_funcs(profile: RevolutionProfile, alpha: float):
-    a, a_u, a_uu = profile.a, profile.a_u, profile.a_uu
+def _rho_funcs(spec: SurfaceSpec, alpha: float):
+    a, a_u, a_uu, metric = spec.profile.a, spec.profile.a_u, spec.profile.a_uu, spec.patch.metric
 
     def rho(u):
         return u ** alpha * a(u)
 
     def rho_u(u):
-        return alpha * u ** (alpha - 1.0) * a(u) + u ** alpha * a_u(u)
+        a_val, a_slope, _ = metric(u, 0.0)  # (a, a') in one kernel call
+        return alpha * u ** (alpha - 1.0) * a_val + u ** alpha * a_slope
 
     def rho_uu(u):
         return (alpha * (alpha - 1.0) * u ** (alpha - 2.0) * a(u)
@@ -173,10 +174,10 @@ def critical_parallels(spec: SurfaceSpec, alpha: float,
     Roots are bracketed on a log-spaced scan grid and refined by bisection;
     an empty list means no parallel of the surface is a critical curve.
     """
-    profile = _require_profile(spec)
+    _require_profile(spec)
     check_finite(alpha=alpha)
     lo, hi = _scan_range(spec, u_range)
-    _, rho_u, _ = _rho_funcs(profile, alpha)
+    _, rho_u, _ = _rho_funcs(spec, alpha)
     out = []
     for r in _scan_roots(rho_u, lo, hi):
         lam = stability_exponent(spec, alpha, r, root_tol=math.inf)
@@ -194,7 +195,7 @@ def clairaut_profile(spec: SurfaceSpec, alpha: float,
                      u_range: tuple[float, float] | None = None) -> ClairautProfile:
     """Bundle rho and its derivatives with the critical parallels found in range."""
     profile = _require_profile(spec)
-    rho, rho_u, rho_uu = _rho_funcs(profile, alpha)
+    rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     criticals = tuple(critical_parallels(spec, alpha, u_range))
     return ClairautProfile(alpha=alpha, a=profile.a, rho=rho, rho_u=rho_u,
                            rho_uu=rho_uu, critical_parallels=criticals)
@@ -213,9 +214,9 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     check_finite(alpha=alpha, c=c)
     if not c > 0.0:
         raise ConfigError(f"Clairaut constant c={c!r} must be positive")
-    profile = _require_profile(spec)
+    _require_profile(spec)
     lo, hi = _scan_range(spec, u_range)
-    rho, rho_u, _ = _rho_funcs(profile, alpha)
+    rho, rho_u, _ = _rho_funcs(spec, alpha)
     knots = [lo, *_scan_roots(rho_u, lo, hi), hi]
     gaps = [rho(u) - c for u in knots]
     hits = [g == 0.0 or (0 < i < len(knots) - 1 and abs(g) <= 1e-10 * max(1.0, c))
@@ -252,14 +253,15 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     sign = 1.0
     if u0 > u1:
         u0, u1, sign = u1, u0, -1.0
-    rho, _, _ = _rho_funcs(profile, alpha)
+    rho, _, _ = _rho_funcs(spec, alpha)
     a = profile.a
 
     def q(t):
-        rad = (rho(t) / c) ** 2 - 1.0
+        at = a(t)  # rho(t) = t ** alpha * a(t), with a read once
+        rad = (t ** alpha * at / c) ** 2 - 1.0
         if rad <= 0.0:
             return 0.0
-        return 1.0 / (a(t) * math.sqrt(rad))
+        return 1.0 / (at * math.sqrt(rad))
 
     finite = math.isfinite(u1)
     hi_scan = u1 if finite else max(10.0 * u0, u0 + 10.0)
@@ -294,6 +296,29 @@ def _quad(fn, lo: float, hi: float) -> float:
     return quad(fn, lo, hi, full_output=1, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
 
 
+def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets, **options):
+    """(value, abserr) of quad(fn, u_ref, u, **options) for every u in targets.
+
+    An analytic profile takes one quad call per target.  A tabulated one is
+    integrated piece by piece between its knots and the targets, each piece
+    once, and the pieces are summed outward from u_ref: QUADPACK then never
+    meets a knot, where a'' jumps, and the abserr are summed too.
+    """
+    if not profile.knots:
+        return [quad(fn, u_ref, u, **options)[:2] for u in targets]
+    lo, hi = min([u_ref, *targets]), max([u_ref, *targets])
+    stops = sorted({u_ref, *targets, *(k for k in profile.knots if lo < k < hi)})
+    start = stops.index(u_ref)
+    sums = {u_ref: (0.0, 0.0)}
+    for path in (stops[start:], stops[start::-1]):
+        total = err = 0.0
+        for a, b in zip(path, path[1:]):
+            piece, piece_err = quad(fn, a, b, **options)[:2]
+            total, err = total + piece, err + piece_err
+            sums[b] = (total, err)
+    return [sums[u] for u in targets]
+
+
 def _anchored(spec: SurfaceSpec, points, u_ref: float | None):
     """Profile and anchor (default u_min) of integrals from u_ref to interior (u, v)."""
     profile = _require_profile(spec)
@@ -316,8 +341,8 @@ def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None
     integral diverges.
     """
     profile, u_ref = _anchored(spec, [(u, 0.0)], u_ref)
-    z, abserr = quad(lambda t: 1.0 / profile.a(t), u_ref, u,
-                     epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)[:2]
+    [(z, abserr)] = _integrals(lambda t: 1.0 / profile.a(t), profile, u_ref, [u],
+                               epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)
     # only the error estimate decides: QUADPACK flags round-off on accurate values
     if not (math.isfinite(z) and abserr <= 1e-9 * max(1.0, abs(z))):
         raise DomainError(
@@ -340,7 +365,7 @@ def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
     """
     profile = _require_profile(spec)
     check_finite(alpha=alpha, u_star=u_star)
-    rho, rho_u, rho_uu = _rho_funcs(profile, alpha)
+    rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     slope = rho_u(u_star)
     if not abs(slope) < root_tol:
         raise NotCriticalError(
@@ -383,9 +408,10 @@ def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
         rad = 1.0 - profile.a_u(t) ** 2
         return math.sqrt(rad) if rad > 0.0 else 0.0
 
+    heights = _integrals(db, profile, u_ref, [u for u, _ in points],
+                         epsabs=1e-13, epsrel=1e-12, limit=200)
     out = []
-    for u, v in points:
-        b, _ = quad(db, u_ref, u, epsabs=1e-13, epsrel=1e-12, limit=200)
+    for (u, v), (b, _) in zip(points, heights):
         a_val = profile.a(u)
         out.append((a_val * math.cos(v), a_val * math.sin(v), b))
     return out

@@ -71,7 +71,8 @@ class MetricPatch:
 
     def evaluate(self, u: float, v: float) -> tuple[float, float, float]:
         """Return (G, G_u, G_v) at an interior point."""
-        if not self.domain.contains(u, v):
+        u_min, u_max, v_min, v_max = self.domain
+        if not (u_min < u < u_max and v_min < v < v_max):
             raise DomainError(
                 f"({u!r}, {v!r}) outside domain {tuple(self.domain)} of {self.identifier}"
             )
@@ -89,11 +90,16 @@ class MetricPatch:
 
 @dataclass(frozen=True)
 class RevolutionProfile:
-    """Profile a(u) of a rotationally symmetric metric du^2 + a(u)^2 dv^2."""
+    """Profile a(u) of a rotationally symmetric metric du^2 + a(u)^2 dv^2.
+
+    ``knots`` holds the sample abscissae of a tabulated profile, where a''
+    jumps; integrals over a(u) are split there.  Analytic profiles have none.
+    """
 
     a: Callable[[float], float]
     a_u: Callable[[float], float]
     a_uu: Callable[[float], float]
+    knots: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -172,15 +178,16 @@ def _sqrt_profile(k: float):
     return a, a_u, a_uu
 
 
-def _revolution_spec(kind, params, identifier, a, a_u, a_uu, domain, warning=False):
-    def metric(u, v):
+def _revolution_spec(kind, params, identifier, a, a_u, a_uu, domain, warning=False,
+                     metric=None, knots=()):
+    def generic(u, v):
         return a(u), a_u(u), 0.0
 
     return SurfaceSpec(
         kind=kind,
         params=dict(params),
-        patch=MetricPatch(identifier, metric, domain),
-        profile=RevolutionProfile(a, a_u, a_uu),
+        patch=MetricPatch(identifier, metric or generic, domain),
+        profile=RevolutionProfile(a, a_u, a_uu, knots),
         profile_warning=warning,
     )
 
@@ -306,7 +313,7 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 
 
 def _pchip(x: Sequence[float], y: Sequence[float]):
-    """PCHIP interpolant of samples y(x) and its first two derivatives.
+    """PCHIP interpolant of samples y(x), its first two derivatives and a kernel.
 
     Returns callables (a, a_u, a_uu) equal bit for bit to scipy's
     ``PchipInterpolator(x, y)`` and its ``derivative()`` and
@@ -314,7 +321,8 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
     Fritsch & Carlson 1980), the same cubic coefficients, the same piece
     (the end pieces extend beyond the knots, x[-1] belongs to the last one)
     and the same order of floating-point operations.  x must be strictly
-    increasing with at least 3 entries; nothing is checked here.
+    increasing with at least 3 entries; nothing is checked here.  The fourth,
+    ``metric(t, v) -> (a(t), a_u(t), 0.0)``, finds the piece once for both.
     """
     x = [float(t) for t in x]
     y = [float(t) for t in y]
@@ -353,7 +361,14 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
         _, _, _, _, e1, _, f0 = pieces[k]
         return 0.0 + e1 + f0 * (t - x[k])
 
-    return a, a_u, a_uu
+    def metric(t: float, v: float) -> tuple[float, float, float]:
+        k = bisect.bisect_right(x, t, 1, hi) - 1
+        s = t - x[k]
+        c3, c2, c1, c0, e1, e0, _ = pieces[k]
+        return (0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s),
+                0.0 + c2 + e1 * s + e0 * (s * s), 0.0)
+
+    return a, a_u, a_uu, metric
 
 
 # --------------------------------------------------------------------------
@@ -421,8 +436,8 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
         raise ConfigError("v samples must be strictly increasing")
     if np.any(g_arr < 0):
         raise ConfigError("g = ||W'||^2 samples must be nonnegative")
-    f, f_v, _ = _pchip(v_arr, f_arr)
-    g, g_v, _ = _pchip(v_arr, g_arr)
+    f, f_v, _, _ = _pchip(v_arr, f_arr)
+    g, g_v, _, _ = _pchip(v_arr, g_arr)
     return ruled_surface(f, g, f_v, g_v, u_range=u_range,
                          v_range=(float(v_arr[0]), float(v_arr[-1])),
                          identifier=identifier)
@@ -473,12 +488,13 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
         raise ConfigError("profile u samples must be strictly increasing")
     if not np.all(vals > 0):
         raise ConfigError("profile values a(u) must be positive")
-    a, a_u, a_uu = _pchip(us, vals)
+    a, a_u, a_uu, metric = _pchip(us, vals)
     fine = np.linspace(us[0], us[-1], max(2000, 20 * len(us))).tolist()
     warning = max(abs(a_u(t)) for t in fine) > 1.0
     return _revolution_spec(
         "revolution_profile", {}, identifier, a, a_u, a_uu,
-        Domain(float(us[0]), float(us[-1])), warning=warning,
+        Domain(float(us[0]), float(us[-1])), warning=warning, metric=metric,
+        knots=tuple(us.tolist()),
     )
 
 

@@ -160,13 +160,6 @@ def _hermite(seg, t):
             h00 * y0[2] + g10 * f0[2] + h01 * y1[2] + g11 * f1[2])
 
 
-def _rms_scaled(e, y_old, y_new, tol):
-    sa = tol + tol * max(abs(y_old[0]), abs(y_new[0]))
-    sb = tol + tol * max(abs(y_old[1]), abs(y_new[1]))
-    sc = tol + tol * max(abs(y_old[2]), abs(y_new[2]))
-    return math.sqrt(((e[0] / sa) ** 2 + (e[1] / sb) ** 2 + (e[2] / sc) ** 2) / 3)
-
-
 def _initial_step(f, t0, y0, f0, span, tol, max_step):
     n = len(y0)
     sc = [tol + tol * abs(y0[i]) for i in range(n)]
@@ -204,6 +197,10 @@ def _bisect(before, a, b, rtol):
     return a, b
 
 
+def _stats(accepted: int, rejected: int, rhs_evals: int) -> dict:
+    return {"steps_accepted": accepted, "steps_rejected": rejected, "rhs_evals": rhs_evals}
+
+
 def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     """Adaptive RK5(4) from t0 to t_end with endpoint event detection.
 
@@ -226,7 +223,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     b1, b2, b3, b4, b5, b6 = _B
     e1, e2, e3, e4, e5, e6, e7 = _E
     c2, c3, c4, c5 = _C[1:5]
-    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 2}
+    accepted, rejected, evals = 0, 0, 2
     segments: list = []
 
     h = _initial_step(f, t0, y0, f0, t_end - t0, tol, max_step)
@@ -236,7 +233,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     while True:
         h = min(h, max_step, t_end - t)
         if not h > 1e-14 * max(1.0, abs(t)):
-            return segments, "step_underflow", None, stats, t, y, fy
+            return segments, "step_underflow", None, _stats(accepted, rejected, evals), t, y, fy
         ya, yb, yc = y
         k1a, k1b, k1c = fy
         try:
@@ -258,30 +255,32 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
                 ya + h * (0.0 + a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
                 yb + h * (0.0 + a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
                 yc + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)))
-            y_new = (
+            y_new = na, nb, nc = (
                 ya + h * (0.0 + b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a),
                 yb + h * (0.0 + b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b),
                 yc + h * (0.0 + b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c))
             f_new = k7a, k7b, k7c = f(t + h, y_new)
-            stats["rhs_evals"] += 6
+            evals += 6
         except _STAGE_ERRORS:
             # a stage left the metric's domain or overflowed: shrink and retry
-            stats["steps_rejected"] += 1
+            rejected += 1
             h *= 0.5
             continue
 
-        err = _rms_scaled((
-            h * (0.0 + e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a),
-            h * (0.0 + e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b),
-            h * (0.0 + e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c),
-        ), y, y_new, tol)
+        ea = h * (0.0 + e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
+        eb = h * (0.0 + e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
+        ec = h * (0.0 + e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
+        # RMS of the error, each component scaled by tol * (1 + max(|y|, |y_new|))
+        err = math.sqrt(((ea / (tol + tol * max(abs(ya), abs(na)))) ** 2
+                         + (eb / (tol + tol * max(abs(yb), abs(nb)))) ** 2
+                         + (ec / (tol + tol * max(abs(yc), abs(nc)))) ** 2) / 3)
 
         if not err <= 1.0:
-            stats["steps_rejected"] += 1
+            rejected += 1
             h /= min(_MAX_SHRINK, err ** _EXPO / _SAFETY)
             continue
 
-        stats["steps_accepted"] += 1
+        accepted += 1
         seg = (t, y, fy, t + h, y_new, f_new)
         segments.append(seg)
 
@@ -297,13 +296,13 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
         if hit is not None:
             t_star, ev = hit
             y_star = _hermite(seg, t_star)
-            stats["rhs_evals"] += 1
-            return (segments, ev.termination, ev.flag, stats, t_star, y_star,
+            return (segments, ev.termination, ev.flag,
+                    _stats(accepted, rejected, evals + 1), t_star, y_star,
                     f(t_star, y_star))
 
         t, y, fy = t + h, y_new, f_new
         if t >= t_end:
-            return segments, "reached_smax", None, stats, t, y, fy
+            return segments, "reached_smax", None, _stats(accepted, rejected, evals), t, y, fy
 
         fac = err ** _EXPO / facold ** _BETA / _SAFETY
         fac = max(1.0 / _MAX_GROWTH, min(_MAX_SHRINK, fac))
@@ -346,7 +345,7 @@ def _flow_sample(spec: SurfaceSpec, alpha: float, t: float, y: tuple,
     ddu = -sin_phi * dphi
     ddv = (du * dphi) / g - sin_phi * (gu * du + gv * dv) / (g * g)
     kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv)
-    return TraceSample(s=t, u=u, v=v, phi=phi, kappa=kappa, residual=residual)
+    return TraceSample(t, u, v, phi, kappa, residual)
 
 
 def _check_config(tol: float, max_step: float, finite: dict) -> None:
@@ -485,7 +484,7 @@ def _graph_sample(spec: SurfaceSpec, alpha: float, v: float, y: tuple,
     g, gu, gv = spec.patch.evaluate(u, v)
     kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, w, 1.0, fy[1], 0.0)
     phi = math.atan2(g, w)
-    return TraceSample(s=s, u=u, v=v, phi=phi, kappa=kappa, residual=residual)
+    return TraceSample(s, u, v, phi, kappa, residual)
 
 
 def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,

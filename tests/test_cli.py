@@ -287,3 +287,24 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_embed_on_tabulated_profile_prints_no_integration_warning(tmp_path):
+    import subprocess
+    import sys
+
+    # a 40-knot profile on which one QUADPACK call per row across the knots
+    # raises IntegrationWarnings
+    us = [0.1 + 1.95 * j / 39 for j in range(40)]
+    profile = tmp_path / "p.csv"
+    profile.write_text("u,a\n" + "".join(f"{u!r},{1.0 + 0.3 * math.sin(2.0 * u)!r}\n"
+                                         for u in us))
+    out = tmp_path / "e.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "catenary.cli", "trace", "--profile", str(profile),
+         "--u0", "1.0", "--phi0", "0.9", "--smax", "5", "--embed", "--out", str(out)],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr
+    header, rows = read_csv(out)
+    assert header[-3:] == ["x", "y", "z"] and len(rows) > 10

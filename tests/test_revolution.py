@@ -393,7 +393,8 @@ def test_conformal_coordinate_accepts_accurate_value_despite_roundoff_flag():
 
     from catenary import DomainError, tabulated_profile
 
-    # QUADPACK flags round-off here although its error estimate is ~7e-12
+    # one QUADPACK call over the whole range flags round-off here although its
+    # error estimate is ~7e-12; the value must be accepted either way
     us = [0.1 + 1.3 * j / 39 for j in range(40)]
     spec = tabulated_profile([(u, math.cos(0.95 * u) + 0.08) for u in us])
     knots = [u for u in us if u < 1.2] + [1.2]
@@ -403,3 +404,77 @@ def test_conformal_coordinate_accepts_accurate_value_despite_roundoff_flag():
     # the cone's default anchor diverges for real and still raises
     with pytest.raises(DomainError):
         conformal_coordinate(catalog_surface("cone"), 1.0)
+
+
+def _ripple_profile(lo, hi, k, rip, w, ph, n=40):
+    from catenary import tabulated_profile
+
+    us = [lo + (hi - lo) * j / (n - 1) for j in range(n)]
+    return us, tabulated_profile(
+        [(u, math.cos(k * u) + 0.08 + rip * math.sin(w * u + ph)) for u in us])
+
+
+def _gauss_legendre(fn, knots, lo, hi, order=20):
+    # reference integral: a high-order Gauss-Legendre rule on each smooth piece
+    x, w = np.polynomial.legendre.leggauss(order)
+    cuts = [lo, *(k for k in knots if lo < k < hi), hi]
+    return sum(0.5 * (b - a) * sum(wi * fn(0.5 * (b - a) * xi + 0.5 * (a + b))
+                                   for xi, wi in zip(x.tolist(), w.tolist()))
+               for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("u", [0.888, 1.2])
+def test_conformal_coordinate_integrates_tabulated_profiles_between_knots(u):
+    # one QUADPACK call across all knots reports abserr ~6e-9 on this profile,
+    # above the coordinate's bound, although a(u) > 0 on the whole of it
+    us, spec = _ripple_profile(0.156, 1.345, 0.999, 0.038, 3.082, 5.999)
+    ref = _gauss_legendre(lambda t: 1.0 / spec.profile.a(t), us, us[0], u)
+    assert conformal_coordinate(spec, u) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # from another anchor, downward and upward
+    for u_ref in (0.5, 1.3):
+        z = conformal_coordinate(spec, u, u_ref=u_ref)
+        ref_from = _gauss_legendre(lambda t: 1.0 / spec.profile.a(t), us, *sorted((u_ref, u)))
+        assert z == pytest.approx(ref_from if u > u_ref else -ref_from, abs=1e-12)
+
+
+def test_tabulated_embedding_height_matches_reference():
+    from catenary import tabulated_profile
+    from catenary.revolution import _embedding
+
+    # one QUADPACK call per row across all knots is off by up to 6.5e-7 at
+    # these points (at u = 2.0 and 1.75)
+    us = [0.1 + 1.95 * j / 39 for j in range(40)]
+    spec = tabulated_profile([(u, 1.0 + 0.3 * math.sin(2.0 * u)) for u in us])
+    points = [(u, 0.25 * j)
+              for j, u in enumerate((1.9, 0.1 + 1e-9, 0.7, us[17], 1.3, 0.7, 2.0, 1.75))]
+    rows = _embedding(spec, points)
+    assert embed_revolution(spec, 1.3, 1.0)[2] == pytest.approx(rows[4][2], abs=1e-15)
+    for (u, v), (x, y, z) in zip(points, rows):
+        a = spec.profile.a(u)
+        assert (x, y) == (a * math.cos(v), a * math.sin(v))
+        ref = _gauss_legendre(lambda t: math.sqrt(1.0 - spec.profile.a_u(t) ** 2),
+                              us, us[0], u)
+        assert abs(z - ref) <= 1e-12
+
+
+def test_fused_pchip_kernel_gives_the_same_results_as_the_generic_one():
+    # the same PCHIP data behind the fused kernel of tabulated_profile and
+    # behind profile_surface's kernel built from (a, a_u): the same bits out
+    us, fused = _ripple_profile(0.1, 1.4, 1.0, 0.04, 5.0, 1.0)
+    p = fused.profile
+    generic = profile_surface(p.a, p.a_u, p.a_uu, (us[0], us[-1]))
+    pts = [*us, *(0.5 * (s + t) for s, t in zip(us, us[1:]))]
+    assert repr([fused.patch.metric(t, 0.0) for t in pts]) == \
+        repr([generic.patch.metric(t, 0.0) for t in pts])
+    for alpha in (0.5, 1.0, 2.0):
+        assert repr(critical_parallels(fused, alpha)) == repr(critical_parallels(generic, alpha))
+        rho = [u ** alpha * p.a(u) for u in us]
+        c = 0.5 * (max(rho) + max(rho[0], rho[-1]))  # rho = c on both sides of the top
+        tp = turning_points(fused, alpha, c)
+        assert len(tp) >= 2 and repr(tp) == repr(turning_points(generic, alpha, c))
+        assert repr(quadrature_v(fused, alpha, c, tp[0], tp[1])) == \
+            repr(quadrature_v(generic, alpha, c, tp[0], tp[1]))
+        start = CatenaryState(tp[0], 0.0, math.pi / 2)
+        one, two = (trace_catenary(spec, alpha, start, 4.0, 1e-10) for spec in (fused, generic))
+        assert repr((one.samples, one.stats, one.termination)) == \
+            repr((two.samples, two.stats, two.termination))

@@ -322,6 +322,11 @@ def test_pchip_matches_scipy_bit_for_bit(seed):
             rng.uniform(x[0] - 2.0, x[0], 5),  # outside the knots
             rng.uniform(x[-1], x[-1] + 2.0, 5),
         ])
-        for fn, oracle in zip(_pchip(x, y), (ref, ref.derivative(), ref.derivative(2))):
+        a, a_u, a_uu, metric = _pchip(x, y)
+        for fn, oracle in zip((a, a_u, a_uu), (ref, ref.derivative(), ref.derivative(2))):
             got = np.array([fn(t) for t in pts.tolist()])
             np.testing.assert_array_equal(got.view(np.int64), oracle(pts).view(np.int64))
+        # the fused kernel a tabulated profile's patch uses: (a, a', 0.0) per point
+        got = np.array([metric(t, v) for t, v in zip(pts.tolist(), pts[::-1].tolist())])
+        want = np.stack([ref(pts), ref.derivative()(pts), np.zeros(len(pts))], axis=1)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
