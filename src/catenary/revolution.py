@@ -16,11 +16,13 @@ upper limits are delegated to the tail transformation built into QUADPACK.
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import sys
+from importlib import machinery, util
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -48,6 +50,8 @@ __all__ = [
     "export_embedding_csv",
 ]
 
+log = logging.getLogger("catenary")
+
 SCAN_POINTS_PER_DECADE = 1000
 ROOT_XTOL = 1e-12
 DEGENERATE_TOL = 1e-9
@@ -71,11 +75,50 @@ class ClairautProfile:
     critical_parallels: tuple[CriticalParallel, ...]
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first call: importing catenary loads no scipy."""
-    from scipy.integrate import quad as scipy_quad
+_QUADPACK = "scipy.integrate._quadpack"
+_quadpack = None
+_NOT_CONVERGED = {1: "subdivision limit reached", 2: "round-off detected", 3: "bad integrand",
+                  4: "extrapolation fails", 5: "probably divergent", 7: "abnormal termination"}
 
-    return scipy_quad(*args, **kwargs)
+
+def _load_quadpack():
+    """scipy's compiled QUADPACK module, loaded from its file: no scipy ``__init__`` runs."""
+    if _QUADPACK in sys.modules:
+        return sys.modules[_QUADPACK]
+    scipy = util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    spec = machinery.FileFinder(os.path.join(scipy.submodule_search_locations[0], "integrate"), (
+        machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(_QUADPACK)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # files it in sys.modules for scipy.integrate to reuse
+    return module
+
+
+def quad(fn, a, b, *, full_output=0, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """``scipy.integrate.quad`` bit for bit (finite a, b <= inf) via QUADPACK's QAGS/QAGI.
+
+    Without ``full_output`` a non-converged integral logs a warning, not a Python one.
+    """
+    global _quadpack
+    if a == b:
+        return (0.0, 0.0, {"neval": 0, "last": 0}) if full_output else (0.0, 0.0)
+    flip, a, b = b < a, min(a, b), max(a, b)
+    _quadpack = _quadpack or _load_quadpack()
+    if b == math.inf:
+        ret = _quadpack._qagie(fn, a, 1, (), full_output, epsabs, epsrel, limit)
+    else:
+        ret = _quadpack._qagse(fn, a, b, (), full_output, epsabs, epsrel, limit)
+    ier, out = ret[-1], (-ret[0] if flip else ret[0], *ret[1:-1])
+    if ier == 0:
+        return out
+    if ier not in _NOT_CONVERGED:
+        raise ValueError(f"QUADPACK rejected its input (ier={ier}, limit={limit!r})")
+    if full_output:
+        return (*out, _NOT_CONVERGED[ier])
+    log.warning("integral over [%r, %r] did not converge (ier=%d): %s",
+                a, b, ier, _NOT_CONVERGED[ier])
+    return out
 
 
 def _require_profile(spec: SurfaceSpec) -> RevolutionProfile:
@@ -122,12 +165,14 @@ def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
     return lo, hi
 
 
-def _scan_grid(lo: float, hi: float) -> np.ndarray:
+def _scan_grid(lo: float, hi: float) -> list[float]:
+    import numpy as np
+
     if not (hi > lo > 0.0):
         raise ConfigError(f"bad scan range ({lo!r}, {hi!r})")
     decades = math.log10(hi / lo)
     n = int(min(max(SCAN_POINTS_PER_DECADE * decades, 1000), 200_000))
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(lo, hi, n).tolist()
 
 
 def _bisect_root(fn, a, b, fa, fb):
@@ -148,16 +193,16 @@ def _bisect_root(fn, a, b, fa, fb):
 
 def _scan_roots(fn, lo, hi) -> list[float]:
     grid = _scan_grid(lo, hi)
-    vals = [fn(float(t)) for t in grid]
+    vals = [fn(t) for t in grid]
     roots = []
     for i in range(len(grid) - 1):
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
-            roots.append(float(grid[i]))
+            roots.append(grid[i])
         elif (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect_root(fn, float(grid[i]), float(grid[i + 1]), fa, fb))
+            roots.append(_bisect_root(fn, grid[i], grid[i + 1], fa, fb))
     if vals and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+        roots.append(grid[-1])
     # collapse duplicates from exact-zero grid hits
     dedup: list[float] = []
     for r in roots:
@@ -243,6 +288,8 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     points) and an improper upper limit when the tail integrand decays
     faster than 1/t.
     """
+    import numpy as np
+
     profile = _require_profile(spec)
     # u1 = +inf is the improper upper limit
     check_finite(alpha=alpha, c=c, u0=u0, **({} if u1 == math.inf else {"u1": u1}))
@@ -265,10 +312,8 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
 
     finite = math.isfinite(u1)
     hi_scan = u1 if finite else max(10.0 * u0, u0 + 10.0)
-    interior = np.linspace(u0, hi_scan, 513)[1:-1]
     margin = 1e-6 * (hi_scan - u0)
-    for t in interior:
-        t = float(t)
+    for t in np.linspace(u0, hi_scan, 513)[1:-1].tolist():
         if u0 + margin < t < u1 - margin and rho(t) <= c * (1.0 - 1e-13):
             raise InaccessibleRegionError(
                 f"rho({t:.6g}) = {rho(t):.6g} <= c = {c:.6g} inside ({u0:.6g}, {u1:.6g})"
@@ -387,13 +432,14 @@ def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
     farthest u on each side of it, and at every point's own u.  A singular
     or non-finite a' counts as |a'| > 1.
     """
+    import numpy as np
+
     profile, u_ref = _anchored(spec, points, u_ref)
     scan = [u for u, _ in points]
     for lo, hi in ((min(scan, default=u_ref), u_ref), (u_ref, max(scan, default=u_ref))):
         if lo < hi:
-            scan.extend(np.linspace(lo, hi, 257))
+            scan.extend(np.linspace(lo, hi, 257).tolist())
     for t in scan:
-        t = float(t)
         try:
             slope = abs(profile.a_u(t))
         except (ArithmeticError, ValueError):

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, DegenerateMetricError, DomainError, check_finite
 
 __all__ = [
@@ -394,18 +392,26 @@ def ruled_metric(f: Callable[[float], float], g: Callable[[float], float],
     return _ruled_root(u, v, f(v), g(v))
 
 
+def _ruled_jet(u: float, v: float, fv: float, f_v: float, gv: float, g_v: float):
+    """(G, G_u, G_v) of the ruled metric from f, f', g and g' at v."""
+    root = _ruled_root(u, v, fv, gv)
+    return root, (fv + u * gv) / root, (u * f_v + 0.5 * u * u * g_v) / root
+
+
+def _ruled_spec(metric, u_range, v_range, identifier: str) -> SurfaceSpec:
+    patch = MetricPatch(identifier, metric,
+                        Domain(u_range[0], u_range[1], v_range[0], v_range[1]))
+    return SurfaceSpec(kind="ruled", params={}, patch=patch, profile=None)
+
+
 def ruled_surface(f, g, f_v, g_v, u_range=(0.0, _INF), v_range=(-_INF, _INF),
                   identifier: str = "ruled") -> SurfaceSpec:
     """Ruled surface from callables f(v), g(v) and their derivatives."""
 
     def metric(u, v):
-        fv, gv = f(v), g(v)
-        root = _ruled_root(u, v, fv, gv)
-        return root, (fv + u * gv) / root, (u * f_v(v) + 0.5 * u * u * g_v(v)) / root
+        return _ruled_jet(u, v, f(v), f_v(v), g(v), g_v(v))
 
-    patch = MetricPatch(identifier, metric,
-                        Domain(u_range[0], u_range[1], v_range[0], v_range[1]))
-    return SurfaceSpec(kind="ruled", params={}, patch=patch, profile=None)
+    return _ruled_spec(metric, u_range, v_range, identifier)
 
 
 def ruled_surface_from_samples(v_samples: Sequence[float],
@@ -420,6 +426,8 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
     scipy's ``PchipInterpolator``.  Requires at least 4 finite samples, one
     f and one g per v, strictly increasing v and nonnegative g.
     """
+    import numpy as np
+
     try:
         v_arr, f_arr, g_arr = (np.asarray(t, dtype=float)
                                for t in (v_samples, f_samples, g_samples))
@@ -436,11 +444,14 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
         raise ConfigError("v samples must be strictly increasing")
     if np.any(g_arr < 0):
         raise ConfigError("g = ||W'||^2 samples must be nonnegative")
-    f, f_v, _, _ = _pchip(v_arr, f_arr)
-    g, g_v, _, _ = _pchip(v_arr, g_arr)
-    return ruled_surface(f, g, f_v, g_v, u_range=u_range,
-                         v_range=(float(v_arr[0]), float(v_arr[-1])),
-                         identifier=identifier)
+    f_jet, g_jet = _pchip(v_arr, f_arr)[3], _pchip(v_arr, g_arr)[3]
+
+    def metric(u, v):
+        fv, f_v, _ = f_jet(v, 0.0)  # (f, f') from one piece lookup
+        gv, g_v, _ = g_jet(v, 0.0)
+        return _ruled_jet(u, v, fv, f_v, gv, g_v)
+
+    return _ruled_spec(metric, u_range, (float(v_arr[0]), float(v_arr[-1])), identifier)
 
 
 # --------------------------------------------------------------------------
@@ -450,6 +461,8 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
 def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
                     identifier: str = "profile") -> SurfaceSpec:
     """Rotationally symmetric metric from analytic profile callables."""
+    import numpy as np
+
     lo, hi = float(u_range[0]), float(u_range[1])
     if not (lo >= 0.0 and hi > lo):
         raise ConfigError(f"bad profile u-range {u_range!r}")
@@ -475,6 +488,8 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
     critical parallels are introduced by overshoot; it equals scipy's
     ``PchipInterpolator``.
     """
+    import numpy as np
+
     try:
         pts = [(float(u), float(a)) for u, a in samples]
     except (TypeError, ValueError):

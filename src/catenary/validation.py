@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .closed_forms import (
     closed_form_family,
     cone_catenary,
@@ -186,6 +184,8 @@ def _oracle_gap(oracle, trace: Trace, s_max: float) -> float:
 
 def check_closed_form_residuals() -> list[CheckResult]:
     """Criterion 1: governing-equation residuals of all solution families."""
+    import numpy as np
+
     thr = THRESHOLDS["closed_forms"]
     plane = catalog_surface("plane")
     cone = catalog_surface("cone")
@@ -395,6 +395,8 @@ _JET_BOXES = {
 
 def check_criterion_equivalence() -> list[CheckResult]:
     """Criterion 9: residual and curvature criteria agree; alpha = 0 gives geodesics."""
+    import numpy as np
+
     out = []
     rng = np.random.default_rng(20240817)
     bad = 0

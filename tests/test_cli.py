@@ -283,7 +283,9 @@ def test_import_loads_no_scipy():
     import subprocess
     import sys
 
-    code = "import sys, catenary.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # neither scipy nor numpy: trace and trace-graph processes use neither
+    code = ("import sys, catenary.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

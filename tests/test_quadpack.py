@@ -1,0 +1,152 @@
+"""``revolution.quad`` against ``scipy.integrate.quad``, bit for bit.
+
+The library calls scipy's compiled QUADPACK core without importing
+``scipy.integrate``; scipy's own ``quad`` is the oracle here.
+"""
+
+import logging
+import math
+import struct
+import subprocess
+import sys
+import warnings
+
+import pytest
+from scipy.integrate import IntegrationWarning
+from scipy.integrate import quad as scipy_quad
+
+import catenary.revolution as revolution
+from catenary import catalog_surface, quadrature_v, turning_points
+from catenary.revolution import quad
+
+TOLS = {"epsabs": 1e-12, "epsrel": 1e-11, "limit": 200}
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _assert_same(fn, a, b, **options):
+    """Value, abserr, neval and the presence of a message all equal scipy's."""
+    got = quad(fn, a, b, full_output=1, **options)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        want = scipy_quad(fn, a, b, full_output=1, **options)
+    assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1]))
+    assert got[2]["neval"] == want[2]["neval"]
+    assert len(got) == len(want)
+    return got
+
+
+@pytest.mark.parametrize("fn, a, b", [
+    (math.sin, 0.0, 1.0),                           # finite interval
+    (math.sin, 1.0, 0.0),                           # swapped limits
+    (lambda x: math.exp(-x), 0.0, math.inf),        # improper upper limit
+    (lambda x: 1.0 / (1.0 + x * x), math.inf, 1.0),  # improper, swapped
+    (lambda x: x ** -0.9, 0.0, 1.0),                # endpoint singularity
+])
+@pytest.mark.parametrize("options", [{}, TOLS])
+def test_quad_matches_scipy(fn, a, b, options):
+    got = _assert_same(fn, a, b, **options)
+    assert len(got) == 3
+    # without full_output: the same (value, abserr) bits
+    plain = quad(fn, a, b, **options)
+    assert [_bits(x) for x in plain] == [_bits(x) for x in scipy_quad(fn, a, b, **options)]
+
+
+def test_empty_interval_is_zero_without_a_call():
+    def fail(x):
+        raise AssertionError("integrand called")
+
+    for b in (2.0, math.inf):
+        assert quad(fail, b, b) == (0.0, 0.0)
+        value, abserr, info = quad(fail, b, b, full_output=1)
+        assert (value, abserr, info["neval"]) == (0.0, 0.0, 0)
+    # scipy gives the same bits (recent scipy takes this shortcut too)
+    assert [_bits(x) for x in scipy_quad(math.exp, 2.0, 2.0)] == [_bits(0.0)] * 2
+
+
+@pytest.mark.parametrize("fn, a, b", [
+    (lambda x: 1.0 / x, 0.0, 1.0),
+    (lambda x: math.sin(1.0 / x), 1e-8, 1.0),
+])
+def test_quad_matches_scipy_when_it_does_not_converge(fn, a, b):
+    got = _assert_same(fn, a, b)
+    assert len(got) == 4 and isinstance(got[3], str)
+
+
+@pytest.mark.parametrize("kind, c, u0, u1", [
+    ("sphere", 0.5, "turning", "turning"),  # between the two turning points
+    ("catenoid", 1.0, "turning", 2.0),      # from the turning point to a finite u
+    ("catenoid", 0.5, 1.5, math.inf),       # improper upper limit
+])
+def test_quadrature_v_integrands_match_scipy(kind, c, u0, u1, monkeypatch):
+    spec = catalog_surface(kind)
+    turning = turning_points(spec, 1.0, c)
+    u0, u1 = (turning[0] if u0 == "turning" else u0), (turning[-1] if u1 == "turning" else u1)
+    calls = []
+
+    def record(fn, a, b, **options):
+        calls.append((fn, a, b, options))
+        return quad(fn, a, b, **options)
+
+    monkeypatch.setattr(revolution, "quad", record)
+    quadrature_v(spec, 1.0, c, u0, u1)
+    assert len(calls) == (2 if u1 == math.inf else 3)  # both ends and the middle
+    for fn, a, b, options in calls:
+        _assert_same(fn, a, b, **{k: v for k, v in options.items() if k != "full_output"})
+
+
+def test_invalid_limit_raises_value_error():
+    with pytest.raises(ValueError):
+        scipy_quad(math.sin, 0.0, 1.0, limit=0)
+    with pytest.raises(ValueError):
+        quad(math.sin, 0.0, 1.0, limit=0)
+
+
+def test_missing_scipy_raises_module_not_found(monkeypatch):
+    monkeypatch.setattr(revolution, "_quadpack", None)
+    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack")
+    monkeypatch.setitem(sys.modules, "scipy", None)  # find_spec then reports no scipy
+    with pytest.raises(ModuleNotFoundError, match="scipy"):
+        quad(math.sin, 0.0, 1.0)
+
+
+def test_non_converged_integral_logs_a_warning(caplog):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any Python warning fails the test
+        with caplog.at_level(logging.WARNING, logger="catenary"):
+            value, abserr = quad(lambda x: 1.0 / x, 0.0, 1.0)
+    assert value > 0.0 and abserr > 0.0
+    [record] = caplog.records
+    assert record.name == "catenary" and record.levelno == logging.WARNING
+    assert "ier=" in record.getMessage() and "[0.0, 1.0]" in record.getMessage()
+
+
+def test_embedding_logs_non_converged_height(caplog):
+    from catenary import embed_revolution, profile_surface
+
+    # a' oscillates ever faster towards u = 0, so QUADPACK runs out of subintervals
+    spec = profile_surface(lambda u: 1.0, lambda u: 0.9 * math.sin(1.0 / u),
+                           lambda u: 0.0, (0.0, 2.0))
+    with caplog.at_level(logging.WARNING, logger="catenary"):
+        x, y, z = embed_revolution(spec, 1.0, 0.0, u_ref=1e-4)
+    assert (x, y) == (1.0, 0.0) and 0.4 < z < 1.0
+    [record] = caplog.records
+    assert "ier=1" in record.getMessage() and "[0.0001, 1.0]" in record.getMessage()
+
+
+def test_quadrature_and_embedding_import_no_scipy_integrate():
+    code = (
+        "import math, sys\n"
+        "from catenary import catalog_surface, embed_revolution, quadrature_v\n"
+        "quadrature_v(catalog_surface('catenoid'), 1, 0.5, 1.5, math.inf)\n"
+        "embed_revolution(catalog_surface('sphere'), 0.5, 0.1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    loaded = eval(out.stdout)
+    assert "scipy.integrate._quadpack" in loaded
+    for name in ("scipy.integrate", "scipy.special", "scipy.optimize"):
+        assert name not in loaded

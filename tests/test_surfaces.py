@@ -12,6 +12,7 @@ from catenary import (
     eval_metric,
     load_profile_csv,
     ruled_metric,
+    ruled_surface,
     ruled_surface_from_samples,
     tabulated_profile,
 )
@@ -194,6 +195,36 @@ def test_ruled_surface_from_samples_partials():
         _, gu, gv = eval_metric(spec, u, v)
         assert abs(gu - fd1(lambda x: spec.patch.metric(x, v)[0], u)) < 1e-6
         assert abs(gv - fd1(lambda x: spec.patch.metric(u, x)[0], v)) < 1e-5
+
+
+def test_fused_ruled_kernel_matches_four_callables_bit_for_bit():
+    from catenary import CatenaryState, trace_catenary, trace_graph
+
+    # the samples look like a profile_analysis ruled op: 40 v samples on [-3, 3]
+    vs = [-3.0 + 6.0 * j / 39 for j in range(40)]
+    fs = [0.04 + 0.1 * math.sin(v + 2.1) for v in vs]
+    gs = [0.6 + 0.2 * math.cos(2 * v + 0.7) for v in vs]
+    fused = ruled_surface_from_samples(vs, fs, gs)
+    f, f_v, _, _ = _pchip(vs, fs)
+    g, g_v, _, _ = _pchip(vs, gs)
+    separate = ruled_surface(f, g, f_v, g_v, v_range=(vs[0], vs[-1]))
+    pts = [(0.05 + 2.9 * i / 36, -2.99 + 5.98 * j / 70) for i in range(37) for j in range(71)]
+    pts += [(0.7, v) for v in vs[1:-1]]  # on the knots
+    got = np.array([fused.patch.evaluate(u, v) for u, v in pts])
+    want = np.array([separate.patch.evaluate(u, v) for u, v in pts])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # the same expressions as sqrt(1 + 2 u f + u^2 g) and its partials
+    for (u, v), row in zip(pts, got.tolist()):
+        root = math.sqrt(1.0 + 2.0 * u * f(v) + u * u * g(v))
+        assert row == [root, (f(v) + u * g(v)) / root,
+                       (u * f_v(v) + 0.5 * u * u * g_v(v)) / root]
+    flows = [trace_catenary(spec, 1.0, CatenaryState(1.2, -1.0, 0.9), 2.0, 1e-9)
+             for spec in (fused, separate)]
+    graphs = [trace_graph(spec, 1.0, 1.2, 0.4, (-1.0, -0.7), 1e-9)
+              for spec in (fused, separate)]
+    for a, b in (flows, graphs):
+        assert len(a.samples) > 10
+        assert (a.samples, a.stats, a.termination) == (b.samples, b.stats, b.termination)
 
 
 def test_tabulated_profile_matches_sphere():
