@@ -46,7 +46,6 @@ from .surfaces import (
     tabulated_profile,
 )
 from .tracing import CatenaryState, Trace, trace_catenary, trace_graph
-from .validation import THRESHOLDS, run_all
 
 __all__ = ["build_parser", "run", "main", "emit_trace"]
 
@@ -257,7 +256,12 @@ def _cmd_quadrature(args) -> int:
 def _cmd_validate(args) -> int:
     if not args.all:
         raise ConfigError("nothing to validate; pass --all")
-    results = run_all()
+    from .validation import THRESHOLDS, run_all
+
+    timings: dict[str, float] = {}
+    results = run_all(timings)
+    for name, seconds in timings.items():
+        print(f"{name}: {1e3 * seconds:.1f} ms", file=sys.stderr)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: value={r.value:.6g} threshold={r.threshold:.6g}"

@@ -44,11 +44,17 @@ class CurveJet2:
     ddv: float
 
 
-def _speed(g: float, jet: CurveJet2) -> float:
-    s2 = jet.du * jet.du + (g * jet.dv) * (g * jet.dv)
-    if not s2 > 0.0:
-        raise SingularJetError(f"zero-velocity jet at (u={jet.u!r}, v={jet.v!r})")
-    return math.sqrt(s2)
+def _speed_sq(g, u, v, du, dv):
+    """Squared speed du^2 + G^2 dv^2; SingularJetError unless it is positive."""
+    speed_sq = du * du + (g * dv) * (g * dv)
+    if not speed_sq > 0.0:
+        raise SingularJetError(f"zero-velocity jet at (u={u!r}, v={v!r})")
+    return speed_sq
+
+
+def _target(alpha, g, u, dv, speed_sq):
+    """Target curvature alpha*G*vd/(u*speed) from G and the squared speed."""
+    return alpha * g * dv / (u * math.sqrt(speed_sq))
 
 
 def _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv):
@@ -75,9 +81,8 @@ def geodesic_curvature(spec: SurfaceSpec, jet: CurveJet2) -> float:
 
 def catenary_target_curvature(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     """Curvature a weighted critical curve must have: alpha*G*vd/(u*speed)."""
-    g, _, _ = eval_metric(spec, jet.u, jet.v)
-    speed = _speed(g, jet)
-    return alpha * g * jet.dv / (jet.u * speed)
+    g = eval_metric(spec, jet.u, jet.v)[0]
+    return _target(alpha, g, jet.u, jet.dv, _speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 
 def catenary_residual(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
@@ -95,8 +100,8 @@ def normal_transversality(spec: SurfaceSpec, jet: CurveJet2) -> float:
 
     With the normal n = (-vd*G, ud/G)/||gamma'|| this is -vd*G/||gamma'||.
     """
-    g, _, _ = eval_metric(spec, jet.u, jet.v)
-    return -jet.dv * g / _speed(g, jet)
+    g = eval_metric(spec, jet.u, jet.v)[0]
+    return -jet.dv * g / math.sqrt(_speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 
 def parallel_catenary_check(spec: SurfaceSpec, alpha: float, u0: float,

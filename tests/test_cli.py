@@ -183,6 +183,29 @@ def test_validate_requires_all_flag(capsys):
     assert run(["validate"]) == 2
 
 
+def test_validate_times_checks_on_stderr_only(tmp_path, monkeypatch, capsys):
+    from catenary import validation
+
+    for name in validation._CHECKS:
+        result = validation.CheckResult(name, True, 0.5, 1.0, "")
+        monkeypatch.setattr(validation, f"check_{name}", lambda r=result: [r])
+    out = tmp_path / "report.json"
+    assert run(["validate", "--all", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"PASS {name}: value=0.5 threshold=1\n"
+                                   for name in validation._CHECKS) + \
+        "OK: 10/10 checks passed\n"
+    assert json.loads(out.read_text()) == {
+        "passed": True,
+        "thresholds": validation.THRESHOLDS,
+        "results": [{"name": name, "passed": True, "value": 0.5, "threshold": 1.0,
+                     "detail": ""} for name in validation._CHECKS],
+    }
+    timings = [line.split(": ") for line in captured.err.splitlines()]
+    assert [name for name, _ in timings] == list(validation._CHECKS)
+    assert all(ms.endswith(" ms") and float(ms[:-3]) >= 0.0 for _, ms in timings)
+
+
 def test_log_env_var_enables_diagnostics(tmp_path):
     import os
     import subprocess
@@ -283,9 +306,11 @@ def test_import_loads_no_scipy():
     import subprocess
     import sys
 
-    # neither scipy nor numpy: trace and trace-graph processes use neither
+    # neither scipy nor numpy: trace and trace-graph processes use neither;
+    # the validation suite loads only for the validate command
     code = ("import sys, catenary.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')"
+            " or m == 'catenary.validation'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
