@@ -45,7 +45,6 @@ from .revolution import (
     conformal_coordinate,
     critical_parallels,
     embed_revolution,
-    export_embedding_csv,
     quadrature_v,
     stability_exponent,
     turning_points,

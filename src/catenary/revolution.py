@@ -47,7 +47,6 @@ __all__ = [
     "conformal_coordinate",
     "stability_exponent",
     "embed_revolution",
-    "export_embedding_csv",
 ]
 
 log = logging.getLogger("catenary")
@@ -471,18 +470,3 @@ def embed_revolution(spec: SurfaceSpec, u: float, v: float,
     requires |a'| <= 1 along the way (arc-length realizability).
     """
     return _embedding(spec, [(u, v)], u_ref)[0]
-
-
-def export_embedding_csv(trace, path, u_ref: float | None = None) -> None:
-    """Write a trace as 3D points, columns exactly ``s,u,v,x,y,z``.
-
-    Every sample must lie on a realizable stretch of the profile; floats are
-    serialized with 17 significant digits so parsing them back is exact.
-    """
-    points = _embedding(trace.spec, [(smp.u, smp.v) for smp in trace.samples], u_ref)
-    lines = ["s,u,v,x,y,z"]
-    for smp, xyz in zip(trace.samples, points):
-        lines.append(",".join(format(val, ".17g")
-                              for val in (smp.s, smp.u, smp.v, *xyz)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

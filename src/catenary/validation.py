@@ -4,8 +4,9 @@ Every check is deterministic (fixed seeds, no timestamps) so repeated runs
 produce identical reports.  The same suite backs ``catenary validate --all``
 and the acceptance tests.  The conformal-geodesic oracle lives here, not in
 the tracing module: it integrates the geodesic equations of the conformal
-metric u^(2 alpha) ds^2 with an independent integrator (scipy's RK45) and
-is used only to cross-check traces.
+metric u^(2 alpha) ds^2 with its own Runge-Kutta-Fehlberg 4(5) stepper,
+independent of the tracer's Dormand-Prince code, and is used only to
+cross-check traces.
 """
 
 from __future__ import annotations
@@ -120,22 +121,31 @@ def u_of_v(trace: Trace, v_target: float) -> float:
     return trace.at(s)[0]
 
 
+# Fehlberg's 4(5) pair (NASA TR R-315, 1969): stage rows, the fifth-order
+# weights that advance the state and their difference from the fourth-order ones.
+_RKF_A = ((), (1 / 4,), (3 / 32, 9 / 32), (1932 / 2197, -7200 / 2197, 7296 / 2197),
+          (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+          (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40))
+_RKF_B = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_RKF_E = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
 def conformal_geodesic(spec, alpha, start: CatenaryState, s_span: float):
     """Geodesic of the conformal metric u^(2 alpha)(du^2 + G^2 dv^2).
 
-    Integrated with scipy's RK45 from the Christoffel symbols of the
-    conformal metric.  The state carries the velocity in the affine
-    parameter t, and the right-hand side is divided by ds/dt = (u0/u)^alpha,
-    so the integration runs in the unweighted arc length s that traces use.
-    Returns a callable s -> (u, v) for 0 <= s <= s_span.
+    Integrated from the Christoffel symbols of the conformal metric by an
+    adaptive Runge-Kutta-Fehlberg 4(5) stepper (rtol 1e-11, atol 1e-12),
+    independent of the tracer's Dormand-Prince code.  The state carries the
+    velocity in the affine parameter t, and the right-hand side is divided
+    by ds/dt = (u0/u)^alpha, so the integration runs in the unweighted arc
+    length s that traces use.  Returns a callable s -> (u, v) for
+    0 <= s <= s_span.  Each call steps on from the last one, its final step
+    clipped to land on s; a call below the last s starts again from s = 0.
     """
-    from scipy.integrate import solve_ivp
-
     metric = spec.patch.metric  # unchecked: the oracle may step below u = 0
     u0 = start.u
 
-    def rhs(s, y):
-        u, v, du, dv = y
+    def rhs(u, v, du, dv):
         g, gu, gv = metric(u, v)
         e = u ** (2.0 * alpha)
         e_u = 2.0 * alpha * u ** (2.0 * alpha - 1.0)
@@ -149,18 +159,40 @@ def conformal_geodesic(spec, alpha, start: CatenaryState, s_span: float):
         ddu = -(gam111 * du * du + gam122 * dv * dv)
         ddv = -(2.0 * gam212 * du * dv + gam222 * dv * dv)
         ds_dt = (u0 / u) ** alpha
-        return [du / ds_dt, dv / ds_dt, ddu / ds_dt, ddv / ds_dt]
+        return du / ds_dt, dv / ds_dt, ddu / ds_dt, ddv / ds_dt
 
     g0 = metric(start.u, start.v)[0]
-    y0 = [start.u, start.v, math.cos(start.phi), math.sin(start.phi) / g0]
-    sol = solve_ivp(rhs, (0.0, s_span), y0, rtol=1e-11, atol=1e-12,
-                    dense_output=True, max_step=max(s_span / 50.0, 1e-3))
+    y0 = (start.u, start.v, math.cos(start.phi), math.sin(start.phi) / g0)
+    fresh = (0.0, y0, 1e-2)  # s, state, next step size
+    last = list(fresh)
 
     def at_s(s: float) -> tuple[float, float]:
-        if sol.t[-1] < s:
+        if not s <= s_span:
             raise ValueError(f"oracle geodesic too short for s={s}")
-        y = sol.sol(s)
-        return float(y[0]), float(y[1])
+        t, y, h = last if s >= last[0] else fresh
+        while t < s:
+            if h < 1e-14 * max(1.0, t):
+                raise ValueError(f"oracle geodesic too short for s={s}")
+            step = min(h, s - t)
+            ks = []
+            for row in _RKF_A:
+                ks.append(rhs(*(yi + step * sum(a * k[i] for a, k in zip(row, ks))
+                                for i, yi in enumerate(y))))
+            y_new = tuple(yi + step * sum(b * k[i] for b, k in zip(_RKF_B, ks))
+                          for i, yi in enumerate(y))
+            err = math.sqrt(sum(
+                (step * sum(e * k[i] for e, k in zip(_RKF_E, ks))
+                 / (1e-12 + 1e-11 * max(abs(y[i]), abs(y_new[i])))) ** 2
+                for i in range(4)) / 4.0)
+            grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0 if err == 0.0 else 0.2  # NaN
+            if err <= 1.0:
+                t, y = (s if step == s - t else t + step), y_new
+                if step == h:
+                    h = step * min(grow, 5.0)
+            else:
+                h = step * max(grow, 0.2)
+        last[:] = t, y, h
+        return y[0], y[1]
 
     return at_s
 

@@ -77,20 +77,19 @@ def test_embed_columns_satisfy_sphere_identity(tmp_path):
         assert abs(x * x + y * y + z * z - 1.0) < 1e-9
 
 
-def test_embed_columns_match_export_embedding_csv(tmp_path):
-    from catenary import export_embedding_csv
+def test_embed_columns_match_embed_revolution(tmp_path):
+    from catenary import embed_revolution
 
-    out, exported = tmp_path / "emb.csv", tmp_path / "export.csv"
+    out = tmp_path / "emb.csv"
     assert run(["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1.0",
                 "--smax", "3", "--out", str(out), "--embed"]) == 0
-    trace = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
-                           s_max=3.0)
-    export_embedding_csv(trace, exported)
-    with open(out, newline="") as a, open(exported, newline="") as b:
-        cli_rows, export_rows = list(csv.reader(a)), list(csv.reader(b))
-    assert len(cli_rows) == len(export_rows) == len(trace.samples) + 1
-    for cli_row, export_row in zip(cli_rows, export_rows):
-        assert cli_row[:3] + cli_row[-3:] == export_row
+    sphere = catalog_surface("sphere")
+    trace = trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), s_max=3.0)
+    _, rows = read_csv(out)
+    assert len(rows) == len(trace.samples)
+    for row, smp in zip(rows, trace.samples):
+        assert row[:3] == [smp.s, smp.u, smp.v]
+        assert tuple(row[-3:]) == embed_revolution(sphere, smp.u, smp.v)
 
 
 def test_embed_on_singular_anchor_exits_2(capsys):
@@ -206,6 +205,13 @@ def test_validate_times_checks_on_stderr_only(tmp_path, monkeypatch, capsys):
     assert all(ms.endswith(" ms") and float(ms[:-3]) >= 0.0 for _, ms in timings)
 
 
+def test_validate_reports_are_byte_identical(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["validate", "--all", "--out", str(a)]) == 0
+    assert run(["validate", "--all", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_log_env_var_enables_diagnostics(tmp_path):
     import os
     import subprocess
@@ -314,6 +320,23 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_validate_loads_no_scipy_integrate(tmp_path):
+    import subprocess
+    import sys
+
+    # the conformal oracle has its own stepper and quadrature loads only
+    # QUADPACK's compiled core, so scipy.integrate's __init__, which pulls in
+    # scipy.optimize and scipy.sparse, never runs
+    code = ("import sys; from catenary.cli import run; "
+            f"code = run(['validate', '--all', '--out', {str(tmp_path / 'r.json')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m == 'scipy.integrate'"
+            " or m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert json.loads((tmp_path / "r.json").read_text())["passed"] is True
 
 
 def test_embed_on_tabulated_profile_prints_no_integration_warning(tmp_path):

@@ -285,25 +285,6 @@ def test_embed_rejects_steep_profiles():
     assert clairaut_constant(steep, 1.0, CatenaryState(1.0, 0.0, 1.0)) > 0.0
 
 
-def test_embedding_export_schema(tmp_path):
-    import csv
-
-    from catenary import export_embedding_csv
-
-    sphere = catalog_surface("sphere")
-    tr = trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), s_max=2.0)
-    path = tmp_path / "embedding.csv"
-    export_embedding_csv(tr, path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        assert next(reader) == ["s", "u", "v", "x", "y", "z"]
-        rows = [[float(x) for x in row] for row in reader]
-    assert len(rows) == len(tr.samples)
-    for row, smp in zip(rows, tr.samples):
-        assert row[0] == smp.s and row[1] == smp.u and row[2] == smp.v
-        assert row[3] ** 2 + row[4] ** 2 + row[5] ** 2 == pytest.approx(1.0, abs=1e-9)
-
-
 def test_grusin_embeddable_above_one():
     grusin = catalog_surface("grusin")
     x, y, z = embed_revolution(grusin, 2.0, 0.0, u_ref=1.5)

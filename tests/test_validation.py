@@ -2,6 +2,7 @@
 
 import math
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,3 +55,36 @@ def test_arc_length_conformal_geodesic_matches_affine_oracle(kind, alpha, start,
         assert abs(u - ou) < 1e-9 and abs(v - ov) < 1e-9, s
     with pytest.raises(ValueError, match="too short"):
         geodesic(1.01 * s_span)
+
+
+@pytest.mark.parametrize("start", [CatenaryState(0.7, 0.0, 1.0), CatenaryState(0.2, 0.5, 2.5)])
+def test_conformal_geodesic_on_sphere_is_great_circle(start):
+    # alpha = 0 on the unit sphere (u latitude): x(s) = x0 cos s + t0 sin s
+    def point(u, v):
+        return (math.cos(u) * math.cos(v), math.cos(u) * math.sin(v), math.sin(u))
+
+    u0, v0, phi0 = start.u, start.v, start.phi
+    x0 = point(u0, v0)
+    t0 = (-math.cos(phi0) * math.sin(u0) * math.cos(v0) - math.sin(phi0) * math.sin(v0),
+          -math.cos(phi0) * math.sin(u0) * math.sin(v0) + math.sin(phi0) * math.cos(v0),
+          math.cos(phi0) * math.cos(u0))
+    sphere = catalog_surface("sphere")
+    geodesic = validation.conformal_geodesic(sphere, 0.0, start, 3.0)
+    for k in range(61):
+        s = 3.0 * k / 60
+        got = point(*geodesic(s))
+        want = [a * math.cos(s) + b * math.sin(s) for a, b in zip(x0, t0)]
+        assert max(abs(p - q) for p, q in zip(got, want)) < 1e-9, s
+    # a query below the last one starts again from s = 0, as a fresh oracle does
+    assert geodesic(1.5) == validation.conformal_geodesic(sphere, 0.0, start, 3.0)(1.5)
+
+
+def test_conformal_geodesic_stops_on_nan_metric():
+    # a metric that turns NaN past u = 0.8: every step there is rejected
+    # until the step size underflows, which ends the oracle
+    patch = SimpleNamespace(metric=lambda u, v: (math.nan if u > 0.8 else 1.0, 0.0, 0.0))
+    geodesic = validation.conformal_geodesic(SimpleNamespace(patch=patch), 0.0,
+                                             CatenaryState(0.7, 0.0, 0.0), 1.0)
+    assert geodesic(0.05) == pytest.approx((0.75, 0.0), abs=1e-12)
+    with pytest.raises(ValueError, match="too short"):
+        geodesic(0.2)
