@@ -10,8 +10,11 @@ coordinate z with dz = du/a(u), and exports the Euclidean embedding when
 
 The quadrature integrand q(t) = 1/(a(t)*sqrt(rho(t)^2/c^2 - 1)) blows up
 like an inverse square root at turning points rho(t) = c.  The substitution
-t = endpoint +/- xi^2 removes these integrable singularities; improper
-upper limits are delegated to the tail transformation built into QUADPACK.
+t = endpoint +/- xi^2 removes these integrable singularities, and a turning
+endpoint takes c = rho(endpoint), so that the substituted integrand is
+smooth; improper upper limits are delegated to the tail transformation
+built into QUADPACK.  The knots of a tabulated profile, where a'' jumps,
+are QUADPACK breakpoints.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ log = logging.getLogger("catenary")
 SCAN_POINTS_PER_DECADE = 1000
 ROOT_XTOL = 1e-12
 DEGENERATE_TOL = 1e-9
+# |t - u| below which rho(t) - c near a turning point u is its Taylor polynomial:
+# there the float difference rho(t) - rho(u) carries rounding noise of eps*rho/|t - u|,
+# 2e-9 relative or more, and the quadratic errs by |t - u|^2 rho'''/(6 rho'), 1e-15
+# (for rho and its derivatives of order one)
+_TAYLOR_ZONE = 1e-7
 
 
 class CriticalParallel(NamedTuple):
@@ -94,18 +102,27 @@ def _load_quadpack():
     return module
 
 
-def quad(fn, a, b, *, full_output=0, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+def quad(fn, a, b, *, points=(), full_output=0, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     """``scipy.integrate.quad`` bit for bit (finite a, b <= inf) via QUADPACK's QAGS/QAGI.
 
+    The n ``points`` strictly inside (a, b) are breakpoints: QAGP starts from
+    the partition they give and may add ``limit`` subintervals to it, which is
+    scipy's ``quad(..., points=points, limit=limit + n)``.
     Without ``full_output`` a non-converged integral logs a warning, not a Python one.
     """
     global _quadpack
     if a == b:
         return (0.0, 0.0, {"neval": 0, "last": 0}) if full_output else (0.0, 0.0)
     flip, a, b = b < a, min(a, b), max(a, b)
+    inner = sorted({p for p in points if a < p < b})
     _quadpack = _quadpack or _load_quadpack()
     if b == math.inf:
+        if inner:
+            raise ValueError("break points need a finite upper limit")
         ret = _quadpack._qagie(fn, a, 1, (), full_output, epsabs, epsrel, limit)
+    elif inner:  # padded with two zeros, as scipy pads them
+        ret = _quadpack._qagpe(fn, a, b, (*inner, 0.0, 0.0), (), full_output, epsabs, epsrel,
+                               limit + len(inner))
     else:
         ret = _quadpack._qagse(fn, a, b, (), full_output, epsabs, epsrel, limit)
     ier, out = ret[-1], (-ret[0] if flip else ret[0], *ret[1:-1])
@@ -285,7 +302,12 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
 
     allowing integrable square-root singularities at the endpoints (turning
     points) and an improper upper limit when the tail integrand decays
-    faster than 1/t.
+    faster than 1/t.  Each finite end gets a stretch integrated in
+    t = end +/- xi^2.  An end with |rho - c| <= 1e-10 * max(1, c), the
+    tolerance of ``turning_points``, is a turning point: its stretch uses
+    c = rho(end), and near the end rho - c is its Taylor polynomial.  The
+    middle stretch keeps c.  The knots of a tabulated profile are QUADPACK
+    breakpoints on every stretch.
     """
     import numpy as np
 
@@ -299,10 +321,10 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     sign = 1.0
     if u0 > u1:
         u0, u1, sign = u1, u0, -1.0
-    rho, _, _ = _rho_funcs(spec, alpha)
+    rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     a = profile.a
 
-    def q(t):
+    def q(t, c=c):
         at = a(t)  # rho(t) = t ** alpha * a(t), with a read once
         rad = (t ** alpha * at / c) ** 2 - 1.0
         if rad <= 0.0:
@@ -325,39 +347,60 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
             raise ConfigError(
                 "improper upper limit needs an integrand decaying faster than 1/t"
             )
-    # t = endpoint +/- xi^2 on a stretch of width w at each finite endpoint
-    w = min((u1 - u0) / 3.0, 1.0)
-    total = _quad(lambda xi: 2.0 * xi * q(u0 + xi * xi), 0.0, math.sqrt(w))
+    # t = end +/- xi^2 on a stretch of width w at each finite end; the knots,
+    # where a'' jumps, are QUADPACK breakpoints (at xi = sqrt|knot - end|)
+    w, knots = min((u1 - u0) / 3.0, 1.0), profile.knots
+
+    def end_piece(end, sgn):
+        # A turning end (turning_points' tolerance) takes c = rho(end), so the
+        # radicand vanishes there exactly and 2 xi q is smooth in xi.  Closer to
+        # it than _TAYLOR_ZONE and than the nearest knot, rho - c is taken from
+        # its Taylor polynomial in d = xi^2, free of rounding noise.
+        turning = end > 0.0 and abs(rho(end) - c) <= 1e-10 * max(1.0, c)
+        ce, slope, curv = (rho(end), abs(rho_u(end)), 0.5 * rho_uu(end)) if turning \
+            else (c, 0.0, 0.0)
+        cuts = [math.sqrt(sgn * (k - end)) for k in knots if sgn * (k - end) >= 0.0]
+        zone = min(_TAYLOR_ZONE, min(cuts, default=1.0) ** 2) if slope > 0.0 else 0.0
+
+        def f(xi):
+            d = xi * xi
+            if d < zone:
+                rate = slope + curv * d  # (rho - c) / d
+                return 2.0 * ce / (a(end + sgn * d) * math.sqrt(rate * (rate * d + 2.0 * ce)))
+            return 2.0 * xi * q(end + sgn * d, ce)
+
+        return _quad(f, 0.0, math.sqrt(w), cuts)
+
+    total = end_piece(u0, 1.0)
     if not finite:
         return sign * (total + _quad(q, u0 + w, math.inf))
-    total += _quad(lambda xi: 2.0 * xi * q(u1 - xi * xi), 0.0, math.sqrt(w))
+    total += end_piece(u1, -1.0)
     if u0 + w < u1 - w:
-        total += _quad(q, u0 + w, u1 - w)
+        total += _quad(q, u0 + w, u1 - w, knots)
     return sign * total
 
 
-def _quad(fn, lo: float, hi: float) -> float:
-    return quad(fn, lo, hi, full_output=1, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
+def _quad(fn, lo: float, hi: float, points=()) -> float:
+    return quad(fn, lo, hi, points=points, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
 
 
 def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets, **options):
     """(value, abserr) of quad(fn, u_ref, u, **options) for every u in targets.
 
-    An analytic profile takes one quad call per target.  A tabulated one is
-    integrated piece by piece between its knots and the targets, each piece
-    once, and the pieces are summed outward from u_ref: QUADPACK then never
-    meets a knot, where a'' jumps, and the abserr are summed too.
+    An analytic profile takes one quad call per target.  A tabulated one takes
+    one call per gap between u_ref and the sorted targets, with its knots, where
+    a'' jumps, as QUADPACK breakpoints; the gaps are summed outward from u_ref,
+    and so are their abserr.
     """
     if not profile.knots:
         return [quad(fn, u_ref, u, **options)[:2] for u in targets]
-    lo, hi = min([u_ref, *targets]), max([u_ref, *targets])
-    stops = sorted({u_ref, *targets, *(k for k in profile.knots if lo < k < hi)})
+    stops = sorted({u_ref, *targets})
     start = stops.index(u_ref)
     sums = {u_ref: (0.0, 0.0)}
     for path in (stops[start:], stops[start::-1]):
         total = err = 0.0
         for a, b in zip(path, path[1:]):
-            piece, piece_err = quad(fn, a, b, **options)[:2]
+            piece, piece_err = quad(fn, a, b, points=profile.knots, **options)[:2]
             total, err = total + piece, err + piece_err
             sums[b] = (total, err)
     return [sums[u] for u in targets]

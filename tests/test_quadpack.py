@@ -16,7 +16,7 @@ from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as scipy_quad
 
 import catenary.revolution as revolution
-from catenary import catalog_surface, quadrature_v, turning_points
+from catenary import catalog_surface, critical_parallels, quadrature_v, turning_points
 from catenary.revolution import quad
 
 TOLS = {"epsabs": 1e-12, "epsrel": 1e-11, "limit": 200}
@@ -26,9 +26,16 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
-def _assert_same(fn, a, b, **options):
-    """Value, abserr, neval and the presence of a message all equal scipy's."""
-    got = quad(fn, a, b, full_output=1, **options)
+def _assert_same(fn, a, b, points=(), **options):
+    """Value, abserr, neval and the presence of a message all equal scipy's.
+
+    Points strictly inside (a, b) go to scipy's ``points=`` as well, with its
+    ``limit`` raised by their number; without them scipy takes QAGS or QAGI.
+    """
+    got = quad(fn, a, b, full_output=1, points=points, **options)
+    inner = {p for p in points if min(a, b) < p < max(a, b)}
+    if inner:
+        options.update(points=points, limit=options.get("limit", 50) + len(inner))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         want = scipy_quad(fn, a, b, full_output=1, **options)
@@ -75,13 +82,45 @@ def test_quad_matches_scipy_when_it_does_not_converge(fn, a, b):
     assert len(got) == 4 and isinstance(got[3], str)
 
 
+def _kink(x):
+    return abs(x - 0.3) + math.sin(5.0 * x)
+
+
+@pytest.mark.parametrize("a, b, points", [
+    (0.0, 1.0, [0.3]),                      # a breakpoint on the kink
+    (1.0, 0.0, [0.7, 0.3, 0.3, 2.0]),       # swapped limits, unsorted, repeated, outside
+    (0.0, 1.0, [k / 80 for k in range(81)]),  # more breakpoints than limit=50
+])
+@pytest.mark.parametrize("options", [{}, TOLS])
+def test_quad_with_breakpoints_matches_scipy(a, b, points, options):
+    got = _assert_same(_kink, a, b, points, **options)
+    assert len(got) == 3
+
+
+@pytest.mark.parametrize("points", [[0.0, 1.0], [-1.0, 2.0]])
+def test_breakpoints_at_or_outside_the_ends_keep_qags(points):
+    # no breakpoint inside (a, b): the very QAGS call made without points
+    got = _assert_same(_kink, 0.0, 1.0, points, **TOLS)
+    assert [_bits(x) for x in got[:2]] == [_bits(x) for x in quad(_kink, 0.0, 1.0, **TOLS)]
+    with pytest.raises(ValueError, match="finite"):
+        quad(math.exp, 0.0, math.inf, points=[1.0])
+
+
+def _tabulated():
+    from catenary import tabulated_profile
+
+    us = [0.1 + 1.3 * j / 39 for j in range(40)]
+    return tabulated_profile([(u, math.cos(u) + 0.08 + 0.03 * math.sin(5.0 * u)) for u in us])
+
+
 @pytest.mark.parametrize("kind, c, u0, u1", [
-    ("sphere", 0.5, "turning", "turning"),  # between the two turning points
-    ("catenoid", 1.0, "turning", 2.0),      # from the turning point to a finite u
-    ("catenoid", 0.5, 1.5, math.inf),       # improper upper limit
+    ("sphere", 0.5, "turning", "turning"),     # between the two turning points
+    ("catenoid", 1.0, "turning", 2.0),         # from the turning point to a finite u
+    ("catenoid", 0.5, 1.5, math.inf),          # improper upper limit
+    ("tabulated", 0.45, "turning", "turning"),  # knots as breakpoints
 ])
 def test_quadrature_v_integrands_match_scipy(kind, c, u0, u1, monkeypatch):
-    spec = catalog_surface(kind)
+    spec = _tabulated() if kind == "tabulated" else catalog_surface(kind)
     turning = turning_points(spec, 1.0, c)
     u0, u1 = (turning[0] if u0 == "turning" else u0), (turning[-1] if u1 == "turning" else u1)
     calls = []
@@ -93,8 +132,22 @@ def test_quadrature_v_integrands_match_scipy(kind, c, u0, u1, monkeypatch):
     monkeypatch.setattr(revolution, "quad", record)
     quadrature_v(spec, 1.0, c, u0, u1)
     assert len(calls) == (2 if u1 == math.inf else 3)  # both ends and the middle
+    if kind == "tabulated":  # every piece is split at the knots inside it
+        assert all(any(a < p < b for p in options["points"]) for _, a, b, options in calls)
     for fn, a, b, options in calls:
         _assert_same(fn, a, b, **{k: v for k, v in options.items() if k != "full_output"})
+
+
+def test_quadrature_v_logs_what_did_not_converge(caplog):
+    # from an unstable critical parallel (rho = cosh(u)/u has a minimum) the
+    # curve winds onto the parallel: v diverges and QUADPACK says so
+    spec = catalog_surface("hyperbolic")
+    [parallel] = critical_parallels(spec, -1.0)
+    c = math.cosh(parallel.u) / parallel.u
+    with caplog.at_level(logging.WARNING, logger="catenary"):
+        quadrature_v(spec, -1.0, c, parallel.u, 2.0)
+    assert caplog.records and all(r.name == "catenary" for r in caplog.records)
+    assert "did not converge" in caplog.records[0].getMessage()
 
 
 def test_invalid_limit_raises_value_error():

@@ -213,6 +213,13 @@ def test_quadrature_cylinder_closed_form():
     assert quadrature_v(cyl, 1.0, 1.0, 2.0, 1.0) == pytest.approx(-dv, rel=1e-12)
 
 
+def test_quadrature_from_the_axis_closed_form():
+    # alpha = -1 on the plane: rho = 1/u is infinite at the end u = 0, which is
+    # no turning point; c = 1: dv = u du/sqrt(1-u^2), antiderivative -sqrt(1-u^2)
+    dv = quadrature_v(catalog_surface("plane"), -1.0, 1.0, 0.0, 0.5)
+    assert dv == pytest.approx(1.0 - math.sqrt(0.75), rel=1e-13)
+
+
 def test_quadrature_catenoid_improper():
     catenoid = catalog_surface("catenoid")
     got = quadrature_v(catenoid, 1.0, 0.5, 1.0, math.inf)
@@ -440,7 +447,8 @@ def test_tabulated_embedding_height_matches_reference():
 
 def test_fused_pchip_kernel_gives_the_same_results_as_the_generic_one():
     # the same PCHIP data behind the fused kernel of tabulated_profile and
-    # behind profile_surface's kernel built from (a, a_u): the same bits out
+    # behind profile_surface's kernel built from (a, a_u): the same bits out,
+    # but for the quadrature
     us, fused = _ripple_profile(0.1, 1.4, 1.0, 0.04, 5.0, 1.0)
     p = fused.profile
     generic = profile_surface(p.a, p.a_u, p.a_uu, (us[0], us[-1]))
@@ -453,8 +461,10 @@ def test_fused_pchip_kernel_gives_the_same_results_as_the_generic_one():
         c = 0.5 * (max(rho) + max(rho[0], rho[-1]))  # rho = c on both sides of the top
         tp = turning_points(fused, alpha, c)
         assert len(tp) >= 2 and repr(tp) == repr(turning_points(generic, alpha, c))
-        assert repr(quadrature_v(fused, alpha, c, tp[0], tp[1])) == \
-            repr(quadrature_v(generic, alpha, c, tp[0], tp[1]))
+        # the knots of the tabulated spec are QUADPACK breakpoints, and the
+        # generic spec has none: the same integral, computed differently
+        assert quadrature_v(fused, alpha, c, tp[0], tp[1]) == \
+            pytest.approx(quadrature_v(generic, alpha, c, tp[0], tp[1]), rel=1e-10, abs=0.0)
         start = CatenaryState(tp[0], 0.0, math.pi / 2)
         one, two = (trace_catenary(spec, alpha, start, 4.0, 1e-10) for spec in (fused, generic))
         assert repr((one.samples, one.stats, one.termination)) == \

@@ -79,6 +79,20 @@ def test_conformal_geodesic_on_sphere_is_great_circle(start):
     assert geodesic(1.5) == validation.conformal_geodesic(sphere, 0.0, start, 3.0)(1.5)
 
 
+def test_conformal_geodesic_rounds_the_cone_apex_by_the_clairaut_sweep():
+    # phi = pi in floats leaves c = rho(u) sin(phi) of about 1e-18: the curve
+    # turns at u of about 1e-9 instead of meeting the apex, where v sweeps by
+    # int 2c du / (a sqrt(rho^2 - c^2)) = pi / (2 slope) for rho = slope u^2
+    cone = catalog_surface("cone")
+    slope = cone.params["slope"]
+    start = CatenaryState(0.1, 0.0, math.pi)
+    geodesic = validation.conformal_geodesic(cone, 1.0, start, 0.5)
+    assert 0.0 < geodesic(0.1)[0] < 1e-8  # closest to the apex; v is mid-sweep here
+    u, v = geodesic(0.5)
+    assert u == pytest.approx(0.4, abs=1e-8)
+    assert v == pytest.approx(math.pi / (2.0 * slope), abs=1e-9)
+
+
 def test_conformal_geodesic_stops_on_nan_metric():
     # a metric that turns NaN past u = 0.8: every step there is rejected
     # until the step size underflows, which ends the oracle
