@@ -38,10 +38,8 @@ from .errors import (
     SingularJetError,
 )
 from .revolution import (
-    ClairautProfile,
     CriticalParallel,
     clairaut_constant,
-    clairaut_profile,
     conformal_coordinate,
     critical_parallels,
     embed_revolution,
@@ -56,11 +54,9 @@ from .surfaces import (
     RevolutionProfile,
     SurfaceSpec,
     catalog_surface,
-    christoffel,
     eval_metric,
     load_profile_csv,
     profile_surface,
-    ruled_metric,
     ruled_surface,
     ruled_surface_from_samples,
     tabulated_profile,
@@ -69,7 +65,6 @@ from .tracing import (
     CatenaryState,
     Trace,
     TraceSample,
-    catenary_rhs,
     trace_catenary,
     trace_graph,
 )

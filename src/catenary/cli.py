@@ -218,10 +218,10 @@ def _cmd_trace_graph(args) -> int:
 
 
 def _cmd_clairaut(args) -> int:
+    if (args.umin is None) != (args.umax is None):
+        raise ConfigError("--umin and --umax must be given together")
     spec = _build_surface(args)
-    u_range = None
-    if args.umin is not None and args.umax is not None:
-        u_range = (args.umin, args.umax)
+    u_range = None if args.umin is None else (args.umin, args.umax)
     doc = {
         "surface": spec.identifier,
         "alpha": args.alpha,
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clairaut", help="critical parallels and turning points")
     _add_surface_options(sp)
-    sp.add_argument("--umin", type=float)
-    sp.add_argument("--umax", type=float)
+    sp.add_argument("--umin", type=float, help="with --umax, the u range to search")
+    sp.add_argument("--umax", type=float, help="with --umin, the u range to search")
     sp.add_argument("--c", type=float, help="also list turning points for this c")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_clairaut)

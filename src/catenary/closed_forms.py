@@ -4,8 +4,9 @@ Each family exposes its value together with analytic first and second
 derivatives, so residual checks against the governing equations isolate
 formula errors from numerical noise.  Families: the Euclidean hanging
 curve cosh(mu t + nu)/mu, the cone solution mu/sqrt(cos(sqrt(2) v + nu)),
-the Grusin square-root catenary mu*sqrt(2 v + nu), the non-vertical Grusin
-geodesics, and the hyperbolic-plane quadrature.
+the Grusin square-root catenary mu*sqrt(2 v + nu) and the non-vertical
+Grusin geodesics.  ``hyperbolic_quadrature`` gives the v-advance of a
+curve on the hyperbolic plane, which has no closed-form parametrization.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def hyperbolic_quadrature(r: float, alpha: float, c: float,
 def closed_form_family(family: str, **params) -> ClosedFormFamily:
     """Build a ClosedFormFamily by name.
 
-    Parameters: euclidean/cone/grusin_catenary take mu, nu; grusin_geodesic
-    takes u0, v0; hyperbolic_quadrature takes r, alpha, c (it has no curve
-    parametrization, only the quadrature map).
+    Families and parameters: euclidean, cone and grusin_catenary take mu
+    (default 1) and nu (default 0); grusin_geodesic takes u0 and v0
+    (default 0).  Any other name or parameter raises ConfigError.
     """
     if family == "euclidean":
         mu, nu = _mu_nu(params)
@@ -158,18 +159,6 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
             family, {"u0": u0, "v0": v0}, (-half, half),
             value=lambda s: grusin_geodesic(u0, v0, s), d1=d1, d2=d2,
         )
-    if family == "hyperbolic_quadrature":
-        r = _param(params, "r", 1.0)
-        alpha = _param(params, "alpha", 1.0)
-        c = _param(params, "c")
-        _no_extras(params)
-        if not r > 0.0 or c == 0.0:
-            raise ConfigError("hyperbolic family needs r > 0 and c != 0")
-        return ClosedFormFamily(
-            family, {"r": r, "alpha": alpha, "c": c}, (0.0, math.inf),
-            value=lambda u0_u1: hyperbolic_quadrature(r, alpha, c, *u0_u1),
-            d1=None, d2=None,
-        )
     raise ConfigError(f"unknown closed-form family: {family!r}")
 
 
@@ -209,13 +198,10 @@ def validate_closed_form(family: ClosedFormFamily, spec: SurfaceSpec,
     """Max residual of the family against its governing equation over the grid.
 
     Graph families are checked through ``catenary_residual`` on their exact
-    2-jets; the geodesic family is checked against the two Grusin geodesic
-    equations.  The quadrature family has no pointwise residual.
+    2-jets, the geodesic family against the two Grusin geodesic equations.
     """
     if len(grid) == 0:
         raise ConfigError("empty validation grid")
-    if family.family == "hyperbolic_quadrature":
-        raise ConfigError("the quadrature family has no pointwise residual")
     worst = 0.0
     if family.family == "grusin_geodesic":
         for s in grid:

@@ -24,8 +24,7 @@ import math
 import os
 import sys
 from importlib import machinery, util
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -41,9 +40,7 @@ from .tracing import CatenaryState
 
 __all__ = [
     "CriticalParallel",
-    "ClairautProfile",
     "clairaut_constant",
-    "clairaut_profile",
     "critical_parallels",
     "turning_points",
     "quadrature_v",
@@ -57,6 +54,9 @@ log = logging.getLogger("catenary")
 SCAN_POINTS_PER_DECADE = 1000
 ROOT_XTOL = 1e-12
 DEGENERATE_TOL = 1e-9
+# |rho(u) - c| <= TURNING_TOL * max(1, c) makes u a turning point of c, both for the
+# tangential roots of turning_points and for the turning ends of quadrature_v
+TURNING_TOL = 1e-10
 # |t - u| below which rho(t) - c near a turning point u is its Taylor polynomial:
 # there the float difference rho(t) - rho(u) carries rounding noise of eps*rho/|t - u|,
 # 2e-9 relative or more, and the quadratic errs by |t - u|^2 rho'''/(6 rho'), 1e-15
@@ -68,18 +68,6 @@ class CriticalParallel(NamedTuple):
     u: float
     lam: float
     classification: str  # "stable" | "unstable" | "degenerate"
-
-
-@dataclass(frozen=True)
-class ClairautProfile:
-    """rho(u) = a(u) * u^alpha with its derivatives and critical parallels."""
-
-    alpha: float
-    a: Callable[[float], float]
-    rho: Callable[[float], float]
-    rho_u: Callable[[float], float]
-    rho_uu: Callable[[float], float]
-    critical_parallels: tuple[CriticalParallel, ...]
 
 
 _QUADPACK = "scipy.integrate._quadpack"
@@ -246,20 +234,14 @@ def critical_parallels(spec: SurfaceSpec, alpha: float,
     return out
 
 
+def _turning(gap: float, c: float) -> bool:
+    return abs(gap) <= TURNING_TOL * max(1.0, c)
+
+
 def _classify(lam: float) -> str:
     if abs(lam) < DEGENERATE_TOL:
         return "degenerate"
     return "stable" if lam > 0.0 else "unstable"
-
-
-def clairaut_profile(spec: SurfaceSpec, alpha: float,
-                     u_range: tuple[float, float] | None = None) -> ClairautProfile:
-    """Bundle rho and its derivatives with the critical parallels found in range."""
-    profile = _require_profile(spec)
-    rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
-    criticals = tuple(critical_parallels(spec, alpha, u_range))
-    return ClairautProfile(alpha=alpha, a=profile.a, rho=rho, rho_u=rho_u,
-                           rho_uu=rho_uu, critical_parallels=criticals)
 
 
 def turning_points(spec: SurfaceSpec, alpha: float, c: float,
@@ -267,8 +249,8 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     """Sorted solutions of rho(u) = c in the range (extrema of u along traces).
 
     The critical parallels split the range into pieces on which rho is
-    monotone.  One with |rho - c| <= 1e-10 * max(1, c) is a tangential root,
-    reported once, and the pieces beside it add none.  Every other piece on
+    monotone.  One with |rho - c| <= ``TURNING_TOL`` * max(1, c) is a tangential
+    root, reported once, and the pieces beside it add none.  Every other piece on
     which rho - c changes sign holds one root, found by bisection.  An exact
     zero at an end of the range is a root too.
     """
@@ -280,7 +262,7 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     rho, rho_u, _ = _rho_funcs(spec, alpha)
     knots = [lo, *_scan_roots(rho_u, lo, hi), hi]
     gaps = [rho(u) - c for u in knots]
-    hits = [g == 0.0 or (0 < i < len(knots) - 1 and abs(g) <= 1e-10 * max(1.0, c))
+    hits = [g == 0.0 or (0 < i < len(knots) - 1 and _turning(g, c))
             for i, g in enumerate(gaps)]
     roots: list[float] = []
     for i, u in enumerate(knots):
@@ -303,7 +285,7 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     allowing integrable square-root singularities at the endpoints (turning
     points) and an improper upper limit when the tail integrand decays
     faster than 1/t.  Each finite end gets a stretch integrated in
-    t = end +/- xi^2.  An end with |rho - c| <= 1e-10 * max(1, c), the
+    t = end +/- xi^2.  An end with |rho - c| <= ``TURNING_TOL`` * max(1, c), the
     tolerance of ``turning_points``, is a turning point: its stretch uses
     c = rho(end), and near the end rho - c is its Taylor polynomial.  The
     middle stretch keeps c.  The knots of a tabulated profile are QUADPACK
@@ -356,7 +338,7 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
         # radicand vanishes there exactly and 2 xi q is smooth in xi.  Closer to
         # it than _TAYLOR_ZONE and than the nearest knot, rho - c is taken from
         # its Taylor polynomial in d = xi^2, free of rounding noise.
-        turning = end > 0.0 and abs(rho(end) - c) <= 1e-10 * max(1.0, c)
+        turning = end > 0.0 and _turning(rho(end) - c, c)
         ce, slope, curv = (rho(end), abs(rho_u(end)), 0.5 * rho_uu(end)) if turning \
             else (c, 0.0, 0.0)
         cuts = [math.sqrt(sgn * (k - end)) for k in knots if sgn * (k - end) >= 0.0]

@@ -27,8 +27,6 @@ __all__ = [
     "CATALOG_PARAMS",
     "catalog_surface",
     "eval_metric",
-    "christoffel",
-    "ruled_metric",
     "ruled_surface",
     "ruled_surface_from_samples",
     "tabulated_profile",
@@ -132,16 +130,6 @@ class SurfaceSpec:
 def eval_metric(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, float]:
     """Metric coefficient and partials (G, G_u, G_v) at an interior point."""
     return spec.patch.evaluate(u, v)
-
-
-def christoffel(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, float]:
-    """Nonzero Christoffel symbols (Gamma^1_22, Gamma^2_12, Gamma^2_22).
-
-    For ds^2 = du^2 + G^2 dv^2 these are -G*G_u, G_u/G and G_v/G; the
-    remaining symbols vanish identically and are not returned.
-    """
-    g, gu, gv = spec.patch.evaluate(u, v)
-    return -g * gu, gu / g, gv / g
 
 
 # --------------------------------------------------------------------------
@@ -321,6 +309,8 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
     and the same order of floating-point operations.  x must be strictly
     increasing with at least 3 entries; nothing is checked here.  The fourth,
     ``metric(t, v) -> (a(t), a_u(t), 0.0)``, finds the piece once for both.
+    The fifth is max |a_u| on [x[0], x[-1]]; a_u is quadratic on a piece, so
+    that is its largest value at a knot or at a vertex inside a piece.
     """
     x = [float(t) for t in x]
     y = [float(t) for t in y]
@@ -340,6 +330,11 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
         t = (d[k] + d[k + 1] - 2.0 * m[k]) / hk
         c0, c1 = t / hk, (m[k] - d[k]) / hk - t
         pieces.append((y[k], d[k], c1, c0, 2.0 * c1, 3.0 * c0, 6.0 * c0))
+    slope_max = max(map(abs, d))
+    for (_, c2, _, _, e1, e0, _), hk in zip(pieces, h):
+        vertex = -e1 / (2.0 * e0) if e0 != 0.0 else 0.0
+        if 0.0 < vertex < hk:
+            slope_max = max(slope_max, abs(c2 + e1 * vertex + e0 * (vertex * vertex)))
     hi = len(x) - 1  # bisect over x[1:-1]: clamps t to the end pieces
 
     def a(t: float) -> float:
@@ -366,7 +361,7 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
         return (0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s),
                 0.0 + c2 + e1 * s + e0 * (s * s), 0.0)
 
-    return a, a_u, a_uu, metric
+    return a, a_u, a_uu, metric, slope_max
 
 
 # --------------------------------------------------------------------------
@@ -382,18 +377,12 @@ def _ruled_root(u: float, v: float, fv: float, gv: float) -> float:
     return math.sqrt(rad)
 
 
-def ruled_metric(f: Callable[[float], float], g: Callable[[float], float],
-                 u: float, v: float) -> float:
-    """G for the ruled surface c(v) + u*W(v) with f = <c',W'>, g = ||W'||^2.
-
-    Returns sqrt(1 + 2*u*f(v) + u^2*g(v)); the parametrization degenerates
-    where the radicand is not positive.
-    """
-    return _ruled_root(u, v, f(v), g(v))
-
-
 def _ruled_jet(u: float, v: float, fv: float, f_v: float, gv: float, g_v: float):
-    """(G, G_u, G_v) of the ruled metric from f, f', g and g' at v."""
+    """(G, G_u, G_v) of the ruled surface c(v) + u*W(v) with f = <c',W'>, g = ||W'||^2.
+
+    G = sqrt(1 + 2*u*f + u^2*g) from f, f', g and g' at v; the parametrization
+    degenerates where the radicand is not positive.
+    """
     root = _ruled_root(u, v, fv, gv)
     return root, (fv + u * gv) / root, (u * f_v + 0.5 * u * u * g_v) / root
 
@@ -486,10 +475,9 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
     The interpolant is PCHIP, the shape-preserving piecewise cubic of
     Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980), so that no spurious
     critical parallels are introduced by overshoot; it equals scipy's
-    ``PchipInterpolator``.
+    ``PchipInterpolator``.  ``profile_warning`` comes from the exact maximum
+    of |a'| over the samples' range.
     """
-    import numpy as np
-
     try:
         pts = [(float(u), float(a)) for u, a in samples]
     except (TypeError, ValueError):
@@ -498,18 +486,15 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
         check_finite(u=u, a=a)
     if len(pts) < 4:
         raise ConfigError(f"need at least 4 profile samples, got {len(pts)}")
-    us, vals = map(np.array, zip(*pts))
-    if not np.all(np.diff(us) > 0):
+    us, vals = [u for u, _ in pts], [a for _, a in pts]
+    if not all(u0 < u1 for u0, u1 in zip(us, us[1:])):
         raise ConfigError("profile u samples must be strictly increasing")
-    if not np.all(vals > 0):
+    if not all(a > 0.0 for a in vals):
         raise ConfigError("profile values a(u) must be positive")
-    a, a_u, a_uu, metric = _pchip(us, vals)
-    fine = np.linspace(us[0], us[-1], max(2000, 20 * len(us))).tolist()
-    warning = max(abs(a_u(t)) for t in fine) > 1.0
+    a, a_u, a_uu, metric, slope_max = _pchip(us, vals)
     return _revolution_spec(
         "revolution_profile", {}, identifier, a, a_u, a_uu,
-        Domain(float(us[0]), float(us[-1])), warning=warning, metric=metric,
-        knots=tuple(us.tolist()),
+        Domain(us[0], us[-1]), warning=slope_max > 1.0, metric=metric, knots=tuple(us),
     )
 
 

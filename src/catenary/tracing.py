@@ -37,7 +37,6 @@ __all__ = [
     "TraceSample",
     "Trace",
     "TERMINATIONS",
-    "catenary_rhs",
     "trace_catenary",
     "trace_graph",
 ]
@@ -110,15 +109,6 @@ class Trace:
             raise ValueError("empty trace has no dense output")
         t = min(max(t, self._starts[0]), self._t_final)
         return _hermite(self._segments[bisect_right(self._starts, t) - 1], t)
-
-    @property
-    def s_final(self) -> float:
-        return self.samples[-1].s
-
-    @property
-    def final_state(self) -> CatenaryState:
-        last = self.samples[-1]
-        return CatenaryState(u=last.u, v=last.v, phi=last.phi, s=last.s)
 
 
 # --------------------------------------------------------------------------
@@ -313,16 +303,6 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
 # --------------------------------------------------------------------------
 # tangent-angle flow
 # --------------------------------------------------------------------------
-
-def catenary_rhs(spec: SurfaceSpec, alpha: float,
-                 state: CatenaryState) -> tuple[float, float, float]:
-    """Unit-speed flow (du/ds, dv/ds, dphi/ds) of the weighted-curve equation.
-
-    Substituting this field into the curve equation gives a zero residual
-    identically; meridians (phi = 0) are invariant.
-    """
-    return _flow_f(spec, alpha)(state.s, (state.u, state.v, state.phi))
-
 
 def _flow_f(spec: SurfaceSpec, alpha: float):
     evaluate = spec.patch.evaluate

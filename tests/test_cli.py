@@ -150,6 +150,28 @@ def test_clairaut_command(capsys):
     assert len(doc["turning_points"]) == 2
 
 
+def test_clairaut_command_searches_the_given_range(capsys):
+    # the sphere's one critical parallel, u = 0.8603, lies below [0.9, 1.5];
+    # rho = u cos u = 0.5 has one root in it
+    code = run(["clairaut", "--surface", "sphere", "--c", "0.5",
+                "--umin", "0.9", "--umax", "1.5"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["critical_parallels"] == []
+    [u] = doc["turning_points"]
+    assert 0.9 < u < 1.5
+    assert u * math.cos(u) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--umin", "--umax"])
+def test_clairaut_command_rejects_a_one_sided_range(flag, capsys):
+    code = run(["clairaut", "--surface", "sphere", flag, "0.9"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--umin" in captured.err and "--umax" in captured.err
+
+
 def test_stability_command(capsys):
     code = run(["stability", "--surface", "sphere", "--ustar",
                 "0.8603335890193798"])

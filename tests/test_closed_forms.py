@@ -144,12 +144,6 @@ def test_validate_rejects_empty_grid():
                              catalog_surface("plane"), 1.0, [])
 
 
-def test_validate_rejects_quadrature_family():
-    fam = closed_form_family("hyperbolic_quadrature", r=1.0, c=0.5)
-    with pytest.raises(ConfigError):
-        validate_closed_form(fam, catalog_surface("hyperbolic"), 1.0, [1.0])
-
-
 def test_family_matches_graph_trace():
     # graph traces started from family data reproduce the family
     plane = catalog_surface("plane")
@@ -206,11 +200,11 @@ def test_hyperbolic_quadrature_matches_trace():
     ("grusin_geodesic", {"u0": -1.0}),
     ("euclidean", {"mu": 1.0, "lam": 2.0}),
     ("grusin_geodesic", {"u0": 1.0, "nu": 0.0}),
-    ("hyperbolic_quadrature", {"c": 1.0, "mu": 1.0}),
+    ("cone", {"nu": math.inf}),
     ("catenoid", {}),
-    ("hyperbolic_quadrature", {"c": 0.0}),
+    ("grusin_geodesic", {"u0": 1.0, "v0": math.nan}),
     ("grusin_geodesic", {}),
-    ("hyperbolic_quadrature", {}),
+    ("grusin_catenary", {"mu": None}),
     ("euclidean", {"mu": "abc"}),
 ])
 def test_family_rejects_bad_parameters(family, params):

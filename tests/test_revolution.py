@@ -12,7 +12,6 @@ from catenary import (
     NotRealizableError,
     catalog_surface,
     clairaut_constant,
-    clairaut_profile,
     conformal_coordinate,
     critical_parallels,
     embed_revolution,
@@ -118,14 +117,6 @@ def test_bump_profile_critical_parallels():
     assert unstable.u == pytest.approx(5.0 / 3.0, abs=1e-10)
     assert unstable.classification == "unstable"
     assert unstable.lam == pytest.approx(-0.7776, rel=1e-9)
-
-
-def test_clairaut_profile_bundle():
-    sphere = catalog_surface("sphere")
-    prof = clairaut_profile(sphere, 1.0)
-    assert prof.rho(0.5) == pytest.approx(0.5 * math.cos(0.5), rel=1e-15)
-    assert prof.rho_u(USTAR) == pytest.approx(0.0, abs=1e-12)
-    assert len(prof.critical_parallels) == 1
 
 
 def test_stability_exponent_requires_critical_point():
@@ -329,8 +320,7 @@ def test_confinement_to_accessible_region():
     start = CatenaryState(UM_HALF, 0.0, math.pi / 2)
     c0 = clairaut_constant(sphere, 1.0, start)
     tr = trace_catenary(sphere, 1.0, start, s_max=60.0, tol=1e-9)
-    rho = clairaut_profile(sphere, 1.0).rho
-    assert all(rho(s.u) >= c0 - 1e-6 for s in tr.samples)
+    assert all(s.u * math.cos(s.u) >= c0 - 1e-6 for s in tr.samples)  # rho = u cos u
 
 
 def test_quadrature_agrees_with_trace_half_period():

@@ -8,10 +8,8 @@ from catenary import (
     DegenerateMetricError,
     DomainError,
     catalog_surface,
-    christoffel,
     eval_metric,
     load_profile_csv,
-    ruled_metric,
     ruled_surface,
     ruled_surface_from_samples,
     tabulated_profile,
@@ -60,38 +58,6 @@ def test_extended_sphere_rejects_negative_G():
         eval_metric(extended, 1.8, 0.0)
     with pytest.raises(DomainError):
         eval_metric(default, 1.8, 0.0)
-
-
-def test_christoffel_plane_vanishes():
-    plane = catalog_surface("plane")
-    assert christoffel(plane, 1.3, -0.7) == (0.0, 0.0, 0.0)
-
-
-def test_christoffel_sphere_quarter():
-    sphere = catalog_surface("sphere")
-    c1, c2, c3 = christoffel(sphere, math.pi / 4, 0.0)
-    assert c1 == pytest.approx(0.5, abs=1e-15)
-    assert c2 == pytest.approx(-1.0, abs=1e-15)
-    assert c3 == 0.0
-
-
-def test_christoffel_grusin_unit():
-    grusin = catalog_surface("grusin")
-    assert christoffel(grusin, 1.0, 5.0) == (1.0, -1.0, 0.0)
-
-
-def test_christoffel_algebraic_identities():
-    rng = np.random.default_rng(7)
-    for kind in ("sphere", "catenoid", "grusin", "hyperbolic", "cone"):
-        spec = catalog_surface(kind)
-        hi = 1.4 if kind == "sphere" else 4.0
-        for _ in range(50):
-            u = float(rng.uniform(0.1, hi))
-            v = float(rng.uniform(-3.0, 3.0))
-            g, gu, _ = eval_metric(spec, u, v)
-            c1, c2, _ = christoffel(spec, u, v)
-            assert c1 * c2 == pytest.approx(-gu * gu, rel=1e-12, abs=1e-15)
-            assert c2 == pytest.approx(gu / g, rel=1e-12, abs=1e-15)
 
 
 def test_catalog_matches_expected_profiles():
@@ -172,11 +138,15 @@ def test_binormal_tau_one_is_helicoid():
         assert eval_metric(binormal, u, 0.0) == eval_metric(helicoid, u, 0.0)
 
 
+def _ruled(f, g):
+    return ruled_surface(lambda v: f, lambda v: g, lambda v: 0.0, lambda v: 0.0)
+
+
 def test_ruled_metric_examples():
     # cylindrical: f = g = 0 gives the plane metric
-    assert ruled_metric(lambda v: 0.0, lambda v: 0.0, 3.7, -1.0) == 1.0
+    assert eval_metric(_ruled(0.0, 0.0), 3.7, -1.0) == (1.0, 0.0, 0.0)
     # helicoid: f = 0, g = 1
-    assert ruled_metric(lambda v: 0.0, lambda v: 1.0, 1.0, 0.0) == math.sqrt(2.0)
+    assert eval_metric(_ruled(0.0, 1.0), 1.0, 0.0)[0] == math.sqrt(2.0)
     # binormal with constant torsion 2 at u = 1
     binormal = catalog_surface("binormal", tau=2.0)
     assert eval_metric(binormal, 1.0, 0.4)[0] == pytest.approx(math.sqrt(5.0), abs=1e-15)
@@ -184,7 +154,7 @@ def test_ruled_metric_examples():
 
 def test_ruled_metric_degenerate():
     with pytest.raises(DegenerateMetricError):
-        ruled_metric(lambda v: -1.0, lambda v: 0.0, 0.5, 0.0)
+        eval_metric(_ruled(-1.0, 0.0), 0.5, 0.0)
 
 
 def test_ruled_surface_from_samples_partials():
@@ -205,8 +175,8 @@ def test_fused_ruled_kernel_matches_four_callables_bit_for_bit():
     fs = [0.04 + 0.1 * math.sin(v + 2.1) for v in vs]
     gs = [0.6 + 0.2 * math.cos(2 * v + 0.7) for v in vs]
     fused = ruled_surface_from_samples(vs, fs, gs)
-    f, f_v, _, _ = _pchip(vs, fs)
-    g, g_v, _, _ = _pchip(vs, gs)
+    f, f_v, *_ = _pchip(vs, fs)
+    g, g_v, *_ = _pchip(vs, gs)
     separate = ruled_surface(f, g, f_v, g_v, v_range=(vs[0], vs[-1]))
     pts = [(0.05 + 2.9 * i / 36, -2.99 + 5.98 * j / 70) for i in range(37) for j in range(71)]
     pts += [(0.7, v) for v in vs[1:-1]]  # on the knots
@@ -263,6 +233,23 @@ def test_tabulated_profile_realizability_warning():
     us = np.linspace(0.1, 2.0, 50)
     steep = tabulated_profile(list(zip(us, 2.0 * us)))  # a' = 2 > 1
     assert steep.profile_warning
+
+
+def test_realizability_warning_sees_a_slope_peak_inside_a_piece():
+    # secants 0.1, 1, 0.1: the knot slopes stay near 0.18 and a' peaks at
+    # u = 1.5, the vertex of the middle piece.  Scaled so that the peak is
+    # 1 + 1e-9, it escapes a 2000-point grid over [0, 3].
+    shape = [(0.0, 0.0), (1.0, 0.1), (2.0, 1.1), (3.0, 1.2)]
+    peak = tabulated_profile([(u, 2.0 + a) for u, a in shape]).profile.a_u(1.5)
+    scale = (1.0 + 1e-9) / peak
+    spec = tabulated_profile([(u, 2.0 + scale * a) for u, a in shape])
+    assert spec.profile_warning
+    a_u = spec.profile.a_u
+    assert 1.0 + 5e-10 < abs(a_u(1.5)) < 1.0 + 2e-9
+    assert max(abs(a_u(u)) for u in np.linspace(0.0, 3.0, 2000).tolist()) < 1.0
+    assert max(abs(a_u(u)) for u in (0.0, 1.0, 2.0, 3.0)) < 0.5
+    flatter = tabulated_profile([(u, 2.0 + (1.0 - 1e-9) / peak * a) for u, a in shape])
+    assert not flatter.profile_warning
 
 
 def test_profile_csv_roundtrip(tmp_path):
@@ -353,7 +340,7 @@ def test_pchip_matches_scipy_bit_for_bit(seed):
             rng.uniform(x[0] - 2.0, x[0], 5),  # outside the knots
             rng.uniform(x[-1], x[-1] + 2.0, 5),
         ])
-        a, a_u, a_uu, metric = _pchip(x, y)
+        a, a_u, a_uu, metric, slope_max = _pchip(x, y)
         for fn, oracle in zip((a, a_u, a_uu), (ref, ref.derivative(), ref.derivative(2))):
             got = np.array([fn(t) for t in pts.tolist()])
             np.testing.assert_array_equal(got.view(np.int64), oracle(pts).view(np.int64))
@@ -361,3 +348,18 @@ def test_pchip_matches_scipy_bit_for_bit(seed):
         got = np.array([metric(t, v) for t, v in zip(pts.tolist(), pts[::-1].tolist())])
         want = np.stack([ref(pts), ref.derivative()(pts), np.zeros(len(pts))], axis=1)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # the exact maximum of |a'| over the knots' range bounds every sampled |a'|
+        inside = [t for t in pts.tolist() if x[0] <= t <= x[-1]]
+        assert max(abs(a_u(t)) for t in inside) <= slope_max * (1.0 + 1e-12)
+
+
+def test_tabulated_profile_loads_no_numpy():
+    import subprocess
+    import sys
+
+    code = ("import sys, catenary; "
+            "catenary.tabulated_profile([(0.1, 1.0), (0.2, 1.1), (0.3, 1.15), (0.4, 1.18)]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -8,10 +8,10 @@ from catenary import (
     ConfigError,
     DomainError,
     catalog_surface,
-    catenary_rhs,
     trace_catenary,
     trace_graph,
 )
+from catenary.tracing import _flow_f
 from oracles import USTAR, conformal_geodesic_oracle
 
 
@@ -30,13 +30,13 @@ def dense_u_at_v(trace, v_target):
 def test_rhs_meridian_is_invariant():
     for kind in ("plane", "sphere", "catenoid"):
         spec = catalog_surface(kind)
-        du, dv, dphi = catenary_rhs(spec, 1.0, CatenaryState(0.8, 0.3, 0.0))
+        du, dv, dphi = _flow_f(spec, 1.0)(0.0, (0.8, 0.3, 0.0))
         assert (du, dv, dphi) == (1.0, 0.0, -0.0)
 
 
 def test_rhs_sphere_critical_parallel_is_fixed_profile():
     sphere = catalog_surface("sphere")
-    du, dv, dphi = catenary_rhs(sphere, 1.0, CatenaryState(USTAR, 0.0, math.pi / 2))
+    du, dv, dphi = _flow_f(sphere, 1.0)(0.0, (USTAR, 0.0, math.pi / 2))
     assert abs(du) < 1e-16
     assert dv == pytest.approx(1.0 / math.cos(USTAR), rel=1e-15)
     assert abs(dphi) < 1e-13
@@ -44,7 +44,7 @@ def test_rhs_sphere_critical_parallel_is_fixed_profile():
 
 def test_rhs_plane_vertex():
     plane = catalog_surface("plane")
-    du, dv, dphi = catenary_rhs(plane, 1.0, CatenaryState(1.0, 0.0, math.pi / 2))
+    du, dv, dphi = _flow_f(plane, 1.0)(0.0, (1.0, 0.0, math.pi / 2))
     assert abs(du) < 1e-15
     assert dv == 1.0
     assert dphi == -1.0
@@ -414,8 +414,9 @@ def test_dphi_limit_ends_trace_on_blow_up():
                         dphi_limit=1.0)
     assert tr.termination == "blow_up"
     assert len(tr.samples) == 14
-    assert tr.s_final == 0.40993796986360853
-    assert abs(abs(catenary_rhs(sphere, 1.0, tr.final_state)[2]) - 1.0) < 1e-9
+    last = tr.samples[-1]
+    assert last.s == 0.40993796986360853
+    assert abs(abs(_flow_f(sphere, 1.0)(last.s, (last.u, last.v, last.phi))[2]) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("error", [OverflowError, ValueError, ZeroDivisionError])
