@@ -54,6 +54,9 @@ log = logging.getLogger("catenary")
 SCAN_POINTS_PER_DECADE = 1000
 ROOT_XTOL = 1e-12
 DEGENERATE_TOL = 1e-9
+# |rho'(u)| < CRITICAL_TOL makes u a critical parallel: the default root_tol of
+# stability_exponent, and a turning end of quadrature_v at which v diverges
+CRITICAL_TOL = 1e-8
 # |rho(u) - c| <= TURNING_TOL * max(1, c) makes u a turning point of c, both for the
 # tangential roots of turning_points and for the turning ends of quadrature_v
 TURNING_TOL = 1e-10
@@ -159,11 +162,15 @@ def clairaut_constant(spec: SurfaceSpec, alpha: float, state: CatenaryState) -> 
 
 
 def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
-    """The given u_range, checked finite, or the domain's default scan range."""
-    if u_range is not None:
-        check_finite(**{"u_range[0]": u_range[0], "u_range[1]": u_range[1]})
-        return u_range
+    """The given u_range, checked finite and inside the domain, or the default scan range."""
     dom = spec.domain
+    if u_range is not None:
+        lo, hi = u_range
+        check_finite(**{"u_range[0]": lo, "u_range[1]": hi})
+        if not dom.u_min < lo < hi < dom.u_max:  # outside, G need not be positive
+            raise DomainError(f"u_range {tuple(u_range)!r} is not an increasing range "
+                              f"inside ({dom.u_min!r}, {dom.u_max!r})")
+        return lo, hi
     lo = dom.u_min + (1e-6 if dom.u_min == 0.0 else 1e-9 * (1.0 + dom.u_min))
     hi = dom.u_max - 1e-9 if math.isfinite(dom.u_max) else 100.0
     return lo, hi
@@ -287,7 +294,9 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     faster than 1/t.  Each finite end gets a stretch integrated in
     t = end +/- xi^2.  An end with |rho - c| <= ``TURNING_TOL`` * max(1, c), the
     tolerance of ``turning_points``, is a turning point: its stretch uses
-    c = rho(end), and near the end rho - c is its Taylor polynomial.  The
+    c = rho(end), and near the end rho - c is its Taylor polynomial.  A
+    turning end that is also a critical parallel (|rho'| < ``CRITICAL_TOL``)
+    raises ConfigError: the curve winds onto that parallel and v diverges.  The
     middle stretch keeps c.  The knots of a tabulated profile are QUADPACK
     breakpoints on every stretch.
     """
@@ -341,6 +350,9 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
         turning = end > 0.0 and _turning(rho(end) - c, c)
         ce, slope, curv = (rho(end), abs(rho_u(end)), 0.5 * rho_uu(end)) if turning \
             else (c, 0.0, 0.0)
+        if turning and slope < CRITICAL_TOL:
+            raise ConfigError(f"v diverges at the turning end u={end!r} for c={c!r}: "
+                              f"|rho'| = {slope:.3g} makes it a critical parallel")
         cuts = [math.sqrt(sgn * (k - end)) for k in knots if sgn * (k - end) >= 0.0]
         zone = min(_TAYLOR_ZONE, min(cuts, default=1.0) ** 2) if slope > 0.0 else 0.0
 
@@ -421,7 +433,7 @@ def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None
 
 
 def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
-                       root_tol: float = 1e-8) -> float:
+                       root_tol: float = CRITICAL_TOL) -> float:
     """Linearized oscillation coefficient lambda at a critical parallel.
 
     In conformal coordinates the radial deviation obeys dz'' = -lambda dz

@@ -136,6 +136,9 @@ def eval_metric(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, fl
 # catalog
 # --------------------------------------------------------------------------
 
+# Each catalog profile comes with a fused kernel metric(u, v) -> (a, a_u, 0.0)
+# that evaluates the exact float expressions of a and a_u in one call.
+
 def _const_profile(c: float):
     def a(u: float) -> float:
         return c
@@ -143,7 +146,10 @@ def _const_profile(c: float):
     def zero(u: float) -> float:
         return 0.0
 
-    return a, zero, zero
+    def metric(u: float, v: float) -> tuple[float, float, float]:
+        return c, 0.0, 0.0
+
+    return a, zero, zero, metric
 
 
 def _sqrt_profile(k: float):
@@ -161,18 +167,19 @@ def _sqrt_profile(k: float):
         r = math.sqrt(1.0 + k2 * u * u)
         return k2 / (r * r * r)
 
-    return a, a_u, a_uu
+    def metric(u: float, v: float) -> tuple[float, float, float]:
+        r = math.sqrt(1.0 + k2 * u * u)
+        return r, k2 * u / r, 0.0
+
+    return a, a_u, a_uu, metric
 
 
-def _revolution_spec(kind, params, identifier, a, a_u, a_uu, domain, warning=False,
-                     metric=None, knots=()):
-    def generic(u, v):
-        return a(u), a_u(u), 0.0
-
+def _revolution_spec(kind, params, identifier, a, a_u, a_uu, metric, domain,
+                     warning=False, knots=()):
     return SurfaceSpec(
         kind=kind,
         params=dict(params),
-        patch=MetricPatch(identifier, metric or generic, domain),
+        patch=MetricPatch(identifier, metric, domain),
         profile=RevolutionProfile(a, a_u, a_uu, knots),
         profile_warning=warning,
     )
@@ -226,8 +233,7 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
         raise ConfigError(f"unknown parameter(s) {sorted(unknown)} for kind {kind!r}")
 
     if kind in ("plane", "cylinder"):
-        a, a1, a2 = _const_profile(1.0)
-        return _revolution_spec(kind, merged, kind, a, a1, a2, Domain(0.0, _INF))
+        return _revolution_spec(kind, merged, kind, *_const_profile(1.0), Domain(0.0, _INF))
 
     if kind == "sphere":
         extended = bool(merged.get("extended", False))
@@ -235,16 +241,23 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
         return _revolution_spec(
             kind, merged, "sphere",
             math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u),
+            lambda u, v: (math.cos(u), -math.sin(u), 0.0),
             Domain(0.0, u_max),
         )
 
     if kind == "hyperbolic":
         r = _positive_param(merged, "r", 1.0, kind)
+
+        def hyperbolic(u, v):
+            x = u / r
+            return math.cosh(x), math.sinh(x) / r, 0.0
+
         return _revolution_spec(
             kind, {"r": r}, f"hyperbolic(r={r:g})",
             lambda u: math.cosh(u / r),
             lambda u: math.sinh(u / r) / r,
             lambda u: math.cosh(u / r) / (r * r),
+            hyperbolic,
             Domain(0.0, _INF),
         )
 
@@ -253,19 +266,17 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
         return _revolution_spec(
             kind, {"slope": slope}, f"cone(slope={slope:g})",
             lambda u: slope * u, lambda u: slope, lambda u: 0.0,
+            lambda u, v: (slope * u, slope, 0.0),
             Domain(0.0, _INF),
         )
 
     if kind in ("catenoid", "helicoid"):
-        a, a1, a2 = _sqrt_profile(1.0)
-        return _revolution_spec(kind, merged, kind, a, a1, a2, Domain(0.0, _INF))
+        return _revolution_spec(kind, merged, kind, *_sqrt_profile(1.0), Domain(0.0, _INF))
 
     if kind == "binormal":
         tau = _positive_param(merged, "tau", 1.0, kind)
-        a, a1, a2 = _sqrt_profile(tau)
-        return _revolution_spec(
-            kind, {"tau": tau}, f"binormal(tau={tau:g})", a, a1, a2, Domain(0.0, _INF)
-        )
+        return _revolution_spec(kind, {"tau": tau}, f"binormal(tau={tau:g})",
+                                *_sqrt_profile(tau), Domain(0.0, _INF))
 
     if kind == "grusin":
         return _revolution_spec(
@@ -273,6 +284,7 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
             lambda u: 1.0 / u,
             lambda u: -1.0 / (u * u),
             lambda u: 2.0 / (u * u * u),
+            lambda u, v: (1.0 / u, -1.0 / (u * u), 0.0),
             Domain(0.0, _INF),
         )
 
@@ -461,8 +473,12 @@ def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
     if not np.all(vals > 0):
         raise ConfigError("profile a(u) must be positive on its domain")
     warning = bool(max(abs(a_u(float(t))) for t in probe) > 1.0)
+
+    def generic(u, v):
+        return a(u), a_u(u), 0.0
+
     return _revolution_spec(
-        "revolution_profile", {}, identifier, a, a_u, a_uu,
+        "revolution_profile", {}, identifier, a, a_u, a_uu, generic,
         Domain(lo, hi), warning=warning,
     )
 
@@ -493,8 +509,8 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
         raise ConfigError("profile values a(u) must be positive")
     a, a_u, a_uu, metric, slope_max = _pchip(us, vals)
     return _revolution_spec(
-        "revolution_profile", {}, identifier, a, a_u, a_uu,
-        Domain(us[0], us[-1]), warning=slope_max > 1.0, metric=metric, knots=tuple(us),
+        "revolution_profile", {}, identifier, a, a_u, a_uu, metric,
+        Domain(us[0], us[-1]), warning=slope_max > 1.0, knots=tuple(us),
     )
 
 

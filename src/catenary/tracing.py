@@ -17,8 +17,10 @@ Two independent formulations are provided:
 
 Both use an embedded Dormand-Prince 5(4) pair with PI step-size control,
 cubic Hermite dense output on accepted steps, and event localization by
-bisection.  Runtime exits are reported through ``Trace.termination``, never
-as exceptions.
+bisection.  The metric is evaluated once per stage and never per sample: the
+right-hand side returns the metric it read, and a step-end sample reuses the
+step's last (first-same-as-last) stage.  Runtime exits are reported through
+``Trace.termination``, never as exceptions.
 """
 
 from __future__ import annotations
@@ -194,6 +196,13 @@ def _stats(accepted: int, rejected: int, rhs_evals: int) -> dict:
 def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     """Adaptive RK5(4) from t0 to t_end with endpoint event detection.
 
+    The right-hand side ``f(t, y)`` returns (dy0, dy1, dy2, m): the derivative
+    of the 3-state y and, in the slot m, whatever the caller wants kept with
+    it (the tracers put the metric (G, G_u, G_v) they read at y there).
+    ``_drive`` never looks at m; it keeps the whole tuple as the derivative of
+    each step end, in the segments and in f_final, so a sample there needs no
+    new evaluation.  f0 = f(t0, y0) follows the same contract.
+
     ``rhs_evals`` counts f0 = f(t0, y0) (from the caller), the initial-step
     probe and the derivative at an event exit, not an event g's own calls.  Returns
     (segments, termination, flag, stats, t_final, y_final, f_final), where
@@ -215,6 +224,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     c2, c3, c4, c5 = _C[1:5]
     accepted, rejected, evals = 0, 0, 2
     segments: list = []
+    checks = [(ev.g, ev) for ev in events]
 
     h = _initial_step(f, t0, y0, f0, t_end - t0, tol, max_step)
     t, y, fy = t0, y0, f0
@@ -225,23 +235,23 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
         if not h > 1e-14 * max(1.0, abs(t)):
             return segments, "step_underflow", None, _stats(accepted, rejected, evals), t, y, fy
         ya, yb, yc = y
-        k1a, k1b, k1c = fy
+        k1a, k1b, k1c, _ = fy
         try:
-            k2a, k2b, k2c = f(t + c2 * h, (ya + h * (0.0 + a21 * k1a),
-                                           yb + h * (0.0 + a21 * k1b),
-                                           yc + h * (0.0 + a21 * k1c)))
-            k3a, k3b, k3c = f(t + c3 * h, (ya + h * (0.0 + a31 * k1a + a32 * k2a),
-                                           yb + h * (0.0 + a31 * k1b + a32 * k2b),
-                                           yc + h * (0.0 + a31 * k1c + a32 * k2c)))
-            k4a, k4b, k4c = f(t + c4 * h, (
+            k2a, k2b, k2c, _ = f(t + c2 * h, (ya + h * (0.0 + a21 * k1a),
+                                              yb + h * (0.0 + a21 * k1b),
+                                              yc + h * (0.0 + a21 * k1c)))
+            k3a, k3b, k3c, _ = f(t + c3 * h, (ya + h * (0.0 + a31 * k1a + a32 * k2a),
+                                              yb + h * (0.0 + a31 * k1b + a32 * k2b),
+                                              yc + h * (0.0 + a31 * k1c + a32 * k2c)))
+            k4a, k4b, k4c, _ = f(t + c4 * h, (
                 ya + h * (0.0 + a41 * k1a + a42 * k2a + a43 * k3a),
                 yb + h * (0.0 + a41 * k1b + a42 * k2b + a43 * k3b),
                 yc + h * (0.0 + a41 * k1c + a42 * k2c + a43 * k3c)))
-            k5a, k5b, k5c = f(t + c5 * h, (
+            k5a, k5b, k5c, _ = f(t + c5 * h, (
                 ya + h * (0.0 + a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
                 yb + h * (0.0 + a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
                 yc + h * (0.0 + a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c)))
-            k6a, k6b, k6c = f(t + h, (
+            k6a, k6b, k6c, _ = f(t + h, (
                 ya + h * (0.0 + a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
                 yb + h * (0.0 + a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
                 yc + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)))
@@ -249,7 +259,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
                 ya + h * (0.0 + b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a),
                 yb + h * (0.0 + b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b),
                 yc + h * (0.0 + b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c))
-            f_new = k7a, k7b, k7c = f(t + h, y_new)
+            f_new = k7a, k7b, k7c, _ = f(t + h, y_new)
             evals += 6
         except _STAGE_ERRORS:
             # a stage left the metric's domain or overflowed: shrink and retry
@@ -260,10 +270,12 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
         ea = h * (0.0 + e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
         eb = h * (0.0 + e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
         ec = h * (0.0 + e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
-        # RMS of the error, each component scaled by tol * (1 + max(|y|, |y_new|))
-        err = math.sqrt(((ea / (tol + tol * max(abs(ya), abs(na)))) ** 2
-                         + (eb / (tol + tol * max(abs(yb), abs(nb)))) ** 2
-                         + (ec / (tol + tol * max(abs(yc), abs(nc)))) ** 2) / 3)
+        # RMS of the error, each component scaled by tol * (1 + max(|y|, |y_new|));
+        # "t if t > s else s" gives what max(s, t) gives, NaNs included, without a call
+        sa, sb, sc, ta, tb, tc = abs(ya), abs(yb), abs(yc), abs(na), abs(nb), abs(nc)
+        err = math.sqrt(((ea / (tol + tol * (ta if ta > sa else sa))) ** 2
+                         + (eb / (tol + tol * (tb if tb > sb else sb))) ** 2
+                         + (ec / (tol + tol * (tc if tc > sc else sc))) ** 2) / 3)
 
         if not err <= 1.0:
             rejected += 1
@@ -275,11 +287,11 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
         segments.append(seg)
 
         hit = None
-        for ev in events:
-            if ev.g(y_new, f_new) <= 0.0:
+        for g, ev in checks:
+            if g(y_new, f_new) <= 0.0:
                 # g > 0 held at the step start; a NaN g counts as inside.  The
                 # event point is b, the first point of the final bracket past it.
-                t_star = _bisect(lambda t: not ev.g(_hermite(seg, t), None) <= 0.0,
+                t_star = _bisect(lambda t: not g(_hermite(seg, t), None) <= 0.0,
                                  seg[0], seg[3], 1e-12)[1]
                 if hit is None or t_star < hit[0]:
                     hit = (t_star, ev)
@@ -309,18 +321,16 @@ def _flow_f(spec: SurfaceSpec, alpha: float):
 
     def f(t, y):
         u, v, phi = y
-        g, gu, _ = evaluate(u, v)
+        m = g, gu, _ = evaluate(u, v)
         sin_phi = math.sin(phi)
-        return (math.cos(phi), sin_phi / g, -sin_phi * (alpha / u + gu / g))
+        return (math.cos(phi), sin_phi / g, -sin_phi * (alpha / u + gu / g), m)
 
     return f
 
 
-def _flow_sample(spec: SurfaceSpec, alpha: float, t: float, y: tuple,
-                 fy: tuple) -> TraceSample:
+def _flow_sample(alpha: float, t: float, y: tuple, fy: tuple) -> TraceSample:
     u, v, phi = y
-    du, dv, dphi = fy
-    g, gu, gv = spec.patch.evaluate(u, v)
+    du, dv, dphi, (g, gu, gv) = fy
     sin_phi = math.sin(phi)
     ddu = -sin_phi * dphi
     ddv = (du * dphi) / g - sin_phi * (gu * du + gv * dv) / (g * g)
@@ -340,16 +350,17 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
                    mode) -> Trace:
     """Drive f from (t0, y0); sample the start, every step end and the exit point.
 
-    Each sample is handed the derivative the drive already holds there.
+    Each sample is handed the derivative the drive already holds there, with
+    the metric in its last slot.
     """
     f0 = f(t0, y0)
     segments, termination, flag, stats, t_final, y_final, f_final = _drive(
         f, t0, y0, f0, t_end, tol, max_step, events
     )
-    samples = [sample(spec, alpha, t0, y0, f0)]
-    samples += [sample(spec, alpha, seg[3], seg[4], seg[5]) for seg in segments[:-1]]
+    samples = [sample(alpha, t0, y0, f0)]
+    samples += [sample(alpha, t, y, fy) for _, _, _, t, y, fy in segments[:-1]]
     if segments:
-        samples.append(sample(spec, alpha, t_final, y_final, f_final))
+        samples.append(sample(alpha, t_final, y_final, f_final))
     residuals = [abs(smp.residual) for smp in samples]
     # max() keeps a finite first value over a later NaN
     stats["max_residual"] = math.nan if any(map(math.isnan, residuals)) else max(residuals)
@@ -404,7 +415,7 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
             to the error control, which already holds every step to ``tol``.
             A smaller cap buys more samples and a more accurate cubic-Hermite
             dense output (``Trace.at``) with proportionally more steps, each
-            costing seven metric evaluations.
+            costing six metric evaluations.
         blowup_factor: terminate with "blow_up" once u > blowup_factor * u0.
         dphi_limit: terminate with "blow_up" once |dphi/ds| exceeds this.
 
@@ -450,19 +461,18 @@ def _graph_f(spec: SurfaceSpec, alpha: float):
 
     def f(v, y):
         u, w, _ = y
-        g, gu, gv = evaluate(u, v)
+        m = g, gu, gv = evaluate(u, v)
         ddu = ((alpha * g / u) * (w * w + g * g) + gv * w + 2.0 * gu * w * w
                + g * g * gu) / g
-        return (w, ddu, math.sqrt(w * w + g * g))
+        return (w, ddu, math.sqrt(w * w + g * g), m)
 
     return f
 
 
-def _graph_sample(spec: SurfaceSpec, alpha: float, v: float, y: tuple,
-                  fy: tuple) -> TraceSample:
+def _graph_sample(alpha: float, v: float, y: tuple, fy: tuple) -> TraceSample:
     u, w, s = y
-    g, gu, gv = spec.patch.evaluate(u, v)
-    kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, w, 1.0, fy[1], 0.0)
+    _, ddu, _, (g, gu, gv) = fy
+    kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, w, 1.0, ddu, 0.0)
     phi = math.atan2(g, w)
     return TraceSample(s, u, v, phi, kappa, residual)
 

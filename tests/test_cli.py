@@ -163,6 +163,16 @@ def test_clairaut_command_searches_the_given_range(capsys):
     assert u * math.cos(u) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_clairaut_command_rejects_a_range_outside_the_domain(capsys):
+    # the sphere's domain ends at pi/2, where G = cos u reaches zero
+    code = run(["clairaut", "--surface", "sphere", "--umin", "0.1", "--umax", "3.5",
+                "--c", "0.5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(0.1, 3.5)" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--umin", "--umax"])
 def test_clairaut_command_rejects_a_one_sided_range(flag, capsys):
     code = run(["clairaut", "--surface", "sphere", flag, "0.9"])

@@ -6,6 +6,7 @@ import pytest
 from catenary import (
     CatenaryState,
     ConfigError,
+    DomainError,
     InaccessibleRegionError,
     KindError,
     NotCriticalError,
@@ -224,6 +225,30 @@ def test_quadrature_rejects_inaccessible_interval():
     sphere = catalog_surface("sphere")
     with pytest.raises(InaccessibleRegionError):
         quadrature_v(sphere, 1.0, 0.5, 0.3, 1.0)  # rho(0.3) < 0.5
+
+
+def test_quadrature_rejects_a_turning_end_on_a_critical_parallel():
+    # rho = cosh(u)/u has a minimum at u*: with c = rho(u*) the curve winds
+    # onto the parallel and v diverges, at either end of the interval
+    spec = catalog_surface("hyperbolic")
+    [parallel] = critical_parallels(spec, -1.0)
+    c = math.cosh(parallel.u) / parallel.u
+    for u0, u1 in ((parallel.u, 2.0), (2.0, parallel.u)):
+        with pytest.raises(ConfigError, match=f"u={parallel.u!r} for c={c!r}"):
+            quadrature_v(spec, -1.0, c, u0, u1)
+
+
+def test_scan_range_must_lie_inside_the_domain():
+    # past pi/2 the sphere's G = cos u turns negative: no parallel lives there
+    sphere = catalog_surface("sphere")
+    for u_range in ((0.1, 3.5), (0.0, 1.0), (-0.5, 1.0), (1.0, 0.5), (0.5, 0.5),
+                    (0.1, math.pi / 2)):
+        with pytest.raises(DomainError):
+            critical_parallels(sphere, 1.0, u_range)
+        with pytest.raises(DomainError):
+            turning_points(sphere, 1.0, 0.5, u_range)
+    [inside] = critical_parallels(sphere, 1.0, (0.5, 1.2))
+    assert inside.u == pytest.approx(USTAR, abs=1e-11)
 
 
 def test_quadrature_rejects_divergent_tail():

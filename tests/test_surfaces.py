@@ -157,6 +157,21 @@ def test_ruled_metric_degenerate():
         eval_metric(_ruled(-1.0, 0.0), 0.5, 0.0)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("plane", {}), ("cylinder", {}), ("sphere", {}), ("sphere", {"extended": True}),
+    ("hyperbolic", {}), ("hyperbolic", {"r": 2.0}), ("cone", {}), ("cone", {"slope": 0.5}),
+    ("catenoid", {}), ("helicoid", {}), ("binormal", {}), ("binormal", {"tau": 2.0}),
+    ("grusin", {}),
+])
+def test_fused_catalog_kernel_matches_profile_bit_for_bit(kind, params):
+    spec = catalog_surface(kind, **params)
+    top = min(spec.domain.u_max, 30.0)
+    us = [1e-9, 1e-3, *(top * k / 400 for k in range(1, 400))]
+    p = spec.profile
+    for u in us:
+        assert repr(spec.patch.metric(u, 0.3)) == repr((p.a(u), p.a_u(u), 0.0)), u
+
+
 def test_ruled_surface_from_samples_partials():
     vs = np.linspace(-3.0, 3.0, 200)
     spec = ruled_surface_from_samples(vs, 0.3 * np.sin(vs), 0.5 + 0.2 * np.cos(vs))

@@ -30,13 +30,16 @@ def dense_u_at_v(trace, v_target):
 def test_rhs_meridian_is_invariant():
     for kind in ("plane", "sphere", "catenoid"):
         spec = catalog_surface(kind)
-        du, dv, dphi = _flow_f(spec, 1.0)(0.0, (0.8, 0.3, 0.0))
+        du, dv, dphi, metric = _flow_f(spec, 1.0)(0.0, (0.8, 0.3, 0.0))
         assert (du, dv, dphi) == (1.0, 0.0, -0.0)
+        # the RHS hands back the metric it read at (u, v)
+        assert metric == spec.patch.evaluate(0.8, 0.3)
 
 
 def test_rhs_sphere_critical_parallel_is_fixed_profile():
     sphere = catalog_surface("sphere")
-    du, dv, dphi = _flow_f(sphere, 1.0)(0.0, (USTAR, 0.0, math.pi / 2))
+    du, dv, dphi, metric = _flow_f(sphere, 1.0)(0.0, (USTAR, 0.0, math.pi / 2))
+    assert metric == (math.cos(USTAR), -math.sin(USTAR), 0.0)
     assert abs(du) < 1e-16
     assert dv == pytest.approx(1.0 / math.cos(USTAR), rel=1e-15)
     assert abs(dphi) < 1e-13
@@ -44,7 +47,8 @@ def test_rhs_sphere_critical_parallel_is_fixed_profile():
 
 def test_rhs_plane_vertex():
     plane = catalog_surface("plane")
-    du, dv, dphi = _flow_f(plane, 1.0)(0.0, (1.0, 0.0, math.pi / 2))
+    du, dv, dphi, metric = _flow_f(plane, 1.0)(0.0, (1.0, 0.0, math.pi / 2))
+    assert metric == (1.0, 0.0, 0.0)
     assert abs(du) < 1e-15
     assert dv == 1.0
     assert dphi == -1.0
@@ -359,14 +363,18 @@ def test_nan_step_is_never_accepted():
     from catenary.tracing import _drive
 
     def f(t, y):
-        return (1.0, 0.0, 0.0) if y[0] <= 1.5 else (1.0, 0.0, math.nan)
+        # the fourth slot stands for the metric read at y
+        return (1.0, 0.0, 0.0, y[0]) if y[0] <= 1.5 else (1.0, 0.0, math.nan, y[0])
 
     y0 = (1.0, 0.0, 0.0)
-    segments, termination, _, _, _, y_final, _ = _drive(
+    segments, termination, _, _, _, y_final, f_final = _drive(
         f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, [])
     assert termination == "step_underflow"
     assert all(math.isfinite(x) for seg in segments for x in seg[4])
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
+    # every step end keeps the slot of its own last stage, untouched
+    assert all(seg[2][3] == seg[1][0] and seg[5][3] == seg[4][0] for seg in segments)
+    assert f_final[3] == y_final[0]
 
 
 def _count_evaluations(monkeypatch):
@@ -383,29 +391,33 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
-def test_one_metric_evaluation_per_rhs_call_and_sample(monkeypatch):
+def test_one_metric_evaluation_per_rhs_call(monkeypatch):
     # the step-end dphi event reuses the step's derivative instead of
-    # evaluating the metric again, and each sample evaluates it once
+    # evaluating the metric again, and each sample reads the metric its
+    # step's last stage evaluated
     calls = _count_evaluations(monkeypatch)
     tr = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
                         s_max=100.0, max_step=0.02)
     assert tr.termination == "reached_smax"
-    assert calls[0] == tr.stats["rhs_evals"] + len(tr.samples)
+    assert calls[0] == tr.stats["rhs_evals"] == 30008
+    assert len(tr.samples) == 5002
 
 
-@pytest.mark.parametrize("run, termination, evaluations", [
+@pytest.mark.parametrize("run, termination, evaluations, samples", [
     # the dphi event is located by bisection on the dense output, with one
     # RHS call per probe; the exit point's derivative is one more call
     (lambda: trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(1.0, 0.0, 1.2),
-                            s_max=5.0, dphi_limit=1.0), "blow_up", 131),
+                            s_max=5.0, dphi_limit=1.0), "blow_up", 117, 14),
     (lambda: trace_graph(catalog_surface("cone"), 1.0, 1.0, 0.3, (0.0, 1.5)),
-     "left_domain", 3413),
+     "left_domain", 2925, 488),
 ], ids=["sphere_dphi", "cone_graph"])
-def test_event_exit_counts_every_rhs_call(monkeypatch, run, termination, evaluations):
+def test_event_exit_counts_every_rhs_call(monkeypatch, run, termination, evaluations,
+                                          samples):
     calls = _count_evaluations(monkeypatch)
     tr = run()
     assert tr.termination == termination
-    assert calls[0] == tr.stats["rhs_evals"] + len(tr.samples) == evaluations
+    assert calls[0] == tr.stats["rhs_evals"] == evaluations
+    assert len(tr.samples) == samples
 
 
 def test_dphi_limit_ends_trace_on_blow_up():
@@ -428,14 +440,16 @@ def test_arithmetic_error_in_stage_halves_the_step(error):
     def f(t, y):
         if y[0] > 1.5:
             raise error("math range error")
-        return (1.0, 0.0, 0.0)
+        return (1.0, 0.0, 0.0, y[0])
 
     y0 = (1.0, 0.0, 0.0)
-    segments, termination, _, stats, _, y_final, _ = _drive(
+    segments, termination, _, stats, _, y_final, f_final = _drive(
         f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, [])
     assert termination == "step_underflow"
     assert stats["steps_rejected"] > 0
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
+    # a failed step leaves no trace: the exit keeps the last accepted stage
+    assert f_final == (1.0, 0.0, 0.0, y_final[0]) == segments[-1][5]
 
 
 def test_non_finite_start_u_and_limits_raise_config_error():
