@@ -15,12 +15,16 @@ Two independent formulations are provided:
 
   valid away from points where the curve turns vertical.
 
-Both use an embedded Dormand-Prince 5(4) pair with PI step-size control,
-cubic Hermite dense output on accepted steps, and event localization by
-bisection.  The metric is evaluated once per stage and never per sample: the
-right-hand side returns the metric it read, and a step-end sample reuses the
-step's last (first-same-as-last) stage.  Runtime exits are reported through
-``Trace.termination``, never as exceptions.
+Both use an embedded Dormand-Prince 5(4) pair with PI step-size control and
+cubic Hermite dense output on accepted steps.  The events (domain margins,
+blow-up, |dphi/ds| and vertical tangents) are bounds that one chained
+comparison checks at every accepted step end; a bound that fails is located
+by bisection on that step's cubic.  The metric kernel is called once per
+stage, behind an inline copy of ``MetricPatch.evaluate``'s checks, and never
+per sample: the right-hand side returns the metric it read, and a step-end
+sample reuses the step's last (first-same-as-last) stage.  A point that fails
+the checks goes to ``evaluate``, so its error is the patch's own.  Runtime
+exits are reported through ``Trace.termination``, never as exceptions.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .curvature import _kappa_residual
 from .errors import CatenaryError, ConfigError, DomainError, check_finite
@@ -133,7 +137,7 @@ _SAFETY = 0.9
 _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
 _MAX_SHRINK = 5.0
-_MAX_GROWTH = 10.0
+_MIN_FAC = 1.0 / 10.0  # at most tenfold growth per step
 
 
 def _hermite(seg, t):
@@ -170,12 +174,66 @@ def _initial_step(f, t0, y0, f0, span, tol, max_step):
     return min(100.0 * h0, h1, span, max_step)
 
 
-class _Event(NamedTuple):
-    termination: str
-    flag: str | None
-    # g(y, fy) is positive inside and crosses zero at the event; fy is the
-    # derivative at y at step ends and None at dense-output points
-    g: Callable[[tuple, tuple | None], float]
+class _Bounds(NamedTuple):
+    """Open limits a trace stays inside, checked at every step end; ``_gap`` reads them.
+
+    u = y[0] stays above u_lo and below u_hi and blow_up.  v stays within
+    (v_lo, v_hi): v is y[1] in arc-length mode and the parameter t in graph
+    mode.  ``rate`` bounds |dphi/ds| = |f(t, y)[2]| in arc-length mode and the
+    slope |du/dv| = |y[1]| in graph mode.  An infinite limit never fails.
+    """
+
+    u_lo: float
+    u_hi: float
+    v_lo: float
+    v_hi: float
+    blow_up: float
+    rate: float
+    graph: bool
+
+
+# (termination, flag) of each limit of _Bounds in its order, which breaks
+# ties; ``rate`` has one pair per mode
+_EXITS = (("hit_lower_u", None),) + (("left_domain", None),) * 3 + (("blow_up", None),)
+_RATE_EXITS = {False: ("blow_up", None), True: ("left_domain", "vertical_tangent")}
+
+
+def _gap(b: _Bounds, i: int, t: float, y: tuple, fy: tuple | None) -> float:
+    """How far (t, y) lies inside limit i of b: <= 0 fails, NaN holds; fy = f(t, y) or None."""
+    if i == 5:
+        return b.rate - abs(y[1] if b.graph else fy[2])
+    v = t if b.graph else y[1]
+    return (y[0] - b.u_lo, b.u_hi - y[0], v - b.v_lo, b.v_hi - v, b.blow_up - y[0])[i]
+
+
+def _first_exit(f, b: _Bounds, seg: tuple):
+    """(t_star, termination, flag, calls) of the earliest limit failing at seg's end, or None.
+
+    Each failing limit is bisected on the step's cubic Hermite to 1e-12
+    relative; t_star is the first point of the final bracket past it.  calls
+    counts f at dense points (where a raising f lies past the |dphi/ds| limit).
+    """
+    t0, _, _, t1, y1, f1 = seg
+    calls = 0
+
+    def inside(i, t):
+        nonlocal calls
+        y = _hermite(seg, t)
+        if i < 5 or b.graph:
+            return not _gap(b, i, t, y, None) <= 0.0
+        calls += 1
+        try:
+            fy = f(t, y)
+        except _STAGE_ERRORS:
+            return False
+        return not _gap(b, i, t, y, fy) <= 0.0
+
+    hits = [(_bisect(lambda t: inside(i, t), t0, t1, 1e-12)[1], i)
+            for i in range(6) if _gap(b, i, t1, y1, f1) <= 0.0]
+    if not hits:
+        return None
+    t_star, i = min(hits)
+    return (t_star, *(_EXITS[i] if i < 5 else _RATE_EXITS[b.graph]), calls)
 
 
 def _bisect(before, a, b, rtol):
@@ -193,8 +251,8 @@ def _stats(accepted: int, rejected: int, rhs_evals: int) -> dict:
     return {"steps_accepted": accepted, "steps_rejected": rejected, "rhs_evals": rhs_evals}
 
 
-def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
-    """Adaptive RK5(4) from t0 to t_end with endpoint event detection.
+def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
+    """Adaptive RK5(4) from t0 to t_end, ending early where a limit of ``bounds`` fails.
 
     The right-hand side ``f(t, y)`` returns (dy0, dy1, dy2, m): the derivative
     of the 3-state y and, in the slot m, whatever the caller wants kept with
@@ -204,9 +262,11 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     new evaluation.  f0 = f(t0, y0) follows the same contract.
 
     ``rhs_evals`` counts f0 = f(t0, y0) (from the caller), the initial-step
-    probe and the derivative at an event exit, not an event g's own calls.  Returns
-    (segments, termination, flag, stats, t_final, y_final, f_final), where
-    f_final is the derivative at the final point.  When an event fires
+    probe, the calls that locate a |dphi/ds| exit and the derivative at an
+    event exit.  Returns (segments, termination, flag, stats, t_final,
+    y_final, f_final), where f_final is the derivative at the final point.
+    One chained comparison checks each accepted step end against every
+    limit; ``_first_exit`` runs only where it fails.  When a limit fails
     inside a step the full segment is kept for dense output and
     (t_final, y_final) is the bisected event point.  Stage failures inside
     the domain guard are handled by shrinking the step, so the integration
@@ -222,17 +282,20 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
     b1, b2, b3, b4, b5, b6 = _B
     e1, e2, e3, e4, e5, e6, e7 = _E
     c2, c3, c4, c5 = _C[1:5]
+    u_lo, u_hi, v_lo, v_hi, blow_up, rate, graph = bounds
+    u_top = min(u_hi, blow_up)
     accepted, rejected, evals = 0, 0, 2
     segments: list = []
-    checks = [(ev.g, ev) for ev in events]
 
     h = _initial_step(f, t0, y0, f0, t_end - t0, tol, max_step)
     t, y, fy = t0, y0, f0
     facold = 1e-4
 
     while True:
-        h = min(h, max_step, t_end - t)
-        if not h > 1e-14 * max(1.0, abs(t)):
+        # h = min(h, max_step, t_end - t); the floor is 1e-14 * max(1, |t|)
+        h = max_step if max_step < h else h
+        h = t_end - t if t_end - t < h else h
+        if not h > 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):
             return segments, "step_underflow", None, _stats(accepted, rejected, evals), t, y, fy
         ya, yb, yc = y
         k1a, k1b, k1c, _ = fy
@@ -283,32 +346,32 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
             continue
 
         accepted += 1
-        seg = (t, y, fy, t + h, y_new, f_new)
+        t_new = t + h
+        seg = (t, y, fy, t_new, y_new, f_new)
         segments.append(seg)
 
-        hit = None
-        for g, ev in checks:
-            if g(y_new, f_new) <= 0.0:
-                # g > 0 held at the step start; a NaN g counts as inside.  The
-                # event point is b, the first point of the final bracket past it.
-                t_star = _bisect(lambda t: not g(_hermite(seg, t), None) <= 0.0,
-                                 seg[0], seg[3], 1e-12)[1]
-                if hit is None or t_star < hit[0]:
-                    hit = (t_star, ev)
-        if hit is not None:
-            t_star, ev = hit
-            y_star = _hermite(seg, t_star)
-            return (segments, ev.termination, ev.flag,
-                    _stats(accepted, rejected, evals + 1), t_star, y_star,
-                    f(t_star, y_star))
+        # passing this comparison proves every gap of _gap positive
+        if graph:
+            inside = u_lo < na < u_top and v_lo < t_new < v_hi and -rate < nb < rate
+        else:
+            inside = u_lo < na < u_top and v_lo < nb < v_hi and -rate < k7c < rate
+        if not inside:
+            hit = _first_exit(f, bounds, seg)
+            if hit is not None:
+                t_star, termination, flag, calls = hit
+                y_star = _hermite(seg, t_star)
+                return (segments, termination, flag,
+                        _stats(accepted, rejected, evals + calls + 1), t_star, y_star,
+                        f(t_star, y_star))
 
-        t, y, fy = t + h, y_new, f_new
+        t, y, fy = t_new, y_new, f_new
         if t >= t_end:
             return segments, "reached_smax", None, _stats(accepted, rejected, evals), t, y, fy
 
+        # max(_MIN_FAC, min(_MAX_SHRINK, fac)) and max(err, 1e-4)
         fac = err ** _EXPO / facold ** _BETA / _SAFETY
-        fac = max(1.0 / _MAX_GROWTH, min(_MAX_SHRINK, fac))
-        facold = max(err, 1e-4)
+        fac = (fac if fac > _MIN_FAC else _MIN_FAC) if fac < _MAX_SHRINK else _MAX_SHRINK
+        facold = 1e-4 if 1e-4 > err else err
         h /= fac
 
 
@@ -316,12 +379,24 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, events):
 # tangent-angle flow
 # --------------------------------------------------------------------------
 
+# the metric the right-hand sides take for a point outside the domain
+_OUT = (0.0, 0.0, 0.0)
+
+
 def _flow_f(spec: SurfaceSpec, alpha: float):
-    evaluate = spec.patch.evaluate
+    metric, evaluate = spec.patch.metric, spec.patch.evaluate
+    u_min, u_max, v_min, v_max = spec.domain
 
     def f(t, y):
         u, v, phi = y
-        m = g, gu, _ = evaluate(u, v)
+        # MetricPatch.evaluate's checks, inline: a point that fails them gets
+        # g = 0.0 and goes to evaluate, which raises its error
+        try:
+            g, gu, _ = m = metric(u, v) if u_min < u < u_max and v_min < v < v_max else _OUT
+        except (ArithmeticError, ValueError):
+            g = 0.0
+        if not g > 0.0:
+            g, gu, _ = m = evaluate(u, v)
         sin_phi = math.sin(phi)
         return (math.cos(phi), sin_phi / g, -sin_phi * (alpha / u + gu / g), m)
 
@@ -346,7 +421,7 @@ def _check_config(tol: float, max_step: float, finite: dict) -> None:
     check_finite(**finite)
 
 
-def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
+def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, bounds,
                    mode) -> Trace:
     """Drive f from (t0, y0); sample the start, every step end and the exit point.
 
@@ -355,7 +430,7 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
     """
     f0 = f(t0, y0)
     segments, termination, flag, stats, t_final, y_final, f_final = _drive(
-        f, t0, y0, f0, t_end, tol, max_step, events
+        f, t0, y0, f0, t_end, tol, max_step, bounds
     )
     samples = [sample(alpha, t0, y0, f0)]
     samples += [sample(alpha, t, y, fy) for _, _, _, t, y, fy in segments[:-1]]
@@ -370,31 +445,21 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, events,
                  stats=stats, mode=mode, _segments=segments, _t_final=t_final)
 
 
-def _boundary_events(spec: SurfaceSpec, u0: float, v0: float,
-                     blowup_factor: float) -> list[_Event]:
-    """Domain-exit and u blow-up events of a trace that starts at (u0, v0).
+def _bounds(spec: SurfaceSpec, u0: float, v0: float, blowup_factor: float,
+            rate: float, graph: bool) -> _Bounds:
+    """Limits of a trace that starts at (u0, v0); ``rate`` and ``graph`` as in _Bounds.
 
-    Raises DomainError unless the start lies strictly inside the domain and
-    above the "hit_lower_u" margin.
+    The domain limits sit a margin inside the domain's edges.  Raises
+    DomainError unless the start lies strictly inside the domain and above
+    the "hit_lower_u" margin.
     """
     dom = spec.domain
     if not dom.contains(u0, v0) or u0 <= dom.u_min + LOWER_MARGIN:
         raise DomainError(f"start (u={u0!r}, v={v0!r}) not strictly inside {tuple(dom)}")
-    events = [
-        _Event("hit_lower_u", None, lambda y, fy, m=dom.u_min + LOWER_MARGIN: y[0] - m)
-    ]
-    if math.isfinite(dom.u_max):
-        events.append(
-            _Event("left_domain", None, lambda y, fy, m=dom.u_max - LOWER_MARGIN: m - y[0])
-        )
-    if math.isfinite(dom.v_min):
-        vlo = dom.v_min + 1e-9 * (1.0 + abs(dom.v_min))
-        events.append(_Event("left_domain", None, lambda y, fy, m=vlo: y[1] - m))
-    if math.isfinite(dom.v_max):
-        vhi = dom.v_max - 1e-9 * (1.0 + abs(dom.v_max))
-        events.append(_Event("left_domain", None, lambda y, fy, m=vhi: m - y[1]))
-    events.append(_Event("blow_up", None, lambda y, fy, m=blowup_factor * u0: m - y[0]))
-    return events
+    v_lo = dom.v_min + 1e-9 * (1.0 + abs(dom.v_min)) if math.isfinite(dom.v_min) else -math.inf
+    v_hi = dom.v_max - 1e-9 * (1.0 + abs(dom.v_max)) if math.isfinite(dom.v_max) else math.inf
+    return _Bounds(dom.u_min + LOWER_MARGIN, dom.u_max - LOWER_MARGIN, v_lo, v_hi,
+                   blowup_factor * u0, rate, graph)
 
 
 def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
@@ -429,27 +494,10 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
                                   "dphi_limit": dphi_limit})
     if not s_max > 0.0:
         raise ConfigError(f"s_max={s_max!r} must be positive")
-    events = _boundary_events(spec, start.u, start.v, blowup_factor)
-    f = _flow_f(spec, alpha)
-    dense_rhs_evals = 0
-
-    def g_dphi(y, fy, lim=dphi_limit):
-        nonlocal dense_rhs_evals
-        if fy is None:
-            dense_rhs_evals += 1
-            try:
-                fy = f(0.0, y)
-            except _STAGE_ERRORS:
-                return -1.0
-        return lim - abs(fy[2])
-
-    events.append(_Event("blow_up", None, g_dphi))
-
-    trace = _sampled_trace(spec, alpha, f, _flow_sample, start.s,
-                           (start.u, start.v, start.phi), start.s + s_max, tol,
-                           max_step, events, "arclength")
-    trace.stats["rhs_evals"] += dense_rhs_evals
-    return trace
+    bounds = _bounds(spec, start.u, start.v, blowup_factor, dphi_limit, False)
+    return _sampled_trace(spec, alpha, _flow_f(spec, alpha), _flow_sample, start.s,
+                          (start.u, start.v, start.phi), start.s + s_max, tol,
+                          max_step, bounds, "arclength")
 
 
 # --------------------------------------------------------------------------
@@ -457,11 +505,18 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
 # --------------------------------------------------------------------------
 
 def _graph_f(spec: SurfaceSpec, alpha: float):
-    evaluate = spec.patch.evaluate
+    metric, evaluate = spec.patch.metric, spec.patch.evaluate
+    u_min, u_max, v_min, v_max = spec.domain
 
     def f(v, y):
         u, w, _ = y
-        m = g, gu, gv = evaluate(u, v)
+        # the guard of _flow_f
+        try:
+            g, gu, gv = m = metric(u, v) if u_min < u < u_max and v_min < v < v_max else _OUT
+        except (ArithmeticError, ValueError):
+            g = 0.0
+        if not g > 0.0:
+            g, gu, gv = m = evaluate(u, v)
         ddu = ((alpha * g / u) * (w * w + g * g) + gv * w + 2.0 * gu * w * w
                + g * g * gu) / g
         return (w, ddu, math.sqrt(w * w + g * g), m)
@@ -486,6 +541,8 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
     The solver stops with termination "left_domain" and a "vertical_tangent"
     flag in the stats when |du/dv| exceeds 1/tol: past such a point the
     curve continues as a meridian-tangent arc, which is no longer a graph.
+    A span past the domain's v-range ends on "left_domain" without the flag,
+    1e-9 * (1 + |v_max|) inside v_max.
     """
     v0, v1 = float(v_span[0]), float(v_span[1])
     _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0,
@@ -493,12 +550,6 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
                                   "blowup_factor": blowup_factor})
     if not v1 > v0:
         raise ConfigError(f"v_span={v_span!r} must be increasing")
-    events = _boundary_events(spec, u0, v0, blowup_factor)
-    f = _graph_f(spec, alpha)
-    w_limit = 1.0 / tol
-    events.append(
-        _Event("left_domain", "vertical_tangent", lambda y, fy, m=w_limit: m - abs(y[1]))
-    )
-
-    return _sampled_trace(spec, alpha, f, _graph_sample, v0, (float(u0), float(du0), 0.0),
-                          v1, tol, max_step, events, "graph")
+    bounds = _bounds(spec, u0, v0, blowup_factor, 1.0 / tol, True)
+    return _sampled_trace(spec, alpha, _graph_f(spec, alpha), _graph_sample, v0,
+                          (float(u0), float(du0), 0.0), v1, tol, max_step, bounds, "graph")

@@ -30,7 +30,7 @@ from .revolution import (
     turning_points,
 )
 from .surfaces import catalog_surface, eval_metric, profile_surface
-from .tracing import CatenaryState, Trace, _bisect, trace_catenary, trace_graph
+from .tracing import CatenaryState, Trace, _bisect, _hermite, trace_catenary, trace_graph
 
 __all__ = ["CheckResult", "THRESHOLDS", "run_all"]
 
@@ -94,14 +94,16 @@ def _bisect_dense(before, a, b):
 def find_turnings(trace: Trace) -> list[float]:
     """Arc-length values where the meridional velocity cos(phi) changes sign."""
     out = []
-    samples = trace.samples
+    samples, segments = trace.samples, trace._segments
     for i in range(len(samples) - 1):
         c0, c1 = math.cos(samples[i].phi), math.cos(samples[i + 1].phi)
         if c0 == 0.0:
             out.append(samples[i].s)
         elif (c0 < 0.0) != (c1 < 0.0):
+            # samples i and i + 1 bound segment i, so its cubic is what
+            # Trace.at would look up at every probe
             out.append(_bisect_dense(
-                lambda t: (c0 < 0.0) == (math.cos(trace.at(t)[2]) < 0.0),
+                lambda t: (c0 < 0.0) == (math.cos(_hermite(segments[i], t)[2]) < 0.0),
                 samples[i].s, samples[i + 1].s))
     return out
 

@@ -42,6 +42,21 @@ def _fixed_traces():
                                        [0.5 + 0.2 * math.cos(2 * v) for v in vs])
     traces["ruled"] = trace_catenary(ruled, 0.5, CatenaryState(1.0, -1.0, 0.9),
                                      s_max=2.0)
+    # ends on the v_max margin, located on the graph's parameter
+    traces["ruled_graph"] = trace_graph(ruled, 1.0, 1.0, 0.1, (2.5, 3.5))
+    # one trace per kind of event exit
+    sphere = catalog_surface("sphere")
+    traces["exit_hit_lower_u"] = trace_catenary(sphere, -1.0, CatenaryState(1.2, 0.1, 0.3),
+                                                s_max=4.0)
+    traces["exit_u_max"] = trace_catenary(sphere, 1.0, CatenaryState(1.2, 0.1, 0.0),
+                                          s_max=4.0)
+    traces["exit_blow_up_u"] = trace_catenary(catalog_surface("catenoid"), 1.0,
+                                              CatenaryState(0.7, 0.1, 0.5), s_max=4.0,
+                                              blowup_factor=2.0)
+    traces["exit_blow_up_dphi"] = trace_catenary(sphere, 1.0, CatenaryState(1.0, 0.0, 1.2),
+                                                 s_max=5.0, dphi_limit=1.0)
+    traces["exit_vertical_tangent"] = trace_graph(catalog_surface("hyperbolic"), 1.0, 0.7,
+                                                  -2.0, (0.0, 3.0))
     return traces
 
 
@@ -71,6 +86,26 @@ EXPECTED = {
     "cone_graph": "040399f8eb46ec07f2e1105e2232ce035f7936ab511d664c38a070b703d01900",
     "tabulated": "43d6d6169d188e515b944f270f94679403902bf6e8466a3c8425fb66eb535910",
     "ruled": "514c014cea163d29d6ab28f316e80a11d1ccb220f57f8013e24b31cf76b9b4ae",
+    "ruled_graph": "9d26dcca493627678a9e971ffeb75cfdb2a09b84f8d94ad66e3028080793d3d6",
+    "exit_hit_lower_u": "30a0682f406da0d16998db8f6991bdcc6f5aaeedb99496a149f80c40943cdcef",
+    "exit_u_max": "ce834657d8a5bc4f580e8328197d2d95ddab164a7982da26b90873c3f3f718b8",
+    "exit_blow_up_u": "ac09a4e07dc8f983686ba635c5e4777c9dc04b29387630207d5afaefa97b4e34",
+    "exit_blow_up_dphi": "9b5f84caf4e6b936375529fc6cbd3964c5783f83220e4232fd1e1f6a6db006ba",
+    "exit_vertical_tangent":
+        "1eb06a2308faaa66e98184315948bc8aa3bb0376a7c430f66eac69d4247e0a8d",
+}
+
+# termination and "vertical_tangent" flag of the traces that end on an event;
+# the digest holds the termination but not the flag
+EXITS = {
+    "cone_graph": ("left_domain", True),
+    "tabulated": ("left_domain", False),
+    "exit_hit_lower_u": ("hit_lower_u", False),
+    "exit_u_max": ("left_domain", False),
+    "ruled_graph": ("left_domain", False),
+    "exit_blow_up_u": ("blow_up", False),
+    "exit_blow_up_dphi": ("blow_up", False),
+    "exit_vertical_tangent": ("left_domain", True),
 }
 
 
@@ -82,6 +117,14 @@ def traces():
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_trace_digest_is_pinned(traces, name):
     assert _digest(traces[name]) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXITS))
+def test_pinned_trace_ends_on_its_event(traces, name):
+    termination, vertical = EXITS[name]
+    trace = traces[name]
+    assert trace.termination == termination
+    assert trace.stats.get("vertical_tangent", False) is vertical
 
 
 def _reference_at(trace, t):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,19 @@ import pytest
 from catenary import (
     CatenaryState,
     ConfigError,
+    DegenerateMetricError,
     DomainError,
     catalog_surface,
+    ruled_surface,
+    ruled_surface_from_samples,
     trace_catenary,
     trace_graph,
 )
-from catenary.tracing import _flow_f
+from catenary.tracing import _Bounds, _flow_f
 from oracles import USTAR, conformal_geodesic_oracle
+
+# limits that never fail, for driving a bare right-hand side
+_OPEN = _Bounds(-math.inf, math.inf, -math.inf, math.inf, math.inf, math.inf, False)
 
 
 def dense_u_at_v(trace, v_target):
@@ -250,6 +257,31 @@ def test_graph_vertical_tangent_flag():
     assert tr.samples[-1].v < 0.45
 
 
+def _sampled_ruled():
+    vs = [-3.0 + 6.0 * j / 39 for j in range(40)]
+    return ruled_surface_from_samples(vs, [0.05 * math.sin(v) for v in vs],
+                                      [0.5 + 0.2 * math.cos(2 * v) for v in vs])
+
+
+def test_graph_slope_is_not_compared_with_the_v_range():
+    # v in [-3, 3]: the starting slope 5 lies outside it, yet the trace runs on
+    # until its slope really turns vertical
+    tr = trace_graph(_sampled_ruled(), 1.0, 1.0, 5.0, (-1.0, 1.0))
+    assert tr.termination == "left_domain"
+    assert tr.stats.get("vertical_tangent") is True
+    assert len(tr.samples) > 400
+    assert -0.9 < tr.samples[-1].v < 1.0
+    assert abs(tr._segments[-1][4][1]) > 1e9
+
+
+def test_graph_ends_on_the_v_range_margin():
+    # a span past v_max = 3 ends on "left_domain" at the margin, not on step underflow
+    tr = trace_graph(_sampled_ruled(), 1.0, 1.0, 0.1, (2.5, 3.5))
+    assert tr.termination == "left_domain"
+    assert "vertical_tangent" not in tr.stats
+    assert abs(tr.samples[-1].v - (3.0 - 1e-9 * 4.0)) < 1e-11
+
+
 def test_graph_span_validation():
     plane = catalog_surface("plane")
     with pytest.raises(ConfigError):
@@ -368,7 +400,7 @@ def test_nan_step_is_never_accepted():
 
     y0 = (1.0, 0.0, 0.0)
     segments, termination, _, _, _, y_final, f_final = _drive(
-        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, [])
+        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, _OPEN)
     assert termination == "step_underflow"
     assert all(math.isfinite(x) for seg in segments for x in seg[4])
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
@@ -377,44 +409,41 @@ def test_nan_step_is_never_accepted():
     assert f_final[3] == y_final[0]
 
 
-def _count_evaluations(monkeypatch):
-    from catenary.surfaces import MetricPatch
-
+def _counting_kernel(spec):
+    """spec with a metric kernel that counts its calls, and the count."""
     calls = [0]
-    evaluate = MetricPatch.evaluate
+    metric = spec.patch.metric
 
-    def counting(self, u, v):
+    def counting(u, v):
         calls[0] += 1
-        return evaluate(self, u, v)
+        return metric(u, v)
 
-    monkeypatch.setattr(MetricPatch, "evaluate", counting)
-    return calls
+    return replace(spec, patch=replace(spec.patch, metric=counting)), calls
 
 
-def test_one_metric_evaluation_per_rhs_call(monkeypatch):
+def test_one_metric_evaluation_per_rhs_call():
     # the step-end dphi event reuses the step's derivative instead of
     # evaluating the metric again, and each sample reads the metric its
     # step's last stage evaluated
-    calls = _count_evaluations(monkeypatch)
-    tr = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
-                        s_max=100.0, max_step=0.02)
+    sphere, calls = _counting_kernel(catalog_surface("sphere"))
+    tr = trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), s_max=100.0,
+                        max_step=0.02)
     assert tr.termination == "reached_smax"
     assert calls[0] == tr.stats["rhs_evals"] == 30008
     assert len(tr.samples) == 5002
 
 
-@pytest.mark.parametrize("run, termination, evaluations, samples", [
+@pytest.mark.parametrize("kind, run, termination, evaluations, samples", [
     # the dphi event is located by bisection on the dense output, with one
     # RHS call per probe; the exit point's derivative is one more call
-    (lambda: trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(1.0, 0.0, 1.2),
-                            s_max=5.0, dphi_limit=1.0), "blow_up", 117, 14),
-    (lambda: trace_graph(catalog_surface("cone"), 1.0, 1.0, 0.3, (0.0, 1.5)),
+    ("sphere", lambda spec: trace_catenary(spec, 1.0, CatenaryState(1.0, 0.0, 1.2),
+                                           s_max=5.0, dphi_limit=1.0), "blow_up", 117, 14),
+    ("cone", lambda spec: trace_graph(spec, 1.0, 1.0, 0.3, (0.0, 1.5)),
      "left_domain", 2925, 488),
 ], ids=["sphere_dphi", "cone_graph"])
-def test_event_exit_counts_every_rhs_call(monkeypatch, run, termination, evaluations,
-                                          samples):
-    calls = _count_evaluations(monkeypatch)
-    tr = run()
+def test_event_exit_counts_every_rhs_call(kind, run, termination, evaluations, samples):
+    spec, calls = _counting_kernel(catalog_surface(kind))
+    tr = run(spec)
     assert tr.termination == termination
     assert calls[0] == tr.stats["rhs_evals"] == evaluations
     assert len(tr.samples) == samples
@@ -444,7 +473,7 @@ def test_arithmetic_error_in_stage_halves_the_step(error):
 
     y0 = (1.0, 0.0, 0.0)
     segments, termination, _, stats, _, y_final, f_final = _drive(
-        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, [])
+        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, _OPEN)
     assert termination == "step_underflow"
     assert stats["steps_rejected"] > 0
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
@@ -478,3 +507,61 @@ def test_max_residual_is_nan_when_any_residual_is_nan():
     finite = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0),
                             s_max=3.0)
     assert finite.stats["max_residual"] == max(abs(s.residual) for s in finite.samples)
+
+
+def _failing_at(spec, point, values):
+    """spec whose kernel, at exactly ``point``, raises or returns ``values``."""
+    metric = spec.patch.metric
+
+    def kernel(u, v):
+        if (u, v) != point:
+            return metric(u, v)
+        if values is None:
+            return 1.0 / 0.0
+        return values
+
+    return replace(spec, patch=replace(spec.patch, metric=kernel))
+
+
+def _exit_point():
+    # the meridian from u = 1.2 leaves the sphere's domain near the pole
+    tr = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(1.2, 0.1, 0.0),
+                        s_max=4.0)
+    assert tr.termination == "left_domain"
+    return tr.samples[-1].u, tr.samples[-1].v
+
+
+_POLE_V = "(1.570796325795039, 0.1)"
+
+
+@pytest.mark.parametrize("run, message", [
+    # at a start point
+    (lambda spec: trace_catenary(spec, 1.0, CatenaryState(1.0, 0.5, 0.3), 1.0),
+     "metric of ruled fails at (1.0, 0.5): float division by zero"),
+    (lambda spec: trace_graph(spec, 1.0, 1.0, 0.0, (0.5, 1.0)),
+     "metric of ruled fails at (1.0, 0.5): float division by zero"),
+    (lambda _: trace_catenary(catalog_surface("sphere", extended=True), 1.0,
+                              CatenaryState(2.0, 0.0, 0.3), 1.0),
+     "G(2.0, 0.0) = -0.4161468365471424 is not positive on sphere"),
+    (lambda _: trace_graph(catalog_surface("sphere", extended=True), 1.0, 2.0, 0.0,
+                           (0.0, 1.0)),
+     "G(2.0, 0.0) = -0.4161468365471424 is not positive on sphere"),
+    # at an event exit point, whose derivative is the trace's last metric call
+    (lambda _: trace_catenary(_failing_at(catalog_surface("sphere"), _exit_point(), None),
+                              1.0, CatenaryState(1.2, 0.1, 0.0), s_max=4.0),
+     f"metric of sphere fails at {_POLE_V}: float division by zero"),
+    (lambda _: trace_catenary(_failing_at(catalog_surface("sphere"), _exit_point(),
+                                          (-1.0, 0.0, 0.0)),
+                              1.0, CatenaryState(1.2, 0.1, 0.0), s_max=4.0),
+     f"G{_POLE_V} = -1.0 is not positive on sphere"),
+], ids=["flow_start_raises", "graph_start_raises", "flow_start_g_negative",
+        "graph_start_g_negative", "exit_raises", "exit_g_negative"])
+def test_metric_failure_raises_the_error_of_evaluate(run, message):
+    # the tracers call the raw kernel behind an inline guard; whatever fails
+    # it must still surface as MetricPatch.evaluate's error, never as the
+    # kernel's own ZeroDivisionError
+    spec = ruled_surface(lambda v: 1.0 / (v - 0.5), lambda v: 1.0,
+                         lambda v: -1.0 / (v - 0.5) ** 2, lambda v: 0.0)
+    with pytest.raises(DegenerateMetricError) as info:
+        run(spec)
+    assert str(info.value) == message
