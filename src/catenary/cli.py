@@ -145,25 +145,21 @@ def _trace_text(trace: Trace, format: str, embed: bool) -> str:
     raise ConfigError(f"unknown format {format!r}")
 
 
-def emit_trace(trace: Trace, format: str, path: str, embed: bool = False) -> None:
+def emit_trace(trace: Trace, format: str, path: str | None, embed: bool = False) -> None:
     """Serialize a trace to CSV or JSON with 17 significant digits.
 
-    The CSV columns are exactly s,u,v,phi,kappa,residual, plus clairaut_c on
-    rotationally symmetric surfaces and x,y,z when ``embed`` is set.  The
-    JSON variant carries the same samples plus termination and stats.
+    The text goes to the file ``path``, written atomically, or to stdout when
+    ``path`` is None.  The CSV columns are exactly s,u,v,phi,kappa,residual,
+    plus clairaut_c on rotationally symmetric surfaces and x,y,z when
+    ``embed`` is set.  The JSON variant carries the same samples plus
+    termination and stats.
     """
     _write(_trace_text(trace, format, embed), path)
 
 
 def _emit_or_print(trace: Trace, args) -> None:
-    if args.format:
-        format = args.format
-    else:
-        format = "json" if args.out and args.out.endswith(".json") else "csv"
-    if args.out is None:
-        _write(_trace_text(trace, format, args.embed), None)
-    else:
-        emit_trace(trace, format, args.out, embed=args.embed)
+    format = args.format or ("json" if args.out and args.out.endswith(".json") else "csv")
+    emit_trace(trace, format, args.out, embed=args.embed)
     log.info("trace: %d samples, termination=%s", len(trace.samples),
              trace.termination)
 

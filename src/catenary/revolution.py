@@ -35,7 +35,7 @@ from .errors import (
     NotRealizableError,
     check_finite,
 )
-from .surfaces import RevolutionProfile, SurfaceSpec
+from .surfaces import RevolutionProfile, SurfaceSpec, _linspace
 from .tracing import CatenaryState
 
 __all__ = [
@@ -177,13 +177,12 @@ def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
 
 
 def _scan_grid(lo: float, hi: float) -> list[float]:
-    import numpy as np
-
     if not (hi > lo > 0.0):
         raise ConfigError(f"bad scan range ({lo!r}, {hi!r})")
     decades = math.log10(hi / lo)
     n = int(min(max(SCAN_POINTS_PER_DECADE * decades, 1000), 200_000))
-    return np.geomspace(lo, hi, n).tolist()
+    inner = _linspace(math.log10(lo), math.log10(hi), n)[1:-1]
+    return [lo, *(10.0 ** t for t in inner), hi]
 
 
 def _bisect_root(fn, a, b, fa, fb):
@@ -300,8 +299,6 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     middle stretch keeps c.  The knots of a tabulated profile are QUADPACK
     breakpoints on every stretch.
     """
-    import numpy as np
-
     profile = _require_profile(spec)
     # u1 = +inf is the improper upper limit
     check_finite(alpha=alpha, c=c, u0=u0, **({} if u1 == math.inf else {"u1": u1}))
@@ -325,7 +322,7 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     finite = math.isfinite(u1)
     hi_scan = u1 if finite else max(10.0 * u0, u0 + 10.0)
     margin = 1e-6 * (hi_scan - u0)
-    for t in np.linspace(u0, hi_scan, 513)[1:-1].tolist():
+    for t in _linspace(u0, hi_scan, 513)[1:-1]:
         if u0 + margin < t < u1 - margin and rho(t) <= c * (1.0 - 1e-13):
             raise InaccessibleRegionError(
                 f"rho({t:.6g}) = {rho(t):.6g} <= c = {c:.6g} inside ({u0:.6g}, {u1:.6g})"
@@ -464,30 +461,31 @@ def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
                ) -> list[tuple[float, float, float]]:
     """``embed_revolution`` of every (u, v) in points, from one anchor.
 
-    Realizability is checked once: on 257 points from the anchor to the
-    farthest u on each side of it, and at every point's own u.  A singular
-    or non-finite a' counts as |a'| > 1.
+    Realizability is checked on 257 points from the anchor to the farthest u on
+    each side of it, at every point's own u and wherever QUADPACK samples the
+    height integrand.  A singular or non-finite a' counts as |a'| > 1.
     """
-    import numpy as np
-
     profile, u_ref = _anchored(spec, points, u_ref)
+
+    def realizable_slope(t):
+        try:
+            slope = profile.a_u(t)
+        except (ArithmeticError, ValueError):
+            slope = math.inf
+        if not abs(slope) <= 1.0 + 1e-12:
+            raise NotRealizableError(f"|a'({t:.6g})| = {abs(slope):.6g} > 1; the metric is "
+                                     "valid but has no arc-length revolution embedding here")
+        return slope
+
     scan = [u for u, _ in points]
     for lo, hi in ((min(scan, default=u_ref), u_ref), (u_ref, max(scan, default=u_ref))):
         if lo < hi:
-            scan.extend(np.linspace(lo, hi, 257).tolist())
+            scan.extend(_linspace(lo, hi, 257))
     for t in scan:
-        try:
-            slope = abs(profile.a_u(t))
-        except (ArithmeticError, ValueError):
-            slope = math.inf
-        if not slope <= 1.0 + 1e-12:
-            raise NotRealizableError(
-                f"|a'({t:.6g})| = {slope:.6g} > 1; "
-                "the metric is valid but has no arc-length revolution embedding here"
-            )
+        realizable_slope(t)
 
     def db(t):
-        rad = 1.0 - profile.a_u(t) ** 2
+        rad = 1.0 - realizable_slope(t) ** 2
         return math.sqrt(rad) if rad > 0.0 else 0.0
 
     heights = _integrals(db, profile, u_ref, [u for u, _ in points],

@@ -132,6 +132,12 @@ def eval_metric(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, fl
     return spec.patch.evaluate(u, v)
 
 
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 points from a to b: i*step + a with step = (b - a)/(n - 1), the last b exactly."""
+    step = (b - a) / (n - 1)
+    return [i * step + a for i in range(n - 1)] + [b]
+
+
 # --------------------------------------------------------------------------
 # catalog
 # --------------------------------------------------------------------------
@@ -427,32 +433,30 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
     scipy's ``PchipInterpolator``.  Requires at least 4 finite samples, one
     f and one g per v, strictly increasing v and nonnegative g.
     """
-    import numpy as np
-
     try:
-        v_arr, f_arr, g_arr = (np.asarray(t, dtype=float)
-                               for t in (v_samples, f_samples, g_samples))
+        vs, fs, gs = ([float(t) for t in column]
+                      for column in (v_samples, f_samples, g_samples))
     except (TypeError, ValueError):
         raise ConfigError("v, f and g samples must be sequences of numbers") from None
-    if v_arr.ndim != 1 or len(v_arr) < 4:
+    if len(vs) < 4:
         raise ConfigError("need at least 4 samples of f and g")
-    if f_arr.shape != v_arr.shape or g_arr.shape != v_arr.shape:
+    if not len(fs) == len(gs) == len(vs):
         raise ConfigError(f"need one f and one g sample per v sample: got "
-                          f"{f_arr.shape}, {g_arr.shape} for {v_arr.shape}")
-    for v, f, g in zip(v_arr.tolist(), f_arr.tolist(), g_arr.tolist()):
+                          f"{len(fs)}, {len(gs)} for {len(vs)}")
+    for v, f, g in zip(vs, fs, gs):
         check_finite(v=v, f=f, g=g)
-    if not np.all(np.diff(v_arr) > 0):
+    if not all(v0 < v1 for v0, v1 in zip(vs, vs[1:])):
         raise ConfigError("v samples must be strictly increasing")
-    if np.any(g_arr < 0):
+    if not all(g >= 0.0 for g in gs):
         raise ConfigError("g = ||W'||^2 samples must be nonnegative")
-    f_jet, g_jet = _pchip(v_arr, f_arr)[3], _pchip(v_arr, g_arr)[3]
+    f_jet, g_jet = _pchip(vs, fs)[3], _pchip(vs, gs)[3]
 
     def metric(u, v):
         fv, f_v, _ = f_jet(v, 0.0)  # (f, f') from one piece lookup
         gv, g_v, _ = g_jet(v, 0.0)
         return _ruled_jet(u, v, fv, f_v, gv, g_v)
 
-    return _ruled_spec(metric, u_range, (float(v_arr[0]), float(v_arr[-1])), identifier)
+    return _ruled_spec(metric, u_range, (vs[0], vs[-1]), identifier)
 
 
 # --------------------------------------------------------------------------
@@ -461,18 +465,18 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
 
 def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
                     identifier: str = "profile") -> SurfaceSpec:
-    """Rotationally symmetric metric from analytic profile callables."""
-    import numpy as np
+    """Rotationally symmetric metric from analytic profile callables.
 
+    Positivity of a and ``profile_warning`` (|a'| > 1) come from 199 interior probe
+    points, so a slope peak between them is missed; ``tabulated_profile``'s is exact.
+    """
     lo, hi = float(u_range[0]), float(u_range[1])
     if not (lo >= 0.0 and hi > lo):
         raise ConfigError(f"bad profile u-range {u_range!r}")
-    probe_hi = hi if math.isfinite(hi) else lo + 10.0
-    probe = np.linspace(lo, probe_hi, 201)[1:-1]
-    vals = np.array([a(float(t)) for t in probe])
-    if not np.all(vals > 0):
+    probe = _linspace(lo, hi if math.isfinite(hi) else lo + 10.0, 201)[1:-1]
+    if not all(a(t) > 0.0 for t in probe):
         raise ConfigError("profile a(u) must be positive on its domain")
-    warning = bool(max(abs(a_u(float(t))) for t in probe) > 1.0)
+    warning = bool(max(abs(a_u(t)) for t in probe) > 1.0)
 
     def generic(u, v):
         return a(u), a_u(u), 0.0

@@ -346,7 +346,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
             continue
 
         accepted += 1
-        t_new = t + h
+        t_new = t_end if h >= t_end - t else t + h  # a step clipped to t_end ends there
         seg = (t, y, fy, t_new, y_new, f_new)
         segments.append(seg)
 

@@ -29,7 +29,7 @@ from .revolution import (
     quadrature_v,
     turning_points,
 )
-from .surfaces import catalog_surface, eval_metric, profile_surface
+from .surfaces import _linspace, catalog_surface, eval_metric, profile_surface
 from .tracing import CatenaryState, Trace, _bisect, _hermite, trace_catenary, trace_graph
 
 __all__ = ["CheckResult", "THRESHOLDS", "run_all"]
@@ -216,27 +216,25 @@ def _oracle_gap(oracle, trace: Trace, s_max: float) -> float:
 
 def check_closed_form_residuals() -> list[CheckResult]:
     """Criterion 1: governing-equation residuals of all solution families."""
-    import numpy as np
-
     thr = THRESHOLDS["closed_forms"]
     plane = catalog_surface("plane")
     cone = catalog_surface("cone")
     grusin = catalog_surface("grusin")
     cases = [
         ("euclidean", closed_form_family("euclidean", mu=1.0, nu=0.0), plane,
-         np.linspace(-2.0, 2.0, 100)),
+         _linspace(-2.0, 2.0, 100)),
         ("euclidean_shifted", closed_form_family("euclidean", mu=1.7, nu=0.3), plane,
-         np.linspace(-1.5, 1.5, 100)),
+         _linspace(-1.5, 1.5, 100)),
         ("cone", closed_form_family("cone", mu=1.0, nu=0.0), cone,
-         np.linspace(-1.0, 1.0, 100)),
+         _linspace(-1.0, 1.0, 100)),
         ("grusin_catenary", closed_form_family("grusin_catenary", mu=1.0, nu=1.0),
-         grusin, np.linspace(-0.45, 4.0, 100)),
+         grusin, _linspace(-0.45, 4.0, 100)),
         ("grusin_geodesic", closed_form_family("grusin_geodesic", u0=1.3, v0=0.5),
-         grusin, np.linspace(-1.9, 1.9, 100)),
+         grusin, _linspace(-1.9, 1.9, 100)),
     ]
     out = []
     for name, family, spec, grid in cases:
-        worst = validate_closed_form(family, spec, 1.0, [float(t) for t in grid])
+        worst = validate_closed_form(family, spec, 1.0, grid)
         out.append(_result(f"closed_form_residual[{name}]", worst, thr))
     return out
 
@@ -487,7 +485,7 @@ def check_criterion_equivalence() -> list[CheckResult]:
     # exact solution jets must land on the true side of both criteria
     fam = closed_form_family("euclidean", mu=1.0, nu=0.0)
     evaluate = catalog_surface("plane").patch.evaluate
-    for t_val in np.linspace(-2.0, 2.0, 100).tolist():
+    for t_val in _linspace(-2.0, 2.0, 100):
         u = fam.value(t_val)
         g, gu, gv = evaluate(u, t_val)
         jet = _jet_criteria(g, gu, gv, u, t_val, fam.d1(t_val), 1.0, fam.d2(t_val), 0.0)

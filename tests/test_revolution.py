@@ -328,6 +328,15 @@ def test_singular_or_non_finite_slope_is_not_realizable():
     assert embed_revolution(nan_below, 2.0, 0.0, u_ref=1.0) == (1.0, 0.0, 1.0)
 
 
+def test_slope_peak_between_scan_points_is_not_realizable():
+    # |a'| exceeds 1 only within 3.2e-5 of u = 0.5025, between the 257 scan
+    # points; the height integrand sees it
+    spec = profile_surface(lambda u: 1.0 + u, lambda u: 1 + 1e-9 - (u - 0.5025) ** 2,
+                           lambda u: 0.0, (0.0, 1.0))
+    with pytest.raises(NotRealizableError):
+        embed_revolution(spec, 0.6, 0.0, u_ref=0.4)
+
+
 def test_conservation_along_traces():
     for kind, start in (("sphere", CatenaryState(0.7, 0.0, 1.0)),
                         ("cone", CatenaryState(1.0, 0.0, 0.9)),

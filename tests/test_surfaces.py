@@ -14,7 +14,7 @@ from catenary import (
     ruled_surface_from_samples,
     tabulated_profile,
 )
-from catenary.surfaces import _pchip
+from catenary.surfaces import _linspace, _pchip
 from oracles import fd1
 
 
@@ -368,13 +368,46 @@ def test_pchip_matches_scipy_bit_for_bit(seed):
         assert max(abs(a_u(t)) for t in inside) <= slope_max * (1.0 + 1e-12)
 
 
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    cases = [(0.0, 1.0, 2), (1.0, 0.0, 201), (-2.0, 2.0, 100), (-0.45, 4.0, 100)]
+    for n in (2, 201, 257, 513, *rng.integers(3, 2000, 4).tolist()):
+        for _ in range(37):
+            scale = 10.0 ** rng.uniform(-9.0, 9.0)
+            a, b = (rng.uniform(-1.0, 1.0, 2) * scale).tolist()  # reversed or negative too
+            if rng.random() < 0.3:  # a range far from 0: a narrow span at a large offset
+                a, b = a + 1e3 * scale, b + 1e3 * scale
+            cases.append((a, b, n))
+    assert len(cases) >= 300
+    for a, b, n in cases:
+        got = np.array(_linspace(a, b, n))
+        want = np.linspace(a, b, n)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_tabulated_profile_loads_no_numpy():
+    # building data-backed surfaces, their root scans and a ruled graph trace
+    # need neither numpy nor scipy
     import subprocess
     import sys
+    import textwrap
 
-    code = ("import sys, catenary; "
-            "catenary.tabulated_profile([(0.1, 1.0), (0.2, 1.1), (0.3, 1.15), (0.4, 1.18)]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+    code = textwrap.dedent("""
+        import math, sys
+        import catenary as cat
+        cat.tabulated_profile([(0.1, 1.0), (0.2, 1.1), (0.3, 1.15), (0.4, 1.18)])
+        us = [0.1 + 1.3 * j / 39 for j in range(40)]
+        profile = cat.tabulated_profile([(u, math.cos(u) + 0.1) for u in us])
+        assert cat.critical_parallels(profile, 1.0)
+        assert len(cat.turning_points(profile, 1.0, 0.5)) == 2
+        cat.profile_surface(math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u),
+                            (0.0, 1.5))
+        vs = [-3.0 + 6.0 * j / 39 for j in range(40)]
+        ruled = cat.ruled_surface_from_samples(vs, [0.05 * math.sin(v) for v in vs],
+                                               [0.5 + 0.2 * math.cos(2 * v) for v in vs])
+        assert cat.trace_graph(ruled, 1.0, 1.0, 0.1, (-1.0, 1.0)).samples
+        print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))
+    """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -1,10 +1,11 @@
-"""Pinned output of fixed traces, and the dense-output lookup of ``Trace.at``.
+"""Pinned output of fixed traces and root scans, and the dense-output lookup of ``Trace.at``.
 
-The digests are sha256 sums of the ``.17g`` text of every sample row, the
-termination, the step counts and ``at()`` at fixed parameters.  They pin the
-tracers bit for bit: a change to the stepper, the dense output or the
+The trace digests are sha256 sums of the ``.17g`` text of every sample row,
+the termination, the step counts and ``at()`` at fixed parameters.  They pin
+the tracers bit for bit: a change to the stepper, the dense output or the
 per-sample curvature that alters any number, even in its last bit, changes a
-digest.
+digest.  The root-scan digests do the same for the ``repr`` of
+``critical_parallels`` and ``turning_points``.
 """
 
 import bisect
@@ -17,10 +18,12 @@ import pytest
 from catenary import (
     CatenaryState,
     catalog_surface,
+    critical_parallels,
     ruled_surface_from_samples,
     tabulated_profile,
     trace_catenary,
     trace_graph,
+    turning_points,
 )
 from catenary.surfaces import CATALOG_KINDS
 from catenary.tracing import _hermite
@@ -125,6 +128,29 @@ def test_pinned_trace_ends_on_its_event(traces, name):
     trace = traces[name]
     assert trace.termination == termination
     assert trace.stats.get("vertical_tangent", False) is vertical
+
+
+# sha256 of repr((critical_parallels, turning_points)) on the sphere with c = 0.3 and
+# on a 40-knot tabulated a(u) = 1.2 + cos 3u over [0.1, 3] with c = 1
+EXPECTED_ROOTS = {
+    ("sphere", 0.5): "28a422f1e03b03ded9c06fbdd7bd49ce9f03483859b47d2a2cdb1649489f2cef",
+    ("sphere", 1.0): "beb93b769511d4851aedf6c4ff57643aedadec03f536b404ae36954b66a3feec",
+    ("sphere", 2.0): "c06e2657400ceefb875fb27f1bc7227d361b1949f717f20d5bb31e2572038845",
+    ("tabulated", 0.5): "023cff5341e283929d69724523b218e5862acea89684365479181f9bc25af777",
+    ("tabulated", 1.0): "491055ea27ac6a8be0ca68b627579965a0ac5bcfa2753e04f4eb1a275024d7d3",
+    ("tabulated", 2.0): "03acf7e5e2e9fd1362973843fc9a9bf98d881d954bbca0f21f6e10307d3fb126",
+}
+
+
+@pytest.mark.parametrize("name, alpha", sorted(EXPECTED_ROOTS))
+def test_root_scan_digest_is_pinned(name, alpha):
+    if name == "sphere":
+        spec, c = catalog_surface("sphere"), 0.3
+    else:
+        us = [0.1 + 2.9 * j / 39 for j in range(40)]
+        spec, c = tabulated_profile([(u, 1.2 + math.cos(3.0 * u)) for u in us]), 1.0
+    roots = (critical_parallels(spec, alpha), turning_points(spec, alpha, c))
+    assert hashlib.sha256(repr(roots).encode()).hexdigest() == EXPECTED_ROOTS[name, alpha]
 
 
 def _reference_at(trace, t):

@@ -113,6 +113,17 @@ def test_samples_strictly_increasing_in_s():
     assert all(b > a for a, b in zip(ss, ss[1:]))
 
 
+def test_step_clipped_to_s_max_ends_on_it():
+    # t + (s_max - t) rounds 1 ulp below s_max here; the step must still end on
+    # s_max, not leave a remainder under the step floor
+    s_max = 46.95355207644358
+    tr = trace_catenary(catalog_surface("plane"), 0.0,
+                        CatenaryState(1.1774183870092814, 0.0034968730104802948,
+                                      0.4789199413575395), s_max)
+    assert tr.termination == "reached_smax"
+    assert tr.samples[-1].s == s_max
+
+
 def test_cross_formulation_agreement():
     # flow trace reparametrized to v against the graph trace, within 10*tol
     tol = 1e-8
