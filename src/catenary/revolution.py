@@ -176,13 +176,17 @@ def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
     return lo, hi
 
 
-def _scan_grid(lo: float, hi: float) -> list[float]:
+def _scan_grid(lo: float, hi: float):
+    """Size n and point(i) of the log scan grid: 10 ** (i*step + log10 lo), ends lo and hi."""
     if not (hi > lo > 0.0):
         raise ConfigError(f"bad scan range ({lo!r}, {hi!r})")
-    decades = math.log10(hi / lo)
-    n = int(min(max(SCAN_POINTS_PER_DECADE * decades, 1000), 200_000))
-    inner = _linspace(math.log10(lo), math.log10(hi), n)[1:-1]
-    return [lo, *(10.0 ** t for t in inner), hi]
+    n = int(min(max(SCAN_POINTS_PER_DECADE * math.log10(hi / lo), 1000), 200_000))
+    t0, step = math.log10(lo), (math.log10(hi) - math.log10(lo)) / (n - 1)  # _linspace's points
+
+    def point(i: int) -> float:
+        return lo if i == 0 else hi if i == n - 1 else 10.0 ** (i * step + t0)
+
+    return n, point
 
 
 def _bisect_root(fn, a, b, fa, fb):
@@ -201,18 +205,55 @@ def _bisect_root(fn, a, b, fa, fb):
     return 0.5 * (a + b)
 
 
-def _scan_roots(fn, lo, hi) -> list[float]:
-    grid = _scan_grid(lo, hi)
-    vals = [fn(t) for t in grid]
+def _suspect_pieces(profile: RevolutionProfile, alpha: float):
+    """The pieces (x, x1) of the u-axis on which rho' may vanish: all of it if analytic.
+
+    On a knot piece u^(1 - alpha) rho' = alpha a + u a' is a cubic, of the sign its four
+    Bernstein coefficients share (Farouki & Rajan 1987) if they clear 1e-12 times the size of
+    the terms of a and a', far above the rounding of rho'; a flat rho never clears it.
+    """
+    if not profile.pieces:
+        yield 0.0, math.inf
+    size, k1, k2, k3 = abs(alpha), alpha + 1.0, alpha + 2.0, alpha + 3.0
+    for x, x1, (y, d, c1, c0, e1, e0, _) in zip(profile.knots, profile.knots[1:], profile.pieces):
+        h = x1 - x
+        q0, q1 = alpha * y + x * d, (k1 * d + x * e1) * h / 3.0
+        q2, q3 = (k2 * c1 + x * e0) * h * h / 3.0, k3 * c0 * h * h * h
+        b1, b2, b3 = q0 + q1, q0 + 2.0 * q1 + q2, q0 + 3.0 * (q1 + q2) + q3
+        m1, m2, m3 = abs(d), abs(c1) * h, abs(c0) * h * h
+        tol = 1e-12 * (size * (abs(y) + h * (m1 + m2 + m3)) + x1 * (m1 + 2.0 * m2 + 3.0 * m3))
+        if not (q0 > tol and b1 > tol and b2 > tol and b3 > tol
+                or q0 < -tol and b1 < -tol and b2 < -tol and b3 < -tol):
+            yield x, x1
+
+
+def _scan_roots(fn, lo, hi, pieces) -> list[float]:
+    """Roots of fn on the scan grid: zeros at grid points, one bisection per sign change.
+
+    Only the cells around ``pieces``, with one grid point to spare on each side, are
+    scanned; fn keeps one strict sign outside them, so no root of the full scan is lost.
+    """
+    n, point = _scan_grid(lo, hi)
+    scale, spans = (n - 1) / math.log10(hi / lo), []
+    for x, x1 in pieces:
+        if x < hi and x1 > lo:
+            i0 = max(0, math.floor(scale * math.log10(x / lo)) - 1) if x > lo else 0
+            i1 = min(n - 1, math.ceil(scale * math.log10(min(x1, hi) / lo)) + 1)
+            if spans and i0 <= spans[-1][1]:
+                i0 = spans.pop()[0]
+            spans.append((i0, i1))
     roots = []
-    for i in range(len(grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(grid[i])
-        elif (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect_root(fn, grid[i], grid[i + 1], fa, fb))
-    if vals and vals[-1] == 0.0:
-        roots.append(grid[-1])
+    for i0, i1 in spans:
+        grid = [point(i) for i in range(i0, i1 + 1)]
+        vals = [fn(t) for t in grid]
+        for i in range(len(grid) - 1):
+            fa, fb = vals[i], vals[i + 1]
+            if fa == 0.0:
+                roots.append(grid[i])
+            elif (fa < 0.0) != (fb < 0.0):
+                roots.append(_bisect_root(fn, grid[i], grid[i + 1], fa, fb))
+        if vals[-1] == 0.0:
+            roots.append(grid[-1])
     # collapse duplicates from exact-zero grid hits
     dedup: list[float] = []
     for r in roots:
@@ -226,15 +267,16 @@ def critical_parallels(spec: SurfaceSpec, alpha: float,
                        ) -> list[CriticalParallel]:
     """All roots of rho'(u) in the range, with stability exponent and class.
 
-    Roots are bracketed on a log-spaced scan grid and refined by bisection;
-    an empty list means no parallel of the surface is a critical curve.
+    Roots are bracketed on a log-spaced scan grid and refined by bisection; an empty
+    list means no parallel of the surface is a critical curve.  Tabulated profiles
+    evaluate only the cells around knot pieces where rho' can vanish; the roots are the same.
     """
-    _require_profile(spec)
+    profile = _require_profile(spec)
     check_finite(alpha=alpha)
     lo, hi = _scan_range(spec, u_range)
     _, rho_u, _ = _rho_funcs(spec, alpha)
     out = []
-    for r in _scan_roots(rho_u, lo, hi):
+    for r in _scan_roots(rho_u, lo, hi, _suspect_pieces(profile, alpha)):
         lam = stability_exponent(spec, alpha, r, root_tol=math.inf)
         out.append(CriticalParallel(u=r, lam=lam, classification=_classify(lam)))
     return out
@@ -263,10 +305,10 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     check_finite(alpha=alpha, c=c)
     if not c > 0.0:
         raise ConfigError(f"Clairaut constant c={c!r} must be positive")
-    _require_profile(spec)
+    profile = _require_profile(spec)
     lo, hi = _scan_range(spec, u_range)
     rho, rho_u, _ = _rho_funcs(spec, alpha)
-    knots = [lo, *_scan_roots(rho_u, lo, hi), hi]
+    knots = [lo, *_scan_roots(rho_u, lo, hi, _suspect_pieces(profile, alpha)), hi]
     gaps = [rho(u) - c for u in knots]
     hits = [g == 0.0 or (0 < i < len(knots) - 1 and _turning(g, c))
             for i, g in enumerate(gaps)]
@@ -297,13 +339,17 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     turning end that is also a critical parallel (|rho'| < ``CRITICAL_TOL``)
     raises ConfigError: the curve winds onto that parallel and v diverges.  The
     middle stretch keeps c.  The knots of a tabulated profile are QUADPACK
-    breakpoints on every stretch.
+    breakpoints on every stretch.  Limits outside the closed domain raise
+    DomainError.
     """
     profile = _require_profile(spec)
     # u1 = +inf is the improper upper limit
     check_finite(alpha=alpha, c=c, u0=u0, **({} if u1 == math.inf else {"u1": u1}))
     if not c > 0.0:
         raise ConfigError(f"Clairaut constant c={c!r} must be positive")
+    dom = spec.domain
+    if not (dom.u_min <= min(u0, u1) and max(u0, u1) <= dom.u_max):
+        raise DomainError(f"limits u0={u0!r}, u1={u1!r} outside [{dom.u_min!r}, {dom.u_max!r}]")
     if u0 == u1:
         return 0.0
     sign = 1.0
@@ -439,10 +485,14 @@ def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
         lambda = -2 * (rho_bar * rho_bar'' + rho_bar'^2) / c^4,
 
     where d/dz = a(u) d/du.  Positive lambda means bounded oscillation
-    (rho has a maximum), negative means exponential departure.
+    (rho has a maximum), negative means exponential departure.  u_star must
+    lie inside the open domain (DomainError).
     """
     profile = _require_profile(spec)
     check_finite(alpha=alpha, u_star=u_star)
+    dom = spec.domain
+    if not dom.u_min < u_star < dom.u_max:
+        raise DomainError(f"u_star={u_star!r} outside ({dom.u_min!r}, {dom.u_max!r})")
     rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     slope = rho_u(u_star)
     if not abs(slope) < root_tol:

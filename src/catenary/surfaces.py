@@ -88,14 +88,16 @@ class MetricPatch:
 class RevolutionProfile:
     """Profile a(u) of a rotationally symmetric metric du^2 + a(u)^2 dv^2.
 
-    ``knots`` holds the sample abscissae of a tabulated profile, where a''
-    jumps; integrals over a(u) are split there.  Analytic profiles have none.
+    ``knots`` holds the sample abscissae of a tabulated profile, where a'' jumps; integrals
+    over a(u) are split there.  ``pieces`` holds each knot piece's (y, d, c1, c0, ...), with
+    a = y + d s + c1 s^2 + c0 s^3 in s = u - knot.  Analytic profiles have neither.
     """
 
     a: Callable[[float], float]
     a_u: Callable[[float], float]
     a_uu: Callable[[float], float]
     knots: tuple[float, ...] = ()
+    pieces: tuple[tuple[float, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,12 @@ def _sqrt_profile(k: float):
 
 
 def _revolution_spec(kind, params, identifier, a, a_u, a_uu, metric, domain,
-                     warning=False, knots=()):
+                     warning=False, knots=(), pieces=()):
     return SurfaceSpec(
         kind=kind,
         params=dict(params),
         patch=MetricPatch(identifier, metric, domain),
-        profile=RevolutionProfile(a, a_u, a_uu, knots),
+        profile=RevolutionProfile(a, a_u, a_uu, knots, pieces),
         profile_warning=warning,
     )
 
@@ -328,7 +330,8 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
     increasing with at least 3 entries; nothing is checked here.  The fourth,
     ``metric(t, v) -> (a(t), a_u(t), 0.0)``, finds the piece once for both.
     The fifth is max |a_u| on [x[0], x[-1]]; a_u is quadratic on a piece, so
-    that is its largest value at a knot or at a vertex inside a piece.
+    that is its largest value at a knot or at a vertex inside a piece.  The
+    sixth holds the tuple (y, d, c1, c0, 2 c1, 3 c0, 6 c0) of every piece.
     """
     x = [float(t) for t in x]
     y = [float(t) for t in y]
@@ -348,6 +351,7 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
         t = (d[k] + d[k + 1] - 2.0 * m[k]) / hk
         c0, c1 = t / hk, (m[k] - d[k]) / hk - t
         pieces.append((y[k], d[k], c1, c0, 2.0 * c1, 3.0 * c0, 6.0 * c0))
+    pieces = tuple(pieces)  # the kernels and the profile's piece data share it
     slope_max = max(map(abs, d))
     for (_, c2, _, _, e1, e0, _), hk in zip(pieces, h):
         vertex = -e1 / (2.0 * e0) if e0 != 0.0 else 0.0
@@ -379,7 +383,7 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
         return (0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s),
                 0.0 + c2 + e1 * s + e0 * (s * s), 0.0)
 
-    return a, a_u, a_uu, metric, slope_max
+    return a, a_u, a_uu, metric, slope_max, pieces
 
 
 # --------------------------------------------------------------------------
@@ -491,7 +495,7 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
                       identifier: str = "profile") -> SurfaceSpec:
     """Revolution surface with a(u) given by monotone cubic interpolation.
 
-    Requires at least 4 finite samples with strictly increasing u and positive a.
+    Requires at least 4 finite samples with strictly increasing u >= 0 and positive a.
     The interpolant is PCHIP, the shape-preserving piecewise cubic of
     Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980), so that no spurious
     critical parallels are introduced by overshoot; it equals scipy's
@@ -509,12 +513,14 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
     us, vals = [u for u, _ in pts], [a for _, a in pts]
     if not all(u0 < u1 for u0, u1 in zip(us, us[1:])):
         raise ConfigError("profile u samples must be strictly increasing")
+    if us[0] < 0.0:  # u is the distance to the reference curve, as in profile_surface
+        raise ConfigError(f"profile u samples must be >= 0, got u={us[0]!r}")
     if not all(a > 0.0 for a in vals):
         raise ConfigError("profile values a(u) must be positive")
-    a, a_u, a_uu, metric, slope_max = _pchip(us, vals)
+    a, a_u, a_uu, metric, slope_max, pieces = _pchip(us, vals)
     return _revolution_spec(
         "revolution_profile", {}, identifier, a, a_u, a_uu, metric,
-        Domain(us[0], us[-1]), warning=slope_max > 1.0, knots=tuple(us),
+        Domain(us[0], us[-1]), warning=slope_max > 1.0, knots=tuple(us), pieces=pieces,
     )
 
 

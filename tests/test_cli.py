@@ -305,6 +305,22 @@ def test_quadrature_non_numeric_u1_exits_2(capsys):
     assert "invalid float value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["quadrature", "--surface", "sphere", "--alpha", "0.5", "--c", "0.3", "--u0", "-0.5",
+      "--u1", "0.5"], "outside [0.0, 1.5707963267948966]"),
+    (["stability", "--surface", "sphere", "--alpha", "0.5", "--ustar", "-0.3"],
+     "outside (0.0, 1.5707963267948966)"),
+    (["clairaut", "--profile", "negative.csv", "--alpha", "1"], "u samples must be >= 0"),
+])
+def test_u_below_the_domain_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "negative.csv").write_text("u,a\n-1,1\n0,1.2\n1,1.1\n2,1\n3,1.3\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_json_format_on_stdout_matches_out_file(tmp_path, capsys):
     args = ["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1.0",
             "--smax", "3", "--format", "json"]

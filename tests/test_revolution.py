@@ -238,6 +238,24 @@ def test_quadrature_rejects_a_turning_end_on_a_critical_parallel():
             quadrature_v(spec, -1.0, c, u0, u1)
 
 
+def test_quadrature_limits_must_lie_in_the_closed_domain():
+    # below u = 0 rho = u^alpha cos u is complex or negative: at alpha = 0.5 a
+    # TypeError leaked from comparing it, at alpha = 1 rho(-0.498) < 0 was quoted
+    sphere = catalog_surface("sphere")
+    for alpha, u0, u1 in ((0.5, -0.5, 0.5), (1.0, -0.5, 0.5), (1.0, 0.5, 2.0), (1.0, 2.0, 0.5)):
+        with pytest.raises(DomainError, match="outside"):
+            quadrature_v(sphere, alpha, 0.3, u0, u1)
+    # the ends themselves are fine: the axis u = 0 and u1 = inf where u_max = inf
+    assert quadrature_v(catalog_surface("plane"), -1.0, 1.0, 0.0, 0.5) > 0.0
+    assert quadrature_v(catalog_surface("catenoid"), 1.0, 0.5, 1.0, math.inf) > 0.0
+
+
+def test_stability_exponent_needs_u_inside_the_domain():
+    # at u = -0.3 rho' was complex, and NotCriticalError quoted it
+    with pytest.raises(DomainError, match="outside"):
+        stability_exponent(catalog_surface("sphere"), 0.5, -0.3)
+
+
 def test_scan_range_must_lie_inside_the_domain():
     # past pi/2 the sphere's G = cos u turns negative: no parallel lives there
     sphere = catalog_surface("sphere")

@@ -244,6 +244,14 @@ def test_tabulated_profile_rejects_bad_samples():
         tabulated_profile([(0.1, 1.0), (0.2, 1.0), (0.3, 1.0)])
 
 
+def test_tabulated_profile_rejects_negative_u():
+    # u is a distance, as profile_surface requires; at u < 0 the Clairaut
+    # constant came out complex and the root scan had no range to run on
+    with pytest.raises(ConfigError, match="u samples must be >= 0"):
+        tabulated_profile([(-1.0, 1.0), (0.0, 1.2), (1.0, 1.1), (2.0, 1.0), (3.0, 1.3)])
+    assert tabulated_profile([(0.0, 1.2), (1.0, 1.1), (2.0, 1.0), (3.0, 1.3)]).domain.u_min == 0.0
+
+
 def test_tabulated_profile_realizability_warning():
     us = np.linspace(0.1, 2.0, 50)
     steep = tabulated_profile(list(zip(us, 2.0 * us)))  # a' = 2 > 1
@@ -355,7 +363,7 @@ def test_pchip_matches_scipy_bit_for_bit(seed):
             rng.uniform(x[0] - 2.0, x[0], 5),  # outside the knots
             rng.uniform(x[-1], x[-1] + 2.0, 5),
         ])
-        a, a_u, a_uu, metric, slope_max = _pchip(x, y)
+        a, a_u, a_uu, metric, slope_max, _ = _pchip(x, y)
         for fn, oracle in zip((a, a_u, a_uu), (ref, ref.derivative(), ref.derivative(2))):
             got = np.array([fn(t) for t in pts.tolist()])
             np.testing.assert_array_equal(got.view(np.int64), oracle(pts).view(np.int64))

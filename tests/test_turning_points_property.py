@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from catenary import tabulated_profile, turning_points
+from catenary import critical_parallels, profile_surface, tabulated_profile, turning_points
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -44,3 +44,7 @@ def test_turning_points_find_every_root_on_tabulated_profiles(samples, alpha, q)
         if (rho[i] < c) != (rho[i + 1] < c):
             assert any(grid[i] - 2 * cell <= r <= grid[i + 1] + 2 * cell for r in roots), \
                 (grid[i], roots)
+    # the same PCHIP callables without piece data: the full root scan
+    p = spec.profile
+    full = profile_surface(p.a, p.a_u, p.a_uu, (samples[0][0], samples[-1][0]))
+    assert repr(critical_parallels(spec, alpha)) == repr(critical_parallels(full, alpha))
