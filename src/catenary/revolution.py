@@ -156,8 +156,9 @@ def clairaut_constant(spec: SurfaceSpec, alpha: float, state: CatenaryState) -> 
     """Conserved quantity u^alpha * a(u) * sin(phi) of a unit-speed state."""
     profile = _require_profile(spec)
     check_finite(alpha=alpha, u=state.u, phi=state.phi)
-    if state.u <= spec.domain.u_min:
-        raise DomainError(f"u={state.u!r} at or below u_min={spec.domain.u_min!r}")
+    dom = spec.domain
+    if not dom.u_min < state.u < dom.u_max:  # outside, G need not be positive
+        raise DomainError(f"u={state.u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
     return state.u ** alpha * profile.a(state.u) * math.sin(state.phi)
 
 
@@ -449,8 +450,11 @@ def _anchored(spec: SurfaceSpec, points, u_ref: float | None):
     dom = spec.domain
     if u_ref is None:
         u_ref = dom.u_min
+    check_finite(u_ref=u_ref)
+    if not dom.u_min <= u_ref <= dom.u_max:  # closed: the default anchor is u_min
+        raise DomainError(f"u_ref={u_ref!r} outside [{dom.u_min!r}, {dom.u_max!r}]")
     for u, v in points:
-        check_finite(u=u, u_ref=u_ref, v=v)
+        check_finite(u=u, v=v)
         if not dom.u_min < u < dom.u_max:
             raise DomainError(f"u={u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
     return profile, u_ref

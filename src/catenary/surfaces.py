@@ -193,17 +193,11 @@ def _revolution_spec(kind, params, identifier, a, a_u, a_uu, metric, domain,
     )
 
 
-def _positive_param(params: dict, key: str, default: float | None, kind: str) -> float:
-    if key in params:
-        value = params[key]
-    elif default is not None:
-        value = default
-    else:
-        raise ConfigError(f"surface kind {kind!r} requires parameter {key!r}")
+def _positive_param(params: dict, key: str, default: float) -> float:
     try:
-        value = float(value)
+        value = float(params.get(key, default))
     except (TypeError, ValueError):
-        raise ConfigError(f"parameter {key}={value!r} is not a number") from None
+        raise ConfigError(f"parameter {key}={params[key]!r} is not a number") from None
     if not value > 0.0 or not math.isfinite(value):
         raise ConfigError(f"parameter {key}={value!r} must be a positive finite real")
     return value
@@ -254,7 +248,7 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
         )
 
     if kind == "hyperbolic":
-        r = _positive_param(merged, "r", 1.0, kind)
+        r = _positive_param(merged, "r", 1.0)
 
         def hyperbolic(u, v):
             x = u / r
@@ -270,7 +264,7 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
         )
 
     if kind == "cone":
-        slope = _positive_param(merged, "slope", math.sqrt(0.5), kind)
+        slope = _positive_param(merged, "slope", math.sqrt(0.5))
         return _revolution_spec(
             kind, {"slope": slope}, f"cone(slope={slope:g})",
             lambda u: slope * u, lambda u: slope, lambda u: 0.0,
@@ -282,7 +276,7 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
         return _revolution_spec(kind, merged, kind, *_sqrt_profile(1.0), Domain(0.0, _INF))
 
     if kind == "binormal":
-        tau = _positive_param(merged, "tau", 1.0, kind)
+        tau = _positive_param(merged, "tau", 1.0)
         return _revolution_spec(kind, {"tau": tau}, f"binormal(tau={tau:g})",
                                 *_sqrt_profile(tau), Domain(0.0, _INF))
 
@@ -390,22 +384,18 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
 # ruled surfaces
 # --------------------------------------------------------------------------
 
-def _ruled_root(u: float, v: float, fv: float, gv: float) -> float:
-    rad = 1.0 + 2.0 * u * fv + u * u * gv
-    if not rad > 0.0:
-        raise DegenerateMetricError(
-            f"ruled metric radicand {rad!r} <= 0 at (u={u!r}, v={v!r})"
-        )
-    return math.sqrt(rad)
-
-
 def _ruled_jet(u: float, v: float, fv: float, f_v: float, gv: float, g_v: float):
     """(G, G_u, G_v) of the ruled surface c(v) + u*W(v) with f = <c',W'>, g = ||W'||^2.
 
     G = sqrt(1 + 2*u*f + u^2*g) from f, f', g and g' at v; the parametrization
     degenerates where the radicand is not positive.
     """
-    root = _ruled_root(u, v, fv, gv)
+    rad = 1.0 + 2.0 * u * fv + u * u * gv
+    if not rad > 0.0:
+        raise DegenerateMetricError(
+            f"ruled metric radicand {rad!r} <= 0 at (u={u!r}, v={v!r})"
+        )
+    root = math.sqrt(rad)
     return root, (fv + u * gv) / root, (u * f_v + 0.5 * u * u * g_v) / root
 
 

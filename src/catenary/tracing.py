@@ -112,7 +112,7 @@ class Trace:
         costs O(log n) in the number of steps.
         """
         if not self._segments:
-            raise ValueError("empty trace has no dense output")
+            raise ConfigError("the trace took no step, so it has no dense output")
         t = min(max(t, self._starts[0]), self._t_final)
         return _hermite(self._segments[bisect_right(self._starts, t) - 1], t)
 
@@ -143,8 +143,6 @@ _MIN_FAC = 1.0 / 10.0  # at most tenfold growth per step
 def _hermite(seg, t):
     t0, y0, f0, t1, y1, f1 = seg
     h = t1 - t0
-    if h == 0.0:
-        return y0
     x = (t - t0) / h
     x2, x3 = x * x, x * x * x
     h00 = 2 * x3 - 3 * x2 + 1

@@ -12,6 +12,7 @@ cross-check traces.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import asdict, dataclass
 
@@ -411,7 +412,6 @@ def check_triple_oracle() -> list[CheckResult]:
 
 _JET_SEED = 20240817
 _JETS_PER_SURFACE = 10_000
-_JET_CHUNK = 250  # rows converted to floats at a time, which bounds the lists' memory
 _TWINS_PER_SURFACE = 1_000
 _JET_BOXES = {
     "plane": (0.2, 5.0),
@@ -427,15 +427,11 @@ _JET_BOXES = {
 
 
 def _jet_draws(rng, u_lo, u_hi):
-    """One surface's random jets (u, v, du, dv, ddu, ddv) as Python floats."""
-    us = rng.uniform(u_lo, u_hi, _JETS_PER_SURFACE)
-    vs = rng.uniform(-3.0, 3.0, _JETS_PER_SURFACE)
-    vel = rng.normal(size=(_JETS_PER_SURFACE, 4))
-    for lo in range(0, _JETS_PER_SURFACE, _JET_CHUNK):
-        hi = lo + _JET_CHUNK
-        for u, v, (du, dv, ddu, ddv) in zip(us[lo:hi].tolist(), vs[lo:hi].tolist(),
-                                            vel[lo:hi].tolist()):
-            yield u, v, du, dv, ddu, ddv
+    """Random jets: u uniform on [u_lo, u_hi), v on [-3, 3), du, dv, ddu, ddv on [-2, 2)."""
+    draw = rng.random
+    for _ in range(_JETS_PER_SURFACE):
+        yield (u_lo + (u_hi - u_lo) * draw(), 6.0 * draw() - 3.0, 4.0 * draw() - 2.0,
+               4.0 * draw() - 2.0, 4.0 * draw() - 2.0, 4.0 * draw() - 2.0)
 
 
 def _jet_criteria(g, gu, gv, u, v, du, dv, ddu, ddv):
@@ -460,10 +456,8 @@ def check_criterion_equivalence() -> list[CheckResult]:
     surface also get two twins that differ only in ddv: one on the solution
     set and one at residual 1e-7, outside both bands.
     """
-    import numpy as np
-
     out = []
-    rng = np.random.default_rng(_JET_SEED)
+    rng = random.Random(_JET_SEED)
     bad = 0
     total = 0
     for kind, (u_lo, u_hi) in _JET_BOXES.items():

@@ -34,6 +34,30 @@ def test_unknown_surface_exits_2(tmp_path, capsys):
     assert "unknown surface kind" in capsys.readouterr().err
 
 
+def test_param_builds_the_given_surface(tmp_path):
+    out, want = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    code = run(["trace", "--surface", "hyperbolic", "--param", "r=2", "--u0", "1",
+                "--phi0", "0.5", "--smax", "2", "--out", str(out)])
+    assert code == 0
+    spec = catalog_surface("hyperbolic", r=2.0)
+    emit_trace(trace_catenary(spec, 1.0, CatenaryState(1.0, 0.0, 0.5), s_max=2.0), "csv",
+               str(want))
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("surface_args, message", [
+    (["--surface", "hyperbolic", "--param", "r"], "--param expects key=value"),
+    (["--surface", "hyperbolic", "--param", "r=x"], "is not a number"),
+    (["--surface", "sphere", "--profile", "prof.csv"], "--profile implies"),
+    ([], "a --surface kind is required"),
+    (["--surface", "revolution_profile"], "needs --profile"),
+])
+def test_bad_surface_arguments_exit_2(surface_args, message, capsys):
+    code = run(["trace", *surface_args, "--u0", "1", "--phi0", "0.5", "--smax", "1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_tolerance_exits_2(tmp_path):
     code = run(["trace", "--surface", "sphere", "--u0", "0.5", "--phi0", "1",
                 "--smax", "1", "--tol", "1e-2", "--out", str(tmp_path / "x.csv")])

@@ -185,6 +185,12 @@ def test_turning_points_within_tangential_tolerance_give_one_root(k):
     assert tp == [critical_parallels(sphere, 1.0)[0].u]
 
 
+@pytest.mark.parametrize("c", [0.0, -0.5])
+def test_turning_points_need_a_positive_c(c):
+    with pytest.raises(ConfigError, match="must be positive"):
+        turning_points(catalog_surface("sphere"), 1.0, c)
+
+
 def test_turning_points_cylinder():
     cyl = catalog_surface("cylinder")
     tp = turning_points(cyl, 1.0, 2.0)
@@ -254,6 +260,25 @@ def test_stability_exponent_needs_u_inside_the_domain():
     # at u = -0.3 rho' was complex, and NotCriticalError quoted it
     with pytest.raises(DomainError, match="outside"):
         stability_exponent(catalog_surface("sphere"), 0.5, -0.3)
+
+
+def test_clairaut_constant_and_anchors_need_u_inside_the_domain():
+    # past pi/2 the sphere's G = cos u < 0, and c came out as -0.7003
+    sphere = catalog_surface("sphere")
+    for u in (2.0, math.pi / 2, 0.0):
+        with pytest.raises(DomainError, match="outside"):
+            clairaut_constant(sphere, 1.0, CatenaryState(u, 0.0, 1.0))
+    # an anchor at u < 0 integrated through u < 0 (z = 1.0445); one past pi/2
+    # was reported as "1/a is not integrable"
+    for u_ref in (-0.5, 2.0):
+        with pytest.raises(DomainError, match="u_ref"):
+            conformal_coordinate(sphere, 0.5, u_ref=u_ref)
+        with pytest.raises(DomainError, match="u_ref"):
+            embed_revolution(sphere, 0.5, 0.0, u_ref=u_ref)
+    # the anchor may sit on either end of the closed domain
+    assert conformal_coordinate(sphere, 0.5, u_ref=0.0) == conformal_coordinate(sphere, 0.5)
+    assert embed_revolution(sphere, 0.5, 0.0, u_ref=math.pi / 2)[2] == \
+        pytest.approx(math.sin(0.5) - 1.0, abs=1e-9)
 
 
 def test_scan_range_must_lie_inside_the_domain():

@@ -10,6 +10,7 @@ from catenary import (
     catalog_surface,
     eval_metric,
     load_profile_csv,
+    profile_surface,
     ruled_surface,
     ruled_surface_from_samples,
     tabulated_profile,
@@ -286,9 +287,23 @@ def test_profile_csv_roundtrip(tmp_path):
 
 def test_profile_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("u,a\n0.1,one\n")
-    with pytest.raises(ConfigError):
-        load_profile_csv(path)
+    for text, message in (("u,a\n0.1,one\n", "non-numeric value"), ("", "empty profile file"),
+                          ("u,a\n0.1,1.0\n0.2\n", ":3: expected two columns")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_profile_csv(path)
+
+
+@pytest.mark.parametrize("a, u_range, message", [
+    (math.cos, (-0.5, 1.0), "bad profile u-range"),
+    (math.cos, (1.0, 1.0), "bad profile u-range"),
+    (math.cos, (0.0, math.nan), "bad profile u-range"),
+    (math.cos, (0.0, 2.0), "must be positive"),  # cos u < 0 past pi/2
+    (lambda u: 0.0, (0.0, 1.0), "must be positive"),
+])
+def test_profile_surface_rejects_bad_input(a, u_range, message):
+    with pytest.raises(ConfigError, match=message):
+        profile_surface(a, lambda u: -math.sin(u), lambda u: -math.cos(u), u_range)
 
 
 def test_catalog_positive_on_domain_grid():
@@ -327,6 +342,12 @@ def test_ruled_surface_from_samples_rejects_bad_samples():
                 ruled_surface_from_samples(*columns)
     for columns in ((vs, fs[:-1], gs), (vs, fs, gs + [0.5]), (vs[:-1], fs, gs)):
         with pytest.raises(ConfigError, match="one f and one g sample per v"):
+            ruled_surface_from_samples(*columns)
+    for columns, message in (((vs[:3], fs[:3], gs[:3]), "at least 4 samples"),
+                             (([0.0, 0.5, 0.5, 1.0, 2.0], fs, gs), "strictly increasing"),
+                             (([0.0, 1.0, 0.5, 1.5, 2.0], fs, gs), "strictly increasing"),
+                             ((vs, fs, [0.5, 0.4, -0.1, 0.5, 0.5]), "nonnegative")):
+        with pytest.raises(ConfigError, match=message):
             ruled_surface_from_samples(*columns)
     for which in range(3):
         columns = [list(vs), list(fs), list(gs)]

@@ -576,3 +576,17 @@ def test_metric_failure_raises_the_error_of_evaluate(run, message):
     with pytest.raises(DegenerateMetricError) as info:
         run(spec)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mode", ["arclength", "graph"])
+def test_trace_without_a_step_has_no_dense_output(mode):
+    # a span under the step floor ends on step_underflow with the start sample
+    # alone; at() raised a bare ValueError
+    sphere = catalog_surface("sphere")
+    if mode == "graph":
+        tr = trace_graph(sphere, 1.0, 0.7, 0.0, (0.0, 1e-300))
+    else:
+        tr = trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), s_max=1e-300)
+    assert (tr.mode, tr.termination, len(tr.samples)) == (mode, "step_underflow", 1)
+    with pytest.raises(ConfigError, match="took no step"):
+        tr.at(0.0)

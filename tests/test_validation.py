@@ -1,10 +1,11 @@
 """The validation suite's own shortcuts against the public functions and oracles."""
 
 import math
-from itertools import islice
+import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from catenary import (
@@ -21,17 +22,29 @@ from oracles import conformal_geodesic_oracle
 
 
 def test_jet_criteria_match_public_functions_bit_for_bit():
-    # the first 300 jets of each surface, drawn as check_criterion_equivalence draws them
-    rng = np.random.default_rng(validation._JET_SEED)
+    # the first 300 jets of each surface, drawn as check_criterion_equivalence
+    # draws them: one generator over all surfaces, every jet of a surface drawn
+    rng = random.Random(validation._JET_SEED)
     for kind, box in validation._JET_BOXES.items():
         spec = catalog_surface(kind)
-        for jet in islice(validation._jet_draws(rng, *box), 300):
+        for jet in list(validation._jet_draws(rng, *box))[:300]:
             g, gu, gv = spec.patch.evaluate(jet[0], jet[1])
             got = validation._jet_criteria(g, gu, gv, *jet)
             public = CurveJet2(*jet)
             want = (catenary_residual(spec, 1.0, public), geodesic_curvature(spec, public),
                     catenary_target_curvature(spec, 1.0, public))
             assert [x.hex() for x in got] == [x.hex() for x in want], (kind, jet)
+
+
+def test_criterion_equivalence_loads_no_numpy():
+    # the random jets come from random.Random, so the check needs no numpy
+    code = ("import sys; from catenary.validation import check_criterion_equivalence; "
+            "results = check_criterion_equivalence(); "
+            "print(all(r.passed for r in results), results[0].detail, "
+            "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "True 0 disagreements out of 108100 jets []"
 
 
 def test_jet_criteria_reject_zero_velocity():
