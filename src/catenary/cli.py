@@ -75,7 +75,7 @@ def _build_surface(args) -> SurfaceSpec:
         raise ConfigError("a --surface kind is required")
     if args.surface == "revolution_profile":
         raise ConfigError("revolution_profile needs --profile CSV with columns u,a")
-    return catalog_surface(args.surface, _parse_params(args.param))
+    return catalog_surface(args.surface, **_parse_params(args.param))
 
 
 # --------------------------------------------------------------------------

@@ -54,8 +54,8 @@ log = logging.getLogger("catenary")
 SCAN_POINTS_PER_DECADE = 1000
 ROOT_XTOL = 1e-12
 DEGENERATE_TOL = 1e-9
-# |rho'(u)| < CRITICAL_TOL makes u a critical parallel: the default root_tol of
-# stability_exponent, and a turning end of quadrature_v at which v diverges
+# |rho'(u)| < CRITICAL_TOL makes u a critical parallel: the check of stability_exponent,
+# and a turning end of quadrature_v at which v diverges
 CRITICAL_TOL = 1e-8
 # |rho(u) - c| <= TURNING_TOL * max(1, c) makes u a turning point of c, both for the
 # tangential roots of turning_points and for the turning ends of quadrature_v
@@ -93,39 +93,35 @@ def _load_quadpack():
     return module
 
 
-def quad(fn, a, b, *, points=(), full_output=0, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
-    """``scipy.integrate.quad`` bit for bit (finite a, b <= inf) via QUADPACK's QAGS/QAGI.
+def quad(fn, a, b, *, points=(), epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """(value, abserr) of ``scipy.integrate.quad`` bit for bit (finite a, b <= inf).
 
-    The n ``points`` strictly inside (a, b) are breakpoints: QAGP starts from
-    the partition they give and may add ``limit`` subintervals to it, which is
-    scipy's ``quad(..., points=points, limit=limit + n)``.
-    Without ``full_output`` a non-converged integral logs a warning, not a Python one.
+    QUADPACK's QAGS/QAGI does the work.  The n ``points`` strictly inside (a, b) are
+    breakpoints: QAGP starts from their partition and may add ``limit`` subintervals,
+    which is scipy's ``quad(..., points=points, limit=limit + n)``.  A non-converged
+    integral logs a warning, not a Python one; rejected input raises ValueError.
     """
     global _quadpack
     if a == b:
-        return (0.0, 0.0, {"neval": 0, "last": 0}) if full_output else (0.0, 0.0)
+        return 0.0, 0.0
     flip, a, b = b < a, min(a, b), max(a, b)
     inner = sorted({p for p in points if a < p < b})
     _quadpack = _quadpack or _load_quadpack()
     if b == math.inf:
         if inner:
             raise ValueError("break points need a finite upper limit")
-        ret = _quadpack._qagie(fn, a, 1, (), full_output, epsabs, epsrel, limit)
+        value, abserr, ier = _quadpack._qagie(fn, a, 1, (), 0, epsabs, epsrel, limit)
     elif inner:  # padded with two zeros, as scipy pads them
-        ret = _quadpack._qagpe(fn, a, b, (*inner, 0.0, 0.0), (), full_output, epsabs, epsrel,
-                               limit + len(inner))
+        value, abserr, ier = _quadpack._qagpe(fn, a, b, (*inner, 0.0, 0.0), (), 0, epsabs,
+                                              epsrel, limit + len(inner))
     else:
-        ret = _quadpack._qagse(fn, a, b, (), full_output, epsabs, epsrel, limit)
-    ier, out = ret[-1], (-ret[0] if flip else ret[0], *ret[1:-1])
-    if ier == 0:
-        return out
-    if ier not in _NOT_CONVERGED:
+        value, abserr, ier = _quadpack._qagse(fn, a, b, (), 0, epsabs, epsrel, limit)
+    if ier in _NOT_CONVERGED:
+        log.warning("integral over [%r, %r] did not converge (ier=%d): %s",
+                    a, b, ier, _NOT_CONVERGED[ier])
+    elif ier:
         raise ValueError(f"QUADPACK rejected its input (ier={ier}, limit={limit!r})")
-    if full_output:
-        return (*out, _NOT_CONVERGED[ier])
-    log.warning("integral over [%r, %r] did not converge (ier=%d): %s",
-                a, b, ier, _NOT_CONVERGED[ier])
-    return out
+    return (-value if flip else value), abserr
 
 
 def _require_profile(spec: SurfaceSpec) -> RevolutionProfile:
@@ -172,9 +168,11 @@ def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
             raise DomainError(f"u_range {tuple(u_range)!r} is not an increasing range "
                               f"inside ({dom.u_min!r}, {dom.u_max!r})")
         return lo, hi
-    lo = dom.u_min + (1e-6 if dom.u_min == 0.0 else 1e-9 * (1.0 + dom.u_min))
-    hi = dom.u_max - 1e-9 if math.isfinite(dom.u_max) else 100.0
-    return lo, hi
+    # margins of at most 1e-3 of the width; an unbounded domain is scanned to max(100, 10 lo)
+    width = dom.u_max - dom.u_min
+    lo = dom.u_min + min(1e-6 if dom.u_min == 0.0 else 1e-9 * (1.0 + dom.u_min), 1e-3 * width)
+    hi = dom.u_max - min(1e-9, 1e-3 * width)
+    return lo, (hi if math.isfinite(hi) else max(100.0, 10.0 * lo))
 
 
 def _scan_grid(lo: float, hi: float):
@@ -275,10 +273,10 @@ def critical_parallels(spec: SurfaceSpec, alpha: float,
     profile = _require_profile(spec)
     check_finite(alpha=alpha)
     lo, hi = _scan_range(spec, u_range)
-    _, rho_u, _ = _rho_funcs(spec, alpha)
+    rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     out = []
     for r in _scan_roots(rho_u, lo, hi, _suspect_pieces(profile, alpha)):
-        lam = stability_exponent(spec, alpha, r, root_tol=math.inf)
+        lam = _exponent(profile, rho, rho_uu, r, rho_u(r))
         out.append(CriticalParallel(u=r, lam=lam, classification=_classify(lam)))
     return out
 
@@ -422,8 +420,11 @@ def _quad(fn, lo: float, hi: float, points=()) -> float:
     return quad(fn, lo, hi, points=points, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
 
 
-def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets, **options):
-    """(value, abserr) of quad(fn, u_ref, u, **options) for every u in targets.
+_ANCHORED_TOLS = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
+
+
+def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets):
+    """(value, abserr) of quad(fn, u_ref, u) at ``_ANCHORED_TOLS`` for every u in targets.
 
     An analytic profile takes one quad call per target.  A tabulated one takes
     one call per gap between u_ref and the sorted targets, with its knots, where
@@ -431,14 +432,14 @@ def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets, **options)
     and so are their abserr.
     """
     if not profile.knots:
-        return [quad(fn, u_ref, u, **options)[:2] for u in targets]
+        return [quad(fn, u_ref, u, **_ANCHORED_TOLS) for u in targets]
     stops = sorted({u_ref, *targets})
     start = stops.index(u_ref)
     sums = {u_ref: (0.0, 0.0)}
     for path in (stops[start:], stops[start::-1]):
         total = err = 0.0
         for a, b in zip(path, path[1:]):
-            piece, piece_err = quad(fn, a, b, points=profile.knots, **options)[:2]
+            piece, piece_err = quad(fn, a, b, points=profile.knots, **_ANCHORED_TOLS)
             total, err = total + piece, err + piece_err
             sums[b] = (total, err)
     return [sums[u] for u in targets]
@@ -469,8 +470,7 @@ def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None
     integral diverges.
     """
     profile, u_ref = _anchored(spec, [(u, 0.0)], u_ref)
-    [(z, abserr)] = _integrals(lambda t: 1.0 / profile.a(t), profile, u_ref, [u],
-                               epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)
+    [(z, abserr)] = _integrals(lambda t: 1.0 / profile.a(t), profile, u_ref, [u])
     # only the error estimate decides: QUADPACK flags round-off on accurate values
     if not (math.isfinite(z) and abserr <= 1e-9 * max(1.0, abs(z))):
         raise DomainError(
@@ -479,8 +479,7 @@ def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None
     return z
 
 
-def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
-                       root_tol: float = CRITICAL_TOL) -> float:
+def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float) -> float:
     """Linearized oscillation coefficient lambda at a critical parallel.
 
     In conformal coordinates the radial deviation obeys dz'' = -lambda dz
@@ -490,7 +489,7 @@ def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
 
     where d/dz = a(u) d/du.  Positive lambda means bounded oscillation
     (rho has a maximum), negative means exponential departure.  u_star must
-    lie inside the open domain (DomainError).
+    lie inside the open domain (DomainError) with |rho'| < ``CRITICAL_TOL`` (NotCriticalError).
     """
     profile = _require_profile(spec)
     check_finite(alpha=alpha, u_star=u_star)
@@ -499,15 +498,19 @@ def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float, *,
         raise DomainError(f"u_star={u_star!r} outside ({dom.u_min!r}, {dom.u_max!r})")
     rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     slope = rho_u(u_star)
-    if not abs(slope) < root_tol:
+    if not abs(slope) < CRITICAL_TOL:
         raise NotCriticalError(
-            f"rho'({u_star!r}) = {slope!r} is not within {root_tol!r} of zero"
+            f"rho'({u_star!r}) = {slope!r} is not within {CRITICAL_TOL!r} of zero"
         )
-    a_val = profile.a(u_star)
-    a_slope = profile.a_u(u_star)
-    rb = rho(u_star)
+    return _exponent(profile, rho, rho_uu, u_star, slope)
+
+
+def _exponent(profile: RevolutionProfile, rho, rho_uu, u: float, slope: float) -> float:
+    """``stability_exponent``'s lambda at u, where rho'(u) = slope; nothing is checked."""
+    a_val = profile.a(u)
+    rb = rho(u)
     rb_z = a_val * slope
-    rb_zz = a_val * a_val * rho_uu(u_star) + a_val * a_slope * slope
+    rb_zz = a_val * a_val * rho_uu(u) + a_val * profile.a_u(u) * slope
     return -2.0 * (rb * rb_zz + rb_z * rb_z) / rb ** 4
 
 
@@ -542,8 +545,7 @@ def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
         rad = 1.0 - realizable_slope(t) ** 2
         return math.sqrt(rad) if rad > 0.0 else 0.0
 
-    heights = _integrals(db, profile, u_ref, [u for u, _ in points],
-                         epsabs=1e-13, epsrel=1e-12, limit=200)
+    heights = _integrals(db, profile, u_ref, [u for u, _ in points])
     out = []
     for (u, v), (b, _) in zip(points, heights):
         a_val = profile.a(u)

@@ -218,7 +218,7 @@ CATALOG_PARAMS = {
 CATALOG_KINDS = tuple(CATALOG_PARAMS)
 
 
-def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceSpec:
+def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
     """Build a built-in surface by name.
 
     Optional parameters: hyperbolic ``r`` (default 1), cone ``slope``
@@ -226,29 +226,27 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
     sphere ``extended`` (domain (0, pi) instead of (0, pi/2); queries beyond
     the equator's focal distance then fail with G <= 0).
     """
-    merged = dict(params or {})
-    merged.update(kwargs)
     if kind not in CATALOG_PARAMS:
         raise ConfigError(f"unknown surface kind: {kind!r}")
-    unknown = set(merged) - set(CATALOG_PARAMS[kind])
+    unknown = set(params) - set(CATALOG_PARAMS[kind])
     if unknown:
         raise ConfigError(f"unknown parameter(s) {sorted(unknown)} for kind {kind!r}")
 
     if kind in ("plane", "cylinder"):
-        return _revolution_spec(kind, merged, kind, *_const_profile(1.0), Domain(0.0, _INF))
+        return _revolution_spec(kind, params, kind, *_const_profile(1.0), Domain(0.0, _INF))
 
     if kind == "sphere":
-        extended = bool(merged.get("extended", False))
+        extended = bool(params.get("extended", False))
         u_max = math.pi if extended else math.pi / 2
         return _revolution_spec(
-            kind, merged, "sphere",
+            kind, params, "sphere",
             math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u),
             lambda u, v: (math.cos(u), -math.sin(u), 0.0),
             Domain(0.0, u_max),
         )
 
     if kind == "hyperbolic":
-        r = _positive_param(merged, "r", 1.0)
+        r = _positive_param(params, "r", 1.0)
 
         def hyperbolic(u, v):
             x = u / r
@@ -260,34 +258,34 @@ def catalog_surface(kind: str, params: dict | None = None, **kwargs) -> SurfaceS
             lambda u: math.sinh(u / r) / r,
             lambda u: math.cosh(u / r) / (r * r),
             hyperbolic,
-            Domain(0.0, _INF),
+            Domain(0.0, _INF), warning=True,  # sinh(u/r)/r is unbounded
         )
 
     if kind == "cone":
-        slope = _positive_param(merged, "slope", math.sqrt(0.5))
+        slope = _positive_param(params, "slope", math.sqrt(0.5))
         return _revolution_spec(
             kind, {"slope": slope}, f"cone(slope={slope:g})",
             lambda u: slope * u, lambda u: slope, lambda u: 0.0,
             lambda u, v: (slope * u, slope, 0.0),
-            Domain(0.0, _INF),
+            Domain(0.0, _INF), warning=slope > 1.0,
         )
 
     if kind in ("catenoid", "helicoid"):
-        return _revolution_spec(kind, merged, kind, *_sqrt_profile(1.0), Domain(0.0, _INF))
+        return _revolution_spec(kind, params, kind, *_sqrt_profile(1.0), Domain(0.0, _INF))
 
     if kind == "binormal":
-        tau = _positive_param(merged, "tau", 1.0)
-        return _revolution_spec(kind, {"tau": tau}, f"binormal(tau={tau:g})",
-                                *_sqrt_profile(tau), Domain(0.0, _INF))
+        tau = _positive_param(params, "tau", 1.0)
+        return _revolution_spec(kind, {"tau": tau}, f"binormal(tau={tau:g})",  # sup a' = tau
+                                *_sqrt_profile(tau), Domain(0.0, _INF), warning=tau > 1.0)
 
     if kind == "grusin":
         return _revolution_spec(
-            kind, merged, "grusin",
+            kind, params, "grusin",
             lambda u: 1.0 / u,
             lambda u: -1.0 / (u * u),
             lambda u: 2.0 / (u * u * u),
             lambda u, v: (1.0 / u, -1.0 / (u * u), 0.0),
-            Domain(0.0, _INF),
+            Domain(0.0, _INF), warning=True,  # 1/u^2 > 1 for u < 1
         )
 
     raise ConfigError(f"unknown surface kind: {kind!r}")  # pragma: no cover

@@ -51,6 +51,7 @@ def test_param_builds_the_given_surface(tmp_path):
     (["--surface", "sphere", "--profile", "prof.csv"], "--profile implies"),
     ([], "a --surface kind is required"),
     (["--surface", "revolution_profile"], "needs --profile"),
+    (["--surface", "sphere", "--param", "kind=1"], "unknown parameter(s) ['kind']"),
 ])
 def test_bad_surface_arguments_exit_2(surface_args, message, capsys):
     code = run(["trace", *surface_args, "--u0", "1", "--phi0", "0.5", "--smax", "1"])
@@ -320,6 +321,43 @@ def test_empty_trace_emission_rejected(tmp_path):
     from catenary import ConfigError
     with pytest.raises(ConfigError):
         emit_trace(trace, "csv", str(tmp_path / "e.csv"))
+
+
+@pytest.mark.parametrize("ruled, format, embed, message", [
+    (True, "csv", True, "--embed requires a rotationally symmetric surface"),
+    (False, "xml", False, "unknown format 'xml'"),
+])
+def test_emit_trace_rejects_what_it_cannot_write(ruled, format, embed, message, tmp_path):
+    from catenary import ConfigError, ruled_surface
+
+    spec = catalog_surface("sphere") if not ruled else \
+        ruled_surface(lambda v: 0.0, lambda v: 1.0, lambda v: 0.0, lambda v: 0.0)
+    trace = trace_catenary(spec, 1.0, CatenaryState(0.7, 0.0, 1.0), s_max=1.0)
+    with pytest.raises(ConfigError, match=message):
+        emit_trace(trace, format, str(tmp_path / "t.out"), embed=embed)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    # the rename onto a directory fails after the text went to the temporary file
+    target = tmp_path / "taken"
+    target.mkdir()
+    code = run(["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1.0",
+                "--smax", "1", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+
+
+def test_clairaut_on_a_profile_narrower_than_the_scan_margin(tmp_path, capsys):
+    # the default scan started 1e-6 above u = 0, past the last sample
+    (tmp_path / "narrow.csv").write_text("u,a\n0,1\n1e-07,1.01\n2e-07,1.02\n3e-07,1.03\n"
+                                         "4e-07,1.04\n")
+    code = run(["clairaut", "--profile", str(tmp_path / "narrow.csv"), "--c", "2e-7"])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["critical_parallels"] == [] and len(doc["turning_points"]) == 1
 
 
 def test_quadrature_non_numeric_u1_exits_2(capsys):

@@ -20,9 +20,11 @@ from catenary import (
     quadrature_v,
     ruled_surface_from_samples,
     stability_exponent,
+    tabulated_profile,
     trace_catenary,
     turning_points,
 )
+from catenary.revolution import _scan_range
 from catenary.validation import bisect_oracle
 from oracles import (
     CATENOID_IMPROPER_HALF,
@@ -268,6 +270,10 @@ def test_clairaut_constant_and_anchors_need_u_inside_the_domain():
     for u in (2.0, math.pi / 2, 0.0):
         with pytest.raises(DomainError, match="outside"):
             clairaut_constant(sphere, 1.0, CatenaryState(u, 0.0, 1.0))
+        with pytest.raises(DomainError, match="outside"):
+            conformal_coordinate(sphere, u)
+        with pytest.raises(DomainError, match="outside"):
+            embed_revolution(sphere, u, 0.0)
     # an anchor at u < 0 integrated through u < 0 (z = 1.0445); one past pi/2
     # was reported as "1/a is not integrable"
     for u_ref in (-0.5, 2.0):
@@ -292,6 +298,51 @@ def test_scan_range_must_lie_inside_the_domain():
             turning_points(sphere, 1.0, 0.5, u_range)
     [inside] = critical_parallels(sphere, 1.0, (0.5, 1.2))
     assert inside.u == pytest.approx(USTAR, abs=1e-11)
+
+
+def test_default_scan_range_keeps_its_margins():
+    # 1e-6 off u = 0, 1e-9 (relative above u = 0) off a finite edge, u <= 100 on an unbounded
+    # domain: the ranges every catalog kind and wide profile were scanned on
+    for kind in ("plane", "cylinder", "sphere", "hyperbolic", "cone", "catenoid", "helicoid",
+                 "binormal", "grusin"):
+        spec = catalog_surface(kind)
+        hi = spec.domain.u_max - 1e-9 if math.isfinite(spec.domain.u_max) else 100.0
+        assert _scan_range(spec, None) == (1e-6, hi)
+    for u_range in ((0.0, 1e-3), (0.5, 3.0), (9.5, math.inf)):
+        spec = profile_surface(lambda u: 2.0, lambda u: 0.0, lambda u: 0.0, u_range)
+        lo = u_range[0] + (1e-6 if u_range[0] == 0.0 else 1e-9 * (1.0 + u_range[0]))
+        assert _scan_range(spec, None) == \
+            (lo, u_range[1] - 1e-9 if math.isfinite(u_range[1]) else 100.0)
+
+
+def _quadratic_profile(u_range):
+    return profile_surface(lambda u: 1.0 + u * u, lambda u: 2.0 * u, lambda u: 2.0, u_range)
+
+
+def test_default_scan_range_reaches_past_a_domain_start_above_100():
+    # the scan stopped at u = 100, below the domain's start: "bad scan range"
+    spec = _quadratic_profile((200.0, math.inf))
+    assert critical_parallels(spec, 1.0) == []  # rho = u + u^3 is increasing
+    [u] = turning_points(spec, 1.0, 300.0 * (1.0 + 300.0 ** 2))
+    assert u == pytest.approx(300.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    _quadratic_profile((0.0, 5e-7)),
+    tabulated_profile([(k * 1e-7, 1.0 + 0.01 * k) for k in range(5)]),
+], ids=["analytic", "tabulated"])
+def test_default_scan_range_fits_a_domain_narrower_than_its_margin(spec):
+    # u_min + 1e-6 lay past u_max: "bad scan range"
+    assert critical_parallels(spec, 1.0) == []
+    [u] = turning_points(spec, 1.0, 2e-7 * spec.profile.a(2e-7))
+    assert u == pytest.approx(2e-7, rel=1e-9)
+
+
+def test_bisect_oracle_ends_and_brackets():
+    assert bisect_oracle(lambda u: u - 1.0, 1.0, 2.0) == 1.0
+    assert bisect_oracle(lambda u: u - 2.0, 1.0, 2.0) == 2.0
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect_oracle(lambda u: u, 1.0, 2.0)
 
 
 def test_quadrature_rejects_divergent_tail():
@@ -347,6 +398,11 @@ def test_embed_rejects_steep_profiles():
                             lambda u: 0.0, (0.0, 10.0))
     with pytest.raises(NotRealizableError):
         embed_revolution(steep, 1.0, 0.0)
+    # sinh u > 1 past u = 0.88, as the hyperbolic plane's profile_warning says
+    hyperbolic = catalog_surface("hyperbolic")
+    assert hyperbolic.profile_warning
+    with pytest.raises(NotRealizableError):
+        embed_revolution(hyperbolic, 1.0, 0.0, u_ref=0.1)
     # abstract metrics remain valid for everything else
     assert clairaut_constant(steep, 1.0, CatenaryState(1.0, 0.0, 1.0)) > 0.0
 

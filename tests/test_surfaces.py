@@ -89,6 +89,11 @@ def test_catalog_rejects_bad_input():
         catalog_surface("cone", slope=0.0)
     with pytest.raises(ConfigError):
         catalog_surface("plane", r=1.0)
+    with pytest.raises(ConfigError, match="not a number"):
+        catalog_surface("cone", slope="x")
+    # the kind is positional only, so a parameter named kind is just unknown
+    with pytest.raises(ConfigError, match="unknown parameter"):
+        catalog_surface("sphere", kind=1.0)
 
 
 def test_finite_difference_partials_match_analytic():
@@ -158,12 +163,15 @@ def test_ruled_metric_degenerate():
         eval_metric(_ruled(-1.0, 0.0), 0.5, 0.0)
 
 
-@pytest.mark.parametrize("kind, params", [
+CATALOG_CASES = [
     ("plane", {}), ("cylinder", {}), ("sphere", {}), ("sphere", {"extended": True}),
     ("hyperbolic", {}), ("hyperbolic", {"r": 2.0}), ("cone", {}), ("cone", {"slope": 0.5}),
     ("catenoid", {}), ("helicoid", {}), ("binormal", {}), ("binormal", {"tau": 2.0}),
-    ("grusin", {}),
-])
+    ("grusin", {}), ("cone", {"slope": 2.0}), ("binormal", {"tau": 0.5}),
+]
+
+
+@pytest.mark.parametrize("kind, params", CATALOG_CASES)
 def test_fused_catalog_kernel_matches_profile_bit_for_bit(kind, params):
     spec = catalog_surface(kind, **params)
     top = min(spec.domain.u_max, 30.0)
@@ -171,6 +179,16 @@ def test_fused_catalog_kernel_matches_profile_bit_for_bit(kind, params):
     p = spec.profile
     for u in us:
         assert repr(spec.patch.metric(u, 0.3)) == repr((p.a(u), p.a_u(u), 0.0)), u
+
+
+@pytest.mark.parametrize("kind, params", CATALOG_CASES)
+def test_catalog_profile_warning_is_max_slope_above_one(kind, params):
+    # hyperbolic sinh(u/r)/r is unbounded, Grusin's 1/u^2 exceeds 1 below u = 1, the
+    # cone's slope is constant and the binormal a' tends to tau; sin u stays <= 1
+    spec = catalog_surface(kind, **params)
+    top = min(spec.domain.u_max, 30.0)
+    slope_max = max(abs(spec.profile.a_u(top * k / 3000)) for k in range(1, 3000))
+    assert spec.profile_warning == (slope_max > 1.0)
 
 
 def test_ruled_surface_from_samples_partials():
@@ -278,7 +296,7 @@ def test_realizability_warning_sees_a_slope_peak_inside_a_piece():
 
 def test_profile_csv_roundtrip(tmp_path):
     path = tmp_path / "profile.csv"
-    path.write_text("u,a\n0.1,1.0\n0.2,1.1\n0.3,1.15\n0.4,1.18\n")
+    path.write_text("u,a\n0.1,1.0\n0.2,1.1\n\n0.3,1.15\n0.4,1.18\n")  # a blank row is skipped
     samples = load_profile_csv(path)
     assert samples == [(0.1, 1.0), (0.2, 1.1), (0.3, 1.15), (0.4, 1.18)]
     spec = tabulated_profile(samples)
