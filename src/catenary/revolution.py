@@ -19,15 +19,14 @@ are QUADPACK breakpoints.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-import os
-import sys
-from importlib import machinery, util
 from typing import NamedTuple
 
 from .errors import (
     ConfigError,
+    DegenerateMetricError,
     DomainError,
     InaccessibleRegionError,
     KindError,
@@ -73,55 +72,56 @@ class CriticalParallel(NamedTuple):
     classification: str  # "stable" | "unstable" | "degenerate"
 
 
-_QUADPACK = "scipy.integrate._quadpack"
-_quadpack = None
 _NOT_CONVERGED = {1: "subdivision limit reached", 2: "round-off detected", 3: "bad integrand",
                   4: "extrapolation fails", 5: "probably divergent", 7: "abnormal termination"}
-
-
-def _load_quadpack():
-    """scipy's compiled QUADPACK module, loaded from its file: no scipy ``__init__`` runs."""
-    if _QUADPACK in sys.modules:
-        return sys.modules[_QUADPACK]
-    scipy = util.find_spec("scipy")
-    if scipy is None:
-        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-    spec = machinery.FileFinder(os.path.join(scipy.submodule_search_locations[0], "integrate"), (
-        machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(_QUADPACK)
-    module = util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # files it in sys.modules for scipy.integrate to reuse
-    return module
 
 
 def quad(fn, a, b, *, points=(), epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     """(value, abserr) of ``scipy.integrate.quad`` bit for bit (finite a, b <= inf).
 
-    QUADPACK's QAGS/QAGI does the work.  The n ``points`` strictly inside (a, b) are
-    breakpoints: QAGP starts from their partition and may add ``limit`` subintervals,
-    which is scipy's ``quad(..., points=points, limit=limit + n)``.  A non-converged
-    integral logs a warning, not a Python one; rejected input raises ValueError.
+    QUADPACK's QAGS/QAGI, in the plain-Python port of ``quadpack``, does the work.
+    The n ``points`` strictly inside (a, b) are breakpoints: QAGP starts from their
+    partition and may add ``limit`` subintervals, which is scipy's ``quad(...,
+    points=points, limit=limit + n)``.  A non-converged integral logs a warning,
+    not a Python one; rejected input raises ValueError.
     """
-    global _quadpack
+    from . import quadpack  # imported on first use: a process that never integrates skips it
+
     if a == b:
         return 0.0, 0.0
     flip, a, b = b < a, min(a, b), max(a, b)
     inner = sorted({p for p in points if a < p < b})
-    _quadpack = _quadpack or _load_quadpack()
     if b == math.inf:
         if inner:
             raise ValueError("break points need a finite upper limit")
-        value, abserr, ier = _quadpack._qagie(fn, a, 1, (), 0, epsabs, epsrel, limit)
-    elif inner:  # padded with two zeros, as scipy pads them
-        value, abserr, ier = _quadpack._qagpe(fn, a, b, (*inner, 0.0, 0.0), (), 0, epsabs,
-                                              epsrel, limit + len(inner))
+        value, abserr, ier = quadpack.qagie(fn, a, epsabs, epsrel, limit)
+    elif inner:
+        value, abserr, ier = quadpack.qagpe(fn, a, b, inner, epsabs, epsrel, limit + len(inner))
     else:
-        value, abserr, ier = _quadpack._qagse(fn, a, b, (), 0, epsabs, epsrel, limit)
+        value, abserr, ier = quadpack.qagse(fn, a, b, epsabs, epsrel, limit)
     if ier in _NOT_CONVERGED:
         log.warning("integral over [%r, %r] did not converge (ier=%d): %s",
                     a, b, ier, _NOT_CONVERGED[ier])
     elif ier:
         raise ValueError(f"QUADPACK rejected its input (ier={ier}, limit={limit!r})")
     return (-value if flip else value), abserr
+
+
+def _profile_errors(fn):
+    """``fn(spec, ...)``, raising DegenerateMetricError for an ArithmeticError or ValueError.
+
+    Such errors come from the profile's callables (an overflowing cosh, say);
+    ``MetricPatch.evaluate`` turns those of the metric into the same error.
+    """
+    @functools.wraps(fn)
+    def guarded(spec, *args, **kwargs):
+        try:
+            return fn(spec, *args, **kwargs)
+        except (ArithmeticError, ValueError) as exc:
+            raise DegenerateMetricError(
+                f"profile of {spec.identifier} fails in {fn.__name__}: {exc}") from exc
+
+    return guarded
 
 
 def _require_profile(spec: SurfaceSpec) -> RevolutionProfile:
@@ -148,6 +148,7 @@ def _rho_funcs(spec: SurfaceSpec, alpha: float):
     return rho, rho_u, rho_uu
 
 
+@_profile_errors
 def clairaut_constant(spec: SurfaceSpec, alpha: float, state: CatenaryState) -> float:
     """Conserved quantity u^alpha * a(u) * sin(phi) of a unit-speed state."""
     profile = _require_profile(spec)
@@ -261,6 +262,7 @@ def _scan_roots(fn, lo, hi, pieces) -> list[float]:
     return dedup
 
 
+@_profile_errors
 def critical_parallels(spec: SurfaceSpec, alpha: float,
                        u_range: tuple[float, float] | None = None
                        ) -> list[CriticalParallel]:
@@ -291,6 +293,7 @@ def _classify(lam: float) -> str:
     return "stable" if lam > 0.0 else "unstable"
 
 
+@_profile_errors
 def turning_points(spec: SurfaceSpec, alpha: float, c: float,
                    u_range: tuple[float, float] | None = None) -> list[float]:
     """Sorted solutions of rho(u) = c in the range (extrema of u along traces).
@@ -321,6 +324,7 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     return roots
 
 
+@_profile_errors
 def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
                  u0: float, u1: float) -> float:
     """v-advance of a trace with Clairaut constant c between u0 and u1.
@@ -358,8 +362,12 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     a = profile.a
 
     def q(t, c=c):
-        at = a(t)  # rho(t) = t ** alpha * a(t), with a read once
-        rad = (t ** alpha * at / c) ** 2 - 1.0
+        at = a(t)
+        ratio = t ** alpha * at / c  # rho(t) / c, with a read once
+        try:
+            rad = ratio ** 2 - 1.0
+        except OverflowError:  # then sqrt(ratio ** 2 - 1) is ratio in floats
+            return 1.0 / (at * ratio)
         if rad <= 0.0:
             return 0.0
         return 1.0 / (at * math.sqrt(rad))
@@ -461,6 +469,7 @@ def _anchored(spec: SurfaceSpec, points, u_ref: float | None):
     return profile, u_ref
 
 
+@_profile_errors
 def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None) -> float:
     """Conformal coordinate z(u) = int_{u_ref}^{u} dt/a(t), increasing in u.
 
@@ -479,6 +488,7 @@ def conformal_coordinate(spec: SurfaceSpec, u: float, u_ref: float | None = None
     return z
 
 
+@_profile_errors
 def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float) -> float:
     """Linearized oscillation coefficient lambda at a critical parallel.
 
@@ -514,6 +524,7 @@ def _exponent(profile: RevolutionProfile, rho, rho_uu, u: float, slope: float) -
     return -2.0 * (rb * rb_zz + rb_z * rb_z) / rb ** 4
 
 
+@_profile_errors
 def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
                ) -> list[tuple[float, float, float]]:
     """``embed_revolution`` of every (u, v) in points, from one anchor.

@@ -461,6 +461,8 @@ def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
 
     Positivity of a and ``profile_warning`` (|a'| > 1) come from 199 interior probe
     points, so a slope peak between them is missed; ``tabulated_profile``'s is exact.
+    On an unbounded domain the probes span only [u_min, u_min + 10]: a profile that
+    turns non-positive or steeper than 1 beyond that is neither rejected nor flagged.
     """
     lo, hi = float(u_range[0]), float(u_range[1])
     if not (lo >= 0.0 and hi > lo):

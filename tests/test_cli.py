@@ -436,17 +436,45 @@ def test_validate_loads_no_scipy_integrate(tmp_path):
     import subprocess
     import sys
 
-    # the conformal oracle has its own stepper and quadrature loads only
-    # QUADPACK's compiled core, so scipy.integrate's __init__, which pulls in
-    # scipy.optimize and scipy.sparse, never runs
+    # the conformal oracle has its own stepper and QUADPACK is plain Python,
+    # so no numpy or scipy module is loaded at all
     code = ("import sys; from catenary.cli import run; "
             f"code = run(['validate', '--all', '--out', {str(tmp_path / 'r.json')!r}]); "
-            "print(code, sorted(m for m in sys.modules if m == 'scipy.integrate'"
-            " or m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'])))")
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.splitlines()[-1] == "0 []"
     assert json.loads((tmp_path / "r.json").read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["quadrature", "--surface", "catenoid", "--c", "0.5", "--u0", "1.5", "--u1", "inf"],
+    ["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1", "--smax", "3", "--embed"],
+    ["clairaut", "--profile", "prof.csv", "--c", "0.5"],
+])
+def test_quadrature_commands_load_no_numpy_or_scipy(argv, tmp_path):
+    import subprocess
+    import sys
+
+    # QUADPACK runs in plain Python: integrating commands load neither package
+    profile = tmp_path / "prof.csv"
+    profile.write_text("u,a\n" + "".join(
+        f"{0.05 + j * 1.45 / 149!r},{math.cos(0.05 + j * 1.45 / 149)!r}\n" for j in range(150)))
+    argv = [str(profile) if arg == "prof.csv" else arg for arg in argv]
+    code = ("import sys; from catenary.cli import run; "
+            f"code = run({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_quadrature_past_the_profile_overflow_exits_2(capsys):
+    # cosh(800) overflows in the profile: a library error, not a traceback
+    code = run(["quadrature", "--surface", "hyperbolic", "--c", "0.5", "--u0", "1",
+                "--u1", "800"])
+    assert code == 2
+    assert "profile of hyperbolic" in capsys.readouterr().err
 
 
 def test_embed_on_tabulated_profile_prints_no_integration_warning(tmp_path):

@@ -1,12 +1,14 @@
 """``revolution.quad`` against ``scipy.integrate.quad``, bit for bit.
 
-The library calls scipy's compiled QUADPACK core without importing
-``scipy.integrate``; scipy's own ``quad`` is the oracle here.  ``quad`` returns
-(value, abserr) and logs a warning where scipy raises ``IntegrationWarning``.
+The library runs its own plain-Python port of QUADPACK (``catenary.quadpack``);
+scipy's ``quad``, on its compiled QUADPACK, is the oracle here.  ``quad``
+returns (value, abserr) and logs a warning, with QUADPACK's ier, where scipy
+raises ``IntegrationWarning``.
 """
 
 import logging
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -28,6 +30,10 @@ from catenary import (
 from catenary.revolution import quad
 
 TOLS = {"epsabs": 1e-12, "epsrel": 1e-11, "limit": 200}
+# the start of scipy's warning for each ier that QUADPACK reports without failing
+SCIPY_WARNINGS = {1: "The maximum number of subdivisions", 2: "The occurrence of roundoff",
+                  3: "Extremely bad integrand", 4: "The algorithm does not converge",
+                  5: "The integral is probably divergent", 7: "Abnormal termination"}
 
 
 def _bits(x):
@@ -36,6 +42,8 @@ def _bits(x):
 
 def _assert_same(caplog, fn, a, b, points=(), **options):
     """(value, abserr) equal scipy's bit for bit; one warning is logged iff scipy warns.
+
+    The logged warning names the ier of scipy's warning.
 
     Points strictly inside (a, b) go to scipy's ``points=`` as well, with its
     ``limit`` raised by their number; without them scipy takes QAGS or QAGI.
@@ -55,6 +63,9 @@ def _assert_same(caplog, fn, a, b, points=(), **options):
     assert len(got) == 2
     assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1]))
     assert len(logged) == len(warned) <= 1
+    for message, warning in zip(logged, warned):
+        ier = int(re.search(r"\(ier=(\d)\)", message).group(1))
+        assert str(warning.message).startswith(SCIPY_WARNINGS[ier])
     return got, logged
 
 
@@ -167,12 +178,13 @@ def test_invalid_limit_raises_value_error():
         quad(math.sin, 0.0, 1.0, limit=0)
 
 
-def test_missing_scipy_raises_module_not_found(monkeypatch):
-    monkeypatch.setattr(revolution, "_quadpack", None)
-    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack")
-    monkeypatch.setitem(sys.modules, "scipy", None)  # find_spec then reports no scipy
-    with pytest.raises(ModuleNotFoundError, match="scipy"):
-        quad(math.sin, 0.0, 1.0)
+def test_quad_works_without_scipy(monkeypatch):
+    want = quad(_kink, 0.0, 1.0, points=[0.3], **TOLS)
+    for name in ("scipy", "numpy"):  # importing either now raises ImportError
+        monkeypatch.setitem(sys.modules, name, None)
+    assert quad(_kink, 0.0, 1.0, points=[0.3], **TOLS) == want
+    assert quad(math.sin, 0.0, 1.0)[0] == pytest.approx(1.0 - math.cos(1.0), abs=1e-14)
+    assert quad(lambda x: math.exp(-x), 0.0, math.inf)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_non_converged_integral_logs_a_warning(caplog):
@@ -210,16 +222,15 @@ def test_embedding_logs_non_converged_height(caplog):
 
 
 def test_quadrature_and_embedding_import_no_scipy_integrate():
+    # the quadrature is plain Python: no numpy or scipy module is loaded at all
     code = (
         "import math, sys\n"
         "from catenary import catalog_surface, embed_revolution, quadrature_v\n"
         "quadrature_v(catalog_surface('catenoid'), 1, 0.5, 1.5, math.inf)\n"
         "embed_revolution(catalog_surface('sphere'), 0.5, 0.1)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    loaded = eval(out.stdout)
-    assert "scipy.integrate._quadpack" in loaded
-    for name in ("scipy.integrate", "scipy.special", "scipy.optimize"):
-        assert name not in loaded
+    assert out.stdout.strip() == "[]"
+

@@ -6,6 +6,7 @@ import pytest
 from catenary import (
     CatenaryState,
     ConfigError,
+    DegenerateMetricError,
     DomainError,
     InaccessibleRegionError,
     KindError,
@@ -592,3 +593,31 @@ def test_fused_pchip_kernel_gives_the_same_results_as_the_generic_one():
         one, two = (trace_catenary(spec, alpha, start, 4.0, 1e-10) for spec in (fused, generic))
         assert repr((one.samples, one.stats, one.termination)) == \
             repr((two.samples, two.stats, two.termination))
+
+
+def test_quadrature_takes_the_scaled_integrand_where_rho_over_c_squared_overflows():
+    hyp = catalog_surface("hyperbolic")
+    # rho/c reaches 1e306 near u = 700; beyond u = 300 the integrand adds nothing
+    far = quadrature_v(hyp, 1.0, 0.5, 1.0, 700.0)
+    assert far == pytest.approx(quadrature_v(hyp, 1.0, 0.5, 1.0, 300.0), rel=1e-12)
+    assert far == pytest.approx(0.0865545, rel=1e-6)
+    # c = 1e-200 puts rho/c past 1e200 in the tail test; v scales with c when c is tiny
+    cat = catalog_surface("catenoid")
+    assert quadrature_v(cat, 1.0, 1e-200, 1.0, math.inf) == pytest.approx(
+        1e-100 * quadrature_v(cat, 1.0, 1e-100, 1.0, math.inf), rel=1e-12)
+
+
+def test_profile_overflow_raises_degenerate_metric_error():
+    # cosh(u) overflows past u = 710: in the accessibility scan of quadrature_v,
+    # in 1/a and in the root scans
+    hyp = catalog_surface("hyperbolic")
+    with pytest.raises(DegenerateMetricError, match="quadrature_v"):
+        quadrature_v(hyp, 1.0, 0.5, 1.0, 800.0)
+    with pytest.raises(DegenerateMetricError, match="conformal_coordinate"):
+        conformal_coordinate(hyp, 800.0)
+    with pytest.raises(DegenerateMetricError, match="critical_parallels"):
+        critical_parallels(hyp, 1.0, (1.0, 800.0))
+    with pytest.raises(DegenerateMetricError, match="turning_points"):
+        turning_points(hyp, 1.0, 0.5, (1.0, 800.0))
+    with pytest.raises(DegenerateMetricError, match="stability_exponent"):
+        stability_exponent(hyp, 1.0, 750.0)
