@@ -53,15 +53,13 @@ log = logging.getLogger("catenary")
 
 
 def _parse_params(items) -> dict:
+    """{key: value string} of the --param items; catalog_surface converts the values."""
     params = {}
     for item in items or []:
-        key, sep, val = item.partition("=")
+        key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--param expects key=value, got {item!r}")
-        try:
-            params[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"--param {key}: {val!r} is not a number") from None
+        params[key] = value
     return params
 
 

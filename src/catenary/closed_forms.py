@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .curvature import CurveJet2, catenary_residual
-from .errors import ConfigError, DomainError, check_finite
+from .errors import ConfigError, DomainError, _positive, _read_params
 from .revolution import quadrature_v
 from .surfaces import SurfaceSpec, catalog_surface
 
@@ -100,6 +100,11 @@ def hyperbolic_quadrature(r: float, alpha: float, c: float,
 # family objects
 # --------------------------------------------------------------------------
 
+_MU_NU = {"mu": 1.0, "nu": 0.0}
+_FAMILY_PARAMS = {"euclidean": _MU_NU, "cone": _MU_NU, "grusin_catenary": _MU_NU,
+                  "grusin_geodesic": {"u0": None, "v0": 0.0}}
+
+
 def closed_form_family(family: str, **params) -> ClosedFormFamily:
     """Build a ClosedFormFamily by name.
 
@@ -107,16 +112,32 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
     (default 1) and nu (default 0); grusin_geodesic takes u0 and v0
     (default 0).  Any other name or parameter raises ConfigError.
     """
-    if family == "euclidean":
-        mu, nu = _mu_nu(params)
+    if family not in _FAMILY_PARAMS:
+        raise ConfigError(f"unknown closed-form family: {family!r}")
+    params = _read_params(params, _FAMILY_PARAMS[family], f"family {family!r}")
+    if family == "grusin_geodesic":
+        u0, v0 = _positive("u0", params["u0"]), params["v0"]
+        half = math.pi * u0 / 2.0
+
+        def d1(s):
+            return (-math.sin(s / u0), -0.5 * u0 * (1.0 + math.cos(2.0 * s / u0)))
+
+        def d2(s):
+            return (-math.cos(s / u0) / u0, math.sin(2.0 * s / u0))
+
         return ClosedFormFamily(
-            family, {"mu": mu, "nu": nu}, (-math.inf, math.inf),
+            family, params, (-half, half),
+            value=lambda s: grusin_geodesic(u0, v0, s), d1=d1, d2=d2,
+        )
+    mu, nu = _positive("mu", params["mu"]), params["nu"]
+    if family == "euclidean":
+        return ClosedFormFamily(
+            family, params, (-math.inf, math.inf),
             value=lambda t: euclidean_catenary(mu, nu, t),
             d1=lambda t: math.sinh(mu * t + nu),
             d2=lambda t: mu * math.cosh(mu * t + nu),
         )
     if family == "cone":
-        mu, nu = _mu_nu(params)
         rt2 = math.sqrt(2.0)
         lo = (-math.pi / 2 - nu) / rt2
         hi = (math.pi / 2 - nu) / rt2
@@ -131,66 +152,15 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
                          + 1.5 * math.sin(w) ** 2 * math.cos(w) ** -2.5)
 
         return ClosedFormFamily(
-            family, {"mu": mu, "nu": nu}, (lo, hi),
+            family, params, (lo, hi),
             value=lambda v: cone_catenary(mu, nu, v), d1=d1, d2=d2,
         )
-    if family == "grusin_catenary":
-        mu, nu = _mu_nu(params)
-        return ClosedFormFamily(
-            family, {"mu": mu, "nu": nu}, (-nu / 2.0, math.inf),
-            value=lambda v: grusin_catenary(mu, nu, v),
-            d1=lambda v: mu / math.sqrt(2.0 * v + nu),
-            d2=lambda v: -mu * (2.0 * v + nu) ** -1.5,
-        )
-    if family == "grusin_geodesic":
-        u0 = _param(params, "u0")
-        v0 = _param(params, "v0", 0.0)
-        _no_extras(params)
-        _positive("u0", u0)
-        half = math.pi * u0 / 2.0
-
-        def d1(s):
-            return (-math.sin(s / u0), -0.5 * u0 * (1.0 + math.cos(2.0 * s / u0)))
-
-        def d2(s):
-            return (-math.cos(s / u0) / u0, math.sin(2.0 * s / u0))
-
-        return ClosedFormFamily(
-            family, {"u0": u0, "v0": v0}, (-half, half),
-            value=lambda s: grusin_geodesic(u0, v0, s), d1=d1, d2=d2,
-        )
-    raise ConfigError(f"unknown closed-form family: {family!r}")
-
-
-def _mu_nu(params: dict) -> tuple[float, float]:
-    mu = _param(params, "mu", 1.0)
-    nu = _param(params, "nu", 0.0)
-    _no_extras(params)
-    return _positive("mu", mu), nu
-
-
-def _param(params: dict, name: str, default: float | None = None) -> float:
-    """Pop ``params[name]`` (or ``default``) as a finite float, else ConfigError."""
-    if name not in params and default is None:
-        raise ConfigError(f"family parameter {name!r} is required")
-    value = params.pop(name, default)
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"family parameter {name}={value!r} is not a number") from None
-    check_finite(**{name: value})
-    return value
-
-
-def _positive(name: str, value: float) -> float:
-    if not value > 0.0:
-        raise ConfigError(f"{name}={value!r} must be positive")
-    return value
-
-
-def _no_extras(params: dict) -> None:
-    if params:
-        raise ConfigError(f"unknown family parameter(s): {sorted(params)}")
+    return ClosedFormFamily(  # grusin_catenary
+        family, params, (-nu / 2.0, math.inf),
+        value=lambda v: grusin_catenary(mu, nu, v),
+        d1=lambda v: mu / math.sqrt(2.0 * v + nu),
+        d2=lambda v: -mu * (2.0 * v + nu) ** -1.5,
+    )
 
 
 def validate_closed_form(family: ClosedFormFamily, spec: SurfaceSpec,

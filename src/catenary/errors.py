@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, and the checks of numeric parameters."""
 
 import math
 
@@ -44,3 +44,31 @@ def check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name}={value!r} must be finite")
+
+
+def _read_params(params: dict, defaults: dict, owner: str) -> dict:
+    """Each name of ``defaults`` (None: required) from ``params`` as a finite float.
+
+    Unknown and missing names, and values that ``float()`` rejects or that are not
+    finite, raise ConfigError; ``owner`` ("kind 'cone'", say) ends some messages.
+    """
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown parameter(s) {unknown} for {owner}")
+    values = {}
+    for name, default in defaults.items():
+        if name not in params and default is None:
+            raise ConfigError(f"parameter {name!r} is required for {owner}")
+        value = params.get(name, default)
+        try:
+            values[name] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"parameter {name}={value!r} is not a number") from None
+        check_finite(**{name: values[name]})
+    return values
+
+
+def _positive(name: str, value: float) -> float:
+    if not value > 0.0:
+        raise ConfigError(f"{name}={value!r} must be positive")
+    return value

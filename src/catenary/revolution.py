@@ -34,7 +34,7 @@ from .errors import (
     NotRealizableError,
     check_finite,
 )
-from .surfaces import RevolutionProfile, SurfaceSpec, _linspace
+from .surfaces import RevolutionProfile, SurfaceSpec, _far_end, _linspace
 from .tracing import CatenaryState
 
 __all__ = [
@@ -173,7 +173,7 @@ def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
     width = dom.u_max - dom.u_min
     lo = dom.u_min + min(1e-6 if dom.u_min == 0.0 else 1e-9 * (1.0 + dom.u_min), 1e-3 * width)
     hi = dom.u_max - min(1e-9, 1e-3 * width)
-    return lo, (hi if math.isfinite(hi) else max(100.0, 10.0 * lo))
+    return lo, (hi if math.isfinite(hi) else _far_end(lo))
 
 
 def _scan_grid(lo: float, hi: float):
@@ -424,15 +424,15 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     return sign * total
 
 
+_QUAD_TOLS = {"epsabs": 1e-12, "epsrel": 1e-11, "limit": 200}  # of every integral here
+
+
 def _quad(fn, lo: float, hi: float, points=()) -> float:
-    return quad(fn, lo, hi, points=points, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-
-
-_ANCHORED_TOLS = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
+    return quad(fn, lo, hi, points=points, **_QUAD_TOLS)[0]
 
 
 def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets):
-    """(value, abserr) of quad(fn, u_ref, u) at ``_ANCHORED_TOLS`` for every u in targets.
+    """(value, abserr) of quad(fn, u_ref, u) at ``_QUAD_TOLS`` for every u in targets.
 
     An analytic profile takes one quad call per target.  A tabulated one takes
     one call per gap between u_ref and the sorted targets, with its knots, where
@@ -440,14 +440,14 @@ def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets):
     and so are their abserr.
     """
     if not profile.knots:
-        return [quad(fn, u_ref, u, **_ANCHORED_TOLS) for u in targets]
+        return [quad(fn, u_ref, u, **_QUAD_TOLS) for u in targets]
     stops = sorted({u_ref, *targets})
     start = stops.index(u_ref)
     sums = {u_ref: (0.0, 0.0)}
     for path in (stops[start:], stops[start::-1]):
         total = err = 0.0
         for a, b in zip(path, path[1:]):
-            piece, piece_err = quad(fn, a, b, points=profile.knots, **_ANCHORED_TOLS)
+            piece, piece_err = quad(fn, a, b, points=profile.knots, **_QUAD_TOLS)
             total, err = total + piece, err + piece_err
             sums[b] = (total, err)
     return [sums[u] for u in targets]

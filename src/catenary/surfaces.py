@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConfigError, DegenerateMetricError, DomainError, check_finite
+from .errors import (ConfigError, DegenerateMetricError, DomainError, _positive, _read_params,
+                     check_finite)
 
 __all__ = [
     "Domain",
@@ -134,6 +135,11 @@ def eval_metric(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, fl
     return spec.patch.evaluate(u, v)
 
 
+def _far_end(lo: float) -> float:
+    """Where probes and scans of an unbounded u-domain from lo stop."""
+    return max(100.0, 10.0 * lo)
+
+
 def _linspace(a: float, b: float, n: int) -> list[float]:
     """n >= 2 points from a to b: i*step + a with step = (b - a)/(n - 1), the last b exactly."""
     step = (b - a) / (n - 1)
@@ -193,26 +199,17 @@ def _revolution_spec(kind, params, identifier, a, a_u, a_uu, metric, domain,
     )
 
 
-def _positive_param(params: dict, key: str, default: float) -> float:
-    try:
-        value = float(params.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"parameter {key}={params[key]!r} is not a number") from None
-    if not value > 0.0 or not math.isfinite(value):
-        raise ConfigError(f"parameter {key}={value!r} must be a positive finite real")
-    return value
-
-
+# each kind's parameters and their defaults
 CATALOG_PARAMS = {
-    "plane": (),
-    "cylinder": (),
-    "sphere": ("extended",),
-    "hyperbolic": ("r",),
-    "cone": ("slope",),
-    "catenoid": (),
-    "helicoid": (),
-    "binormal": ("tau",),
-    "grusin": (),
+    "plane": {},
+    "cylinder": {},
+    "sphere": {"extended": 0.0},
+    "hyperbolic": {"r": 1.0},
+    "cone": {"slope": math.sqrt(0.5)},
+    "catenoid": {},
+    "helicoid": {},
+    "binormal": {"tau": 1.0},
+    "grusin": {},
 }
 
 CATALOG_KINDS = tuple(CATALOG_PARAMS)
@@ -221,23 +218,21 @@ CATALOG_KINDS = tuple(CATALOG_PARAMS)
 def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
     """Build a built-in surface by name.
 
-    Optional parameters: hyperbolic ``r`` (default 1), cone ``slope``
-    (default 1/sqrt(2), the 45-degree cone), binormal ``tau`` (default 1),
-    sphere ``extended`` (domain (0, pi) instead of (0, pi/2); queries beyond
-    the equator's focal distance then fail with G <= 0).
+    Optional parameters, each converted by ``float()``: hyperbolic ``r``
+    (default 1), cone ``slope`` (default 1/sqrt(2), the 45-degree cone),
+    binormal ``tau`` (default 1), sphere ``extended`` (nonzero: domain (0, pi)
+    instead of (0, pi/2); queries beyond the equator's focal distance then
+    fail with G <= 0).  ``params`` of the result holds the converted values.
     """
     if kind not in CATALOG_PARAMS:
         raise ConfigError(f"unknown surface kind: {kind!r}")
-    unknown = set(params) - set(CATALOG_PARAMS[kind])
-    if unknown:
-        raise ConfigError(f"unknown parameter(s) {sorted(unknown)} for kind {kind!r}")
+    params = _read_params(params, CATALOG_PARAMS[kind], f"kind {kind!r}")
 
     if kind in ("plane", "cylinder"):
         return _revolution_spec(kind, params, kind, *_const_profile(1.0), Domain(0.0, _INF))
 
     if kind == "sphere":
-        extended = bool(params.get("extended", False))
-        u_max = math.pi if extended else math.pi / 2
+        u_max = math.pi if params["extended"] else math.pi / 2
         return _revolution_spec(
             kind, params, "sphere",
             math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u),
@@ -246,14 +241,14 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
         )
 
     if kind == "hyperbolic":
-        r = _positive_param(params, "r", 1.0)
+        r = _positive("r", params["r"])
 
         def hyperbolic(u, v):
             x = u / r
             return math.cosh(x), math.sinh(x) / r, 0.0
 
         return _revolution_spec(
-            kind, {"r": r}, f"hyperbolic(r={r:g})",
+            kind, params, f"hyperbolic(r={r:g})",
             lambda u: math.cosh(u / r),
             lambda u: math.sinh(u / r) / r,
             lambda u: math.cosh(u / r) / (r * r),
@@ -262,9 +257,9 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
         )
 
     if kind == "cone":
-        slope = _positive_param(params, "slope", math.sqrt(0.5))
+        slope = _positive("slope", params["slope"])
         return _revolution_spec(
-            kind, {"slope": slope}, f"cone(slope={slope:g})",
+            kind, params, f"cone(slope={slope:g})",
             lambda u: slope * u, lambda u: slope, lambda u: 0.0,
             lambda u, v: (slope * u, slope, 0.0),
             Domain(0.0, _INF), warning=slope > 1.0,
@@ -274,21 +269,18 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
         return _revolution_spec(kind, params, kind, *_sqrt_profile(1.0), Domain(0.0, _INF))
 
     if kind == "binormal":
-        tau = _positive_param(params, "tau", 1.0)
-        return _revolution_spec(kind, {"tau": tau}, f"binormal(tau={tau:g})",  # sup a' = tau
+        tau = _positive("tau", params["tau"])
+        return _revolution_spec(kind, params, f"binormal(tau={tau:g})",  # sup a' = tau
                                 *_sqrt_profile(tau), Domain(0.0, _INF), warning=tau > 1.0)
 
-    if kind == "grusin":
-        return _revolution_spec(
-            kind, params, "grusin",
-            lambda u: 1.0 / u,
-            lambda u: -1.0 / (u * u),
-            lambda u: 2.0 / (u * u * u),
-            lambda u, v: (1.0 / u, -1.0 / (u * u), 0.0),
-            Domain(0.0, _INF), warning=True,  # 1/u^2 > 1 for u < 1
-        )
-
-    raise ConfigError(f"unknown surface kind: {kind!r}")  # pragma: no cover
+    return _revolution_spec(  # grusin
+        kind, params, "grusin",
+        lambda u: 1.0 / u,
+        lambda u: -1.0 / (u * u),
+        lambda u: 2.0 / (u * u * u),
+        lambda u, v: (1.0 / u, -1.0 / (u * u), 0.0),
+        Domain(0.0, _INF), warning=True,  # 1/u^2 > 1 for u < 1
+    )
 
 
 # --------------------------------------------------------------------------
@@ -461,16 +453,25 @@ def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
 
     Positivity of a and ``profile_warning`` (|a'| > 1) come from 199 interior probe
     points, so a slope peak between them is missed; ``tabulated_profile``'s is exact.
-    On an unbounded domain the probes span only [u_min, u_min + 10]: a profile that
-    turns non-positive or steeper than 1 beyond that is neither rejected nor flagged.
+    An unbounded domain gets 200 probes on (u_min, u_min + 10] and 199 more out to
+    max(100, 10 u_min), the end of the root scans of ``critical_parallels`` and
+    ``turning_points``; nothing beyond is checked.  A callable that raises
+    ArithmeticError or ValueError on a probe raises ConfigError.
     """
     lo, hi = float(u_range[0]), float(u_range[1])
     if not (lo >= 0.0 and hi > lo):
         raise ConfigError(f"bad profile u-range {u_range!r}")
-    probe = _linspace(lo, hi if math.isfinite(hi) else lo + 10.0, 201)[1:-1]
-    if not all(a(t) > 0.0 for t in probe):
-        raise ConfigError("profile a(u) must be positive on its domain")
-    warning = bool(max(abs(a_u(t)) for t in probe) > 1.0)
+    if math.isfinite(hi):
+        probe = _linspace(lo, hi, 201)[1:-1]
+    else:
+        probe = _linspace(lo, lo + 10.0, 201)[1:] + _linspace(lo + 10.0, _far_end(lo), 200)[1:]
+    try:
+        if not all(a(t) > 0.0 for t in probe):
+            raise ConfigError("profile a(u) must be positive on its domain")
+        warning = bool(max(abs(a_u(t)) for t in probe) > 1.0)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"profile callables fail on a probe in [{probe[0]!r}, "
+                          f"{probe[-1]!r}]: {exc!r}") from exc
 
     def generic(u, v):
         return a(u), a_u(u), 0.0

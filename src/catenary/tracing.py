@@ -24,7 +24,8 @@ stage, behind an inline copy of ``MetricPatch.evaluate``'s checks, and never
 per sample: the right-hand side returns the metric it read, and a step-end
 sample reuses the step's last (first-same-as-last) stage.  A point that fails
 the checks goes to ``evaluate``, so its error is the patch's own.  Runtime
-exits are reported through ``Trace.termination``, never as exceptions.
+exits are reported through ``Trace.termination``, never as exceptions; float
+arithmetic that overflows where no step can avoid it raises ConfigError.
 """
 
 from __future__ import annotations
@@ -424,16 +425,21 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, bounds,
     """Drive f from (t0, y0); sample the start, every step end and the exit point.
 
     Each sample is handed the derivative the drive already holds there, with
-    the metric in its last slot.
+    the metric in its last slot.  An ArithmeticError of the drive or of a
+    sample (float range exceeded) raises ConfigError.
     """
-    f0 = f(t0, y0)
-    segments, termination, flag, stats, t_final, y_final, f_final = _drive(
-        f, t0, y0, f0, t_end, tol, max_step, bounds
-    )
-    samples = [sample(alpha, t0, y0, f0)]
-    samples += [sample(alpha, t, y, fy) for _, _, _, t, y, fy in segments[:-1]]
-    if segments:
-        samples.append(sample(alpha, t_final, y_final, f_final))
+    try:
+        f0 = f(t0, y0)
+        segments, termination, flag, stats, t_final, y_final, f_final = _drive(
+            f, t0, y0, f0, t_end, tol, max_step, bounds
+        )
+        samples = [sample(alpha, t0, y0, f0)]
+        samples += [sample(alpha, t, y, fy) for _, _, _, t, y, fy in segments[:-1]]
+        if segments:
+            samples.append(sample(alpha, t_final, y_final, f_final))
+    except ArithmeticError as exc:
+        raise ConfigError(f"{mode} trace from {y0!r} at {t0!r} with alpha={alpha!r} on "
+                          f"{spec.identifier} leaves the float range: {exc!r}") from exc
     residuals = [abs(smp.residual) for smp in samples]
     # max() keeps a finite first value over a later NaN
     stats["max_residual"] = math.nan if any(map(math.isnan, residuals)) else max(residuals)
@@ -485,6 +491,11 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
     Returns:
         A Trace with one sample per accepted step (kappa and the normalized
         residual recorded at each), a termination reason and step statistics.
+
+    Raises:
+        ConfigError for bad options, and where float arithmetic overflows
+        or divides by an underflowed zero (alpha = 1e200 on the plane, say);
+        DomainError for a start outside the domain.
     """
     _check_config(tol, max_step, {"alpha": alpha, "start.u": start.u, "start.v": start.v,
                                   "start.phi": start.phi, "start.s": start.s,
@@ -540,7 +551,9 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
     flag in the stats when |du/dv| exceeds 1/tol: past such a point the
     curve continues as a meridian-tangent arc, which is no longer a graph.
     A span past the domain's v-range ends on "left_domain" without the flag,
-    1e-9 * (1 + |v_max|) inside v_max.
+    1e-9 * (1 + |v_max|) inside v_max.  As in ``trace_catenary``, bad options
+    and float arithmetic that overflows raise ConfigError, a start outside
+    the domain DomainError.
     """
     v0, v1 = float(v_span[0]), float(v_span[1])
     _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0,

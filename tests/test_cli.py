@@ -405,6 +405,30 @@ def test_metric_overflow_ends_trace_on_step_underflow(tmp_path, capsys):
     assert 710.0 < doc["samples"][-1][1] < 711.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--surface", "plane", "--alpha", "1e200", "--u0", "1", "--phi0", "1",
+     "--smax", "4"],
+    ["trace", "--surface", "grusin", "--u0", "1e200", "--phi0", "0", "--smax", "4"],
+    ["trace-graph", "--surface", "plane", "--alpha", "1e200", "--u0", "1", "--v1", "1"],
+])
+def test_trace_beyond_the_float_range_exits_2(argv, capsys):
+    # an OverflowError or ZeroDivisionError of the tracer is a configuration error
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "leaves the float range" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extended, termination", [
+    ("0", "left_domain"),  # u_max = pi/2
+    ("1", "step_underflow"),  # u_max = pi, and G = cos u reaches 0 at pi/2
+])
+def test_sphere_extended_param_sets_the_domain(extended, termination, capsys):
+    assert run(["trace", "--surface", "sphere", "--param", f"extended={extended}",
+                "--u0", "1.5", "--phi0", "0", "--smax", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["termination"] == termination
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1", "--smax", "1"],

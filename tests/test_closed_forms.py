@@ -210,3 +210,14 @@ def test_hyperbolic_quadrature_matches_trace():
 def test_family_rejects_bad_parameters(family, params):
     with pytest.raises(ConfigError):
         closed_form_family(family, **params)
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("grusin_geodesic", {"v0": 1.0}, "parameter 'u0' is required for family 'grusin_geodesic'"),
+    ("cone", {"mu": "x"}, "parameter mu='x' is not a number"),
+    ("euclidean", {"kappa": 1.0}, "unknown parameter(s) ['kappa'] for family 'euclidean'"),
+])
+def test_family_parameter_errors_name_the_parameter(family, params, message):
+    with pytest.raises(ConfigError) as info:
+        closed_form_family(family, **params)
+    assert str(info.value) == message

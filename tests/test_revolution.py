@@ -621,3 +621,24 @@ def test_profile_overflow_raises_degenerate_metric_error():
         turning_points(hyp, 1.0, 0.5, (1.0, 800.0))
     with pytest.raises(DegenerateMetricError, match="stability_exponent"):
         stability_exponent(hyp, 1.0, 750.0)
+
+
+def test_every_integral_uses_one_tolerance_set(monkeypatch):
+    from catenary import revolution
+
+    used, quad = set(), revolution.quad
+
+    def recording(fn, a, b, **options):
+        used.add((options["epsabs"], options["epsrel"], options["limit"]))
+        return quad(fn, a, b, **options)
+
+    monkeypatch.setattr(revolution, "quad", recording)
+    us = [0.1 + 1.9 * j / 39 for j in range(40)]
+    tabulated = tabulated_profile([(u, 1.0 + 0.3 * math.sin(2.0 * u)) for u in us])
+    for spec in (catalog_surface("sphere"), tabulated):
+        quadrature_v(spec, 1.0, 0.3, 0.5, 1.0)
+        conformal_coordinate(spec, 1.2)
+        conformal_coordinate(spec, 0.6, 1.2)
+        embed_revolution(spec, 1.2, 0.3)
+        embed_revolution(spec, 0.6, 0.3, 1.2)
+    assert len(used) == 1, used

@@ -7,7 +7,9 @@ from catenary import (
     ConfigError,
     DegenerateMetricError,
     DomainError,
+    NotRealizableError,
     catalog_surface,
+    embed_revolution,
     eval_metric,
     load_profile_csv,
     profile_surface,
@@ -74,6 +76,10 @@ def test_catalog_matches_expected_profiles():
 
     hyp2 = catalog_surface("hyperbolic", r=2.0)
     assert eval_metric(hyp2, 0.9, 0.0)[0] == math.cosh(0.45)
+    # every parameter goes through float(), as the CLI's strings do
+    from_text = catalog_surface("hyperbolic", r="2")
+    assert (from_text.params, from_text.identifier) == ({"r": 2.0}, hyp2.identifier)
+    assert eval_metric(from_text, 0.9, 0.3) == eval_metric(hyp2, 0.9, 0.3)
 
     grusin = catalog_surface("grusin")
     assert grusin.domain.u_min == 0.0
@@ -91,6 +97,8 @@ def test_catalog_rejects_bad_input():
         catalog_surface("plane", r=1.0)
     with pytest.raises(ConfigError, match="not a number"):
         catalog_surface("cone", slope="x")
+    with pytest.raises(ConfigError, match="must be finite"):
+        catalog_surface("cone", slope=math.inf)
     # the kind is positional only, so a parameter named kind is just unknown
     with pytest.raises(ConfigError, match="unknown parameter"):
         catalog_surface("sphere", kind=1.0)
@@ -318,10 +326,29 @@ def test_profile_csv_rejects_garbage(tmp_path):
     (math.cos, (0.0, math.nan), "bad profile u-range"),
     (math.cos, (0.0, 2.0), "must be positive"),  # cos u < 0 past pi/2
     (lambda u: 0.0, (0.0, 1.0), "must be positive"),
+    # an unbounded domain is probed out to max(100, 10 u_min): a turns negative
+    # at u = 20, and cosh overflows past u = 710
+    (lambda u: 1.0 - u / 20.0, (0.0, math.inf), "must be positive"),
+    (math.cosh, (800.0, math.inf), "profile callables fail on a probe"),
 ])
 def test_profile_surface_rejects_bad_input(a, u_range, message):
     with pytest.raises(ConfigError, match=message):
         profile_surface(a, lambda u: -math.sin(u), lambda u: -math.cos(u), u_range)
+
+
+def test_profile_surface_flags_steep_slopes_near_and_far():
+    # a' = u/50 passes 1 at u = 50, far beyond u_min + 10
+    spec = profile_surface(lambda u: 1.0 + u * u / 100.0, lambda u: u / 50.0,
+                           lambda u: 0.02, (0.0, math.inf))
+    assert spec.profile_warning
+    with pytest.raises(NotRealizableError):
+        embed_revolution(spec, 60.0, 0.0)
+    # a' peaks at 100 on a width of about 0.02 around u = 1.25: [0, 10] keeps
+    # its probes 0.05 apart, so the far probes do not thin them out
+    narrow = profile_surface(lambda u: 2.0 + math.tanh(100.0 * (u - 1.25)),
+                             lambda u: 100.0 * (1.0 - math.tanh(100.0 * (u - 1.25)) ** 2),
+                             lambda u: 0.0, (0.0, math.inf))
+    assert narrow.profile_warning
 
 
 def test_catalog_positive_on_domain_grid():

@@ -590,3 +590,21 @@ def test_trace_without_a_step_has_no_dense_output(mode):
     assert (tr.mode, tr.termination, len(tr.samples)) == (mode, "step_underflow", 1)
     with pytest.raises(ConfigError, match="took no step"):
         tr.at(0.0)
+
+
+@pytest.mark.parametrize("run, start", [
+    # (f0 / sc) ** 2 overflows in the initial step estimate
+    (lambda: trace_catenary(catalog_surface("plane"), 1e200, CatenaryState(1.0, 0.0, 1.0), 4.0),
+     "from (1.0, 0.0, 1.0) at 0.0 with alpha=1e+200 on plane"),
+    (lambda: trace_graph(catalog_surface("plane"), 1e200, 1.0, 0.0, (0.0, 1.0)),
+     "from (1.0, 0.0, 0.0) at 0.0 with alpha=1e+200 on plane"),
+    (lambda: trace_catenary(catalog_surface("sphere"), 1e154, CatenaryState(0.7, 0.0, 1.0), 4.0),
+     "from (0.7, 0.0, 1.0) at 0.0 with alpha=1e+154 on sphere"),
+    # G = 1e-200, so G * G underflows to zero in the sample's curvature
+    (lambda: trace_catenary(catalog_surface("grusin"), 1.0, CatenaryState(1e200, 0.0, 0.0), 4.0),
+     "from (1e+200, 0.0, 0.0) at 0.0 with alpha=1.0 on grusin"),
+], ids=["flow_plane", "graph_plane", "flow_sphere", "flow_grusin_sample"])
+def test_arithmetic_beyond_the_float_range_raises_config_error(run, start):
+    with pytest.raises(ConfigError, match="leaves the float range") as info:
+        run()
+    assert start in str(info.value)
