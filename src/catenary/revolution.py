@@ -32,6 +32,7 @@ from .errors import (
     KindError,
     NotCriticalError,
     NotRealizableError,
+    _positive,
     check_finite,
 )
 from .surfaces import RevolutionProfile, SurfaceSpec, _far_end, _linspace
@@ -108,13 +109,15 @@ def quad(fn, a, b, *, points=(), epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
 
 
 def _profile_errors(fn):
-    """``fn(spec, ...)``, raising DegenerateMetricError for an ArithmeticError or ValueError.
+    """``fn(spec, ...)``, the one way in: KindError unless the spec has a profile.
 
-    Such errors come from the profile's callables (an overflowing cosh, say);
-    ``MetricPatch.evaluate`` turns those of the metric into the same error.
+    An ArithmeticError or ValueError of the profile's callables (an overflowing cosh, say)
+    raises DegenerateMetricError, as ``MetricPatch.evaluate`` does for the metric's.
     """
     @functools.wraps(fn)
     def guarded(spec, *args, **kwargs):
+        if spec.profile is None:
+            raise KindError(f"{spec.identifier} is not rotationally symmetric (G depends on v)")
         try:
             return fn(spec, *args, **kwargs)
         except (ArithmeticError, ValueError) as exc:
@@ -124,10 +127,22 @@ def _profile_errors(fn):
     return guarded
 
 
-def _require_profile(spec: SurfaceSpec) -> RevolutionProfile:
-    if spec.profile is None:
-        raise KindError(f"{spec.identifier} is not rotationally symmetric (G depends on v)")
-    return spec.profile
+def _inside(spec: SurfaceSpec, name: str, u, closed=False, improper=False):
+    """u, a finite number inside the open u-domain (``closed``: the closed one).
+
+    Else ConfigError for a non-number or non-finite u, DomainError for any other; outside,
+    G need not be positive.  An ``improper`` u = +inf passes on an unbounded domain only.
+    """
+    lo, hi, _, _ = spec.domain
+    try:  # strictly inside, u is finite
+        if lo < u < hi or closed and lo <= u <= hi and (improper or math.isfinite(u)):
+            return u
+    except TypeError:  # not a number: check_finite says so
+        pass
+    if not (improper and u == math.inf):
+        check_finite(**{name: u})
+    ends = f"[{lo!r}, {hi!r}]" if closed else f"({lo!r}, {hi!r})"
+    raise DomainError(f"{name}={u!r} outside {ends}")
 
 
 def _rho_funcs(spec: SurfaceSpec, alpha: float):
@@ -151,12 +166,9 @@ def _rho_funcs(spec: SurfaceSpec, alpha: float):
 @_profile_errors
 def clairaut_constant(spec: SurfaceSpec, alpha: float, state: CatenaryState) -> float:
     """Conserved quantity u^alpha * a(u) * sin(phi) of a unit-speed state."""
-    profile = _require_profile(spec)
-    check_finite(alpha=alpha, u=state.u, phi=state.phi)
-    dom = spec.domain
-    if not dom.u_min < state.u < dom.u_max:  # outside, G need not be positive
-        raise DomainError(f"u={state.u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
-    return state.u ** alpha * profile.a(state.u) * math.sin(state.phi)
+    check_finite(alpha=alpha, phi=state.phi)
+    u = _inside(spec, "u", state.u)
+    return u ** alpha * spec.profile.a(u) * math.sin(state.phi)
 
 
 def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
@@ -272,13 +284,12 @@ def critical_parallels(spec: SurfaceSpec, alpha: float,
     list means no parallel of the surface is a critical curve.  Tabulated profiles
     evaluate only the cells around knot pieces where rho' can vanish; the roots are the same.
     """
-    profile = _require_profile(spec)
     check_finite(alpha=alpha)
     lo, hi = _scan_range(spec, u_range)
     rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     out = []
-    for r in _scan_roots(rho_u, lo, hi, _suspect_pieces(profile, alpha)):
-        lam = _exponent(profile, rho, rho_uu, r, rho_u(r))
+    for r in _scan_roots(rho_u, lo, hi, _suspect_pieces(spec.profile, alpha)):
+        lam = _exponent(spec.profile, rho, rho_uu, r, rho_u(r))
         out.append(CriticalParallel(u=r, lam=lam, classification=_classify(lam)))
     return out
 
@@ -305,12 +316,10 @@ def turning_points(spec: SurfaceSpec, alpha: float, c: float,
     zero at an end of the range is a root too.
     """
     check_finite(alpha=alpha, c=c)
-    if not c > 0.0:
-        raise ConfigError(f"Clairaut constant c={c!r} must be positive")
-    profile = _require_profile(spec)
+    _positive("Clairaut constant c", c)
     lo, hi = _scan_range(spec, u_range)
     rho, rho_u, _ = _rho_funcs(spec, alpha)
-    knots = [lo, *_scan_roots(rho_u, lo, hi, _suspect_pieces(profile, alpha)), hi]
+    knots = [lo, *_scan_roots(rho_u, lo, hi, _suspect_pieces(spec.profile, alpha)), hi]
     gaps = [rho(u) - c for u in knots]
     hits = [g == 0.0 or (0 < i < len(knots) - 1 and _turning(g, c))
             for i, g in enumerate(gaps)]
@@ -345,21 +354,17 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
     breakpoints on every stretch.  Limits outside the closed domain raise
     DomainError.
     """
-    profile = _require_profile(spec)
-    # u1 = +inf is the improper upper limit
-    check_finite(alpha=alpha, c=c, u0=u0, **({} if u1 == math.inf else {"u1": u1}))
-    if not c > 0.0:
-        raise ConfigError(f"Clairaut constant c={c!r} must be positive")
-    dom = spec.domain
-    if not (dom.u_min <= min(u0, u1) and max(u0, u1) <= dom.u_max):
-        raise DomainError(f"limits u0={u0!r}, u1={u1!r} outside [{dom.u_min!r}, {dom.u_max!r}]")
+    check_finite(alpha=alpha, c=c)
+    _positive("Clairaut constant c", c)
+    _inside(spec, "u0", u0, closed=True)
+    _inside(spec, "u1", u1, closed=True, improper=True)  # u1 = +inf: the improper upper limit
     if u0 == u1:
         return 0.0
     sign = 1.0
     if u0 > u1:
         u0, u1, sign = u1, u0, -1.0
     rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
-    a = profile.a
+    a, knots = spec.profile.a, spec.profile.knots
 
     def q(t, c=c):
         at = a(t)
@@ -390,7 +395,7 @@ def quadrature_v(spec: SurfaceSpec, alpha: float, c: float,
             )
     # t = end +/- xi^2 on a stretch of width w at each finite end; the knots,
     # where a'' jumps, are QUADPACK breakpoints (at xi = sqrt|knot - end|)
-    w, knots = min((u1 - u0) / 3.0, 1.0), profile.knots
+    w = min((u1 - u0) / 3.0, 1.0)
 
     def end_piece(end, sgn):
         # A turning end (turning_points' tolerance) takes c = rho(end), so the
@@ -454,19 +459,12 @@ def _integrals(fn, profile: RevolutionProfile, u_ref: float, targets):
 
 
 def _anchored(spec: SurfaceSpec, points, u_ref: float | None):
-    """Profile and anchor (default u_min) of integrals from u_ref to interior (u, v)."""
-    profile = _require_profile(spec)
-    dom = spec.domain
-    if u_ref is None:
-        u_ref = dom.u_min
-    check_finite(u_ref=u_ref)
-    if not dom.u_min <= u_ref <= dom.u_max:  # closed: the default anchor is u_min
-        raise DomainError(f"u_ref={u_ref!r} outside [{dom.u_min!r}, {dom.u_max!r}]")
+    """Profile and anchor (default u_min, closed domain) of integrals to interior (u, v)."""
+    u_ref = _inside(spec, "u_ref", spec.domain.u_min if u_ref is None else u_ref, closed=True)
     for u, v in points:
-        check_finite(u=u, v=v)
-        if not dom.u_min < u < dom.u_max:
-            raise DomainError(f"u={u!r} outside ({dom.u_min!r}, {dom.u_max!r})")
-    return profile, u_ref
+        check_finite(v=v)
+        _inside(spec, "u", u)
+    return spec.profile, u_ref
 
 
 @_profile_errors
@@ -501,18 +499,15 @@ def stability_exponent(spec: SurfaceSpec, alpha: float, u_star: float) -> float:
     (rho has a maximum), negative means exponential departure.  u_star must
     lie inside the open domain (DomainError) with |rho'| < ``CRITICAL_TOL`` (NotCriticalError).
     """
-    profile = _require_profile(spec)
-    check_finite(alpha=alpha, u_star=u_star)
-    dom = spec.domain
-    if not dom.u_min < u_star < dom.u_max:
-        raise DomainError(f"u_star={u_star!r} outside ({dom.u_min!r}, {dom.u_max!r})")
+    check_finite(alpha=alpha)
+    _inside(spec, "u_star", u_star)
     rho, rho_u, rho_uu = _rho_funcs(spec, alpha)
     slope = rho_u(u_star)
     if not abs(slope) < CRITICAL_TOL:
         raise NotCriticalError(
             f"rho'({u_star!r}) = {slope!r} is not within {CRITICAL_TOL!r} of zero"
         )
-    return _exponent(profile, rho, rho_uu, u_star, slope)
+    return _exponent(spec.profile, rho, rho_uu, u_star, slope)
 
 
 def _exponent(profile: RevolutionProfile, rho, rho_uu, u: float, slope: float) -> float:
