@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .curvature import CurveJet2, catenary_residual
-from .errors import ConfigError, DomainError, _positive, _read_params
+from .errors import ConfigError, DomainError, _positive, _read_params, check_finite
 from .revolution import quadrature_v
 from .surfaces import SurfaceSpec, catalog_surface
 
@@ -50,12 +50,14 @@ class ClosedFormFamily:
 
 def euclidean_catenary(mu: float, nu: float, t: float) -> float:
     """u(t) = cosh(mu t + nu)/mu, the plane solution for alpha = 1."""
+    check_finite(mu=mu, nu=nu, t=t)
     _positive("mu", mu)
     return math.cosh(mu * t + nu) / mu
 
 
 def cone_catenary(mu: float, nu: float, v: float) -> float:
     """u(v) = mu/sqrt(cos(sqrt(2) v + nu)) on the 45-degree cone, alpha = 1."""
+    check_finite(mu=mu, nu=nu, v=v)
     _positive("mu", mu)
     w = math.sqrt(2.0) * v + nu
     cw = math.cos(w)
@@ -66,6 +68,7 @@ def cone_catenary(mu: float, nu: float, v: float) -> float:
 
 def grusin_catenary(mu: float, nu: float, v: float) -> float:
     """u(v) = mu*sqrt(2 v + nu) in the Grusin half-plane, alpha = 1."""
+    check_finite(mu=mu, nu=nu, v=v)
     _positive("mu", mu)
     arg = 2.0 * v + nu
     if not arg > 0.0:
@@ -75,6 +78,7 @@ def grusin_catenary(mu: float, nu: float, v: float) -> float:
 
 def grusin_geodesic(u0: float, v0: float, s: float) -> tuple[float, float]:
     """Non-vertical unit-speed Grusin geodesic through (u0, v0), one arch."""
+    check_finite(u0=u0, v0=v0, s=s)
     _positive("u0", u0)
     u = u0 * math.cos(s / u0)
     if not u > 0.0:

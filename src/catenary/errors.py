@@ -40,9 +40,13 @@ class NotRealizableError(CatenaryError):
 
 
 def check_finite(**values: float) -> None:
-    """Raise ConfigError naming the first NaN or infinite value; not for hot loops."""
+    """Raise ConfigError naming the first non-number, NaN or infinite value; not for hot loops."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise ConfigError(f"{name}={value!r} is not a number") from None
+        if not finite:
             raise ConfigError(f"{name}={value!r} must be finite")
 
 

@@ -54,12 +54,12 @@ class Domain(NamedTuple):
 class MetricPatch:
     """Fused metric kernel of a semi-geodesic patch on an open rectangle.
 
-    ``metric(u, v)`` returns (G, G_u, G_v) in one call and checks nothing:
-    it may be queried outside ``domain`` (the conformal-geodesic oracles
-    rely on that).  ``evaluate`` is the checked entry point: it rejects
-    points outside the open domain with DomainError, and G <= 0 or an
-    ArithmeticError or ValueError raised by ``metric`` (say, an overflow)
-    with DegenerateMetricError.  G must be smooth and positive on the domain.
+    ``metric(u, v)`` returns (G, G_u, G_v) in one call and checks nothing: it may be
+    queried outside ``domain`` (the conformal-geodesic oracles rely on that).  ``evaluate``
+    is the checked entry point: it rejects a coordinate that is not a number with
+    ConfigError, points outside the open domain with DomainError, and G <= 0 or an
+    ArithmeticError or ValueError raised by ``metric`` (say, an overflow) with
+    DegenerateMetricError.  G must be smooth and positive on the domain.
     """
 
     identifier: str
@@ -69,7 +69,11 @@ class MetricPatch:
     def evaluate(self, u: float, v: float) -> tuple[float, float, float]:
         """Return (G, G_u, G_v) at an interior point."""
         u_min, u_max, v_min, v_max = self.domain
-        if not (u_min < u < u_max and v_min < v < v_max):
+        try:
+            inside = u_min < u < u_max and v_min < v < v_max
+        except TypeError:  # not numbers: ConfigError
+            inside = check_finite(u=u, v=v)
+        if not inside:
             raise DomainError(
                 f"({u!r}, {v!r}) outside domain {tuple(self.domain)} of {self.identifier}"
             )

@@ -221,3 +221,15 @@ def test_family_parameter_errors_name_the_parameter(family, params, message):
     with pytest.raises(ConfigError) as info:
         closed_form_family(family, **params)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    ("euclidean_catenary(math.inf, 0.0, 1.0)", "mu=inf must be finite"),
+    ("grusin_geodesic(math.inf, 0.0, 0.1)", "u0=inf must be finite"),
+    ("euclidean_catenary('x', 0.0, 1.0)", "mu='x' is not a number"),
+])
+def test_solutions_check_every_argument(call, message):
+    # these once returned nan, (inf, nan) and leaked a TypeError
+    with pytest.raises(ConfigError) as info:
+        eval(call)
+    assert str(info.value) == message

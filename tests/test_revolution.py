@@ -6,6 +6,7 @@ import pytest
 from catenary import (
     CatenaryState,
     ConfigError,
+    CurveJet2,
     DegenerateMetricError,
     DomainError,
     InaccessibleRegionError,
@@ -13,16 +14,19 @@ from catenary import (
     NotCriticalError,
     NotRealizableError,
     catalog_surface,
+    catenary_residual,
     clairaut_constant,
     conformal_coordinate,
     critical_parallels,
     embed_revolution,
+    parallel_catenary_check,
     profile_surface,
     quadrature_v,
     ruled_surface_from_samples,
     stability_exponent,
     tabulated_profile,
     trace_catenary,
+    trace_graph,
     turning_points,
 )
 from catenary.revolution import _scan_range
@@ -497,6 +501,25 @@ def test_quadrature_agrees_with_trace_half_period():
 def test_non_finite_inputs_raise_config_error(call):
     # each of these once returned NaN, [] or a wrong root without complaint
     with pytest.raises(ConfigError, match="must be finite"):
+        eval(call, globals(), {"sphere": catalog_surface("sphere")})
+
+
+@pytest.mark.parametrize("call", [
+    "trace_catenary(sphere, 'a', CatenaryState(0.7, 0.0, 1.0), 1.0)",
+    "trace_catenary(sphere, 1.0, CatenaryState(u=None, v=0.0, phi=1.0), 1.0)",
+    "trace_graph(sphere, 1.0, 'x', 0.0, (0.0, 1.0))",
+    "turning_points(sphere, 1.0, 'x')",
+    "quadrature_v(sphere, 1.0, 0.5, 'x', 1.0)",
+    "clairaut_constant(sphere, None, CatenaryState(0.7, 0.0, 1.0))",
+    "conformal_coordinate(sphere, 'x')",
+    "stability_exponent(sphere, 1.0, 'x')",
+    "critical_parallels(sphere, 'x')",
+    "catenary_residual(sphere, 1.0, CurveJet2(u='x', v=0.0, du=1.0, dv=0.0, ddu=0.0, ddv=0.0))",
+    "parallel_catenary_check(sphere, 1.0, 'x', [0.0])",
+])
+def test_non_numbers_raise_config_error(call):
+    # each of these once leaked a TypeError from a comparison or from math.isfinite
+    with pytest.raises(ConfigError, match="is not a number"):
         eval(call, globals(), {"sphere": catalog_surface("sphere")})
 
 
