@@ -70,13 +70,13 @@ class MetricPatch:
         """Return (G, G_u, G_v) at an interior point."""
         u_min, u_max, v_min, v_max = self.domain
         try:
-            inside = u_min < u < u_max and v_min < v < v_max
-        except TypeError:  # not numbers: ConfigError
-            inside = check_finite(u=u, v=v)
-        if not inside:
-            raise DomainError(
-                f"({u!r}, {v!r}) outside domain {tuple(self.domain)} of {self.identifier}"
-            )
+            if not (u_min < u < u_max and v_min < v < v_max):
+                raise DomainError(
+                    f"({u!r}, {v!r}) outside domain {tuple(self.domain)} of {self.identifier}"
+                )
+        except TypeError:  # not numbers: check_finite raises ConfigError
+            check_finite(u=u, v=v)
+            raise
         try:
             values = self.metric(u, v)
         except (ArithmeticError, ValueError) as exc:
