@@ -1,7 +1,12 @@
 """Work ledger: pinned counts of the work a fixed set of calls does.
 
-Two ledgers, both plain counts that do not depend on the host's speed:
+Three ledgers, all plain counts that do not depend on the host's speed:
 
+* Steps accepted and rejected, ``stats["rhs_evals"]`` and metric-kernel calls
+  of the fixed traces of ``test_trace_digest.py``, and the kernel calls of
+  ``critical_parallels`` and ``turning_points`` on the sphere and on a
+  40-knot tabulated profile.  Kernel calls are counted by a copy of the
+  surface whose ``patch.metric`` counts its calls (``dataclasses.replace``).
 * GK21 rules (and GK15 rules of the infinite-range transform) that QUADPACK
   applies for a fixed list of ``quadrature_v``, ``conformal_coordinate`` and
   ``embed_revolution`` calls, on a catalog profile and on a 40-knot tabulated
@@ -18,15 +23,20 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+import test_trace_digest
 from catenary import (
+    CatenaryState,
     catalog_surface,
     conformal_coordinate,
+    critical_parallels,
     embed_revolution,
     quadrature_v,
     tabulated_profile,
+    trace_catenary,
     turning_points,
 )
 from catenary import quadpack
@@ -36,6 +46,101 @@ def _tabulated():
     """a = 1 + 0.3 sin 2u on the 40 knots u = 0.1 + 0.05 i: |a'| <= 0.6, realizable."""
     us = [0.1 + 0.05 * i for i in range(40)]
     return tabulated_profile([(u, 1.0 + 0.3 * math.sin(2.0 * u)) for u in us])
+
+
+class _CountedKernel:
+    """A metric kernel that counts its calls."""
+
+    def __init__(self, metric):
+        self.metric, self.calls = metric, 0
+
+    def __call__(self, u, v):
+        self.calls += 1
+        return self.metric(u, v)
+
+
+def _counted(spec):
+    """A copy of spec whose ``patch.metric`` is a _CountedKernel."""
+    return replace(spec, patch=replace(spec.patch, metric=_CountedKernel(spec.patch.metric)))
+
+
+def _counting(tracer):
+    """tracer, run on a counted copy of its surface (``trace.spec`` is that copy)."""
+    return lambda spec, *args, **kwargs: tracer(_counted(spec), *args, **kwargs)
+
+
+# (steps accepted, steps rejected, stats["rhs_evals"], kernel calls) per trace; the
+# kernel count passes rhs_evals where stages of rejected steps ran (item 8's gap)
+TRACE_WORK = {
+    "plane": (38, 0, 230, 230),
+    "cylinder": (38, 0, 230, 230),
+    "sphere": (93, 0, 560, 560),
+    "hyperbolic": (57, 0, 344, 344),
+    "cone": (49, 0, 296, 296),
+    "catenoid": (44, 0, 266, 266),
+    "helicoid": (44, 0, 266, 266),
+    "binormal": (44, 0, 266, 266),
+    "grusin": (4, 0, 26, 26),
+    "cone_graph": (487, 0, 2925, 2925),
+    "tabulated": (66, 155, 975, 1029),
+    "ruled": (18, 1, 116, 116),
+    "ruled_graph": (39, 63, 327, 371),
+    "exit_hit_lower_u": (86, 50, 567, 609),
+    "exit_u_max": (19, 82, 117, 197),
+    "exit_blow_up_u": (17, 0, 105, 105),
+    "exit_blow_up_dphi": (13, 0, 117, 117),
+    "exit_vertical_tangent": (526, 2, 3171, 3171),
+}
+
+
+def test_trace_work_is_pinned(monkeypatch):
+    monkeypatch.setattr(test_trace_digest, "trace_catenary",
+                        _counting(test_trace_digest.trace_catenary))
+    monkeypatch.setattr(test_trace_digest, "trace_graph",
+                        _counting(test_trace_digest.trace_graph))
+    got = {name: (tr.stats["steps_accepted"], tr.stats["steps_rejected"],
+                  tr.stats["rhs_evals"], tr.spec.patch.metric.calls)
+           for name, tr in test_trace_digest._fixed_traces().items()}
+    assert got == TRACE_WORK
+
+
+def test_rhs_evals_miss_the_stages_of_failed_steps():
+    """The known gap (ROADMAP item 8), pinned as data until the counter closes it.
+
+    The sphere meridian from u = 0.7 runs into u_max = pi/2; of its 135 kernel
+    calls, ``rhs_evals`` counts 87: it leaves out the stages that ran before a
+    later stage of the same step left the domain.
+    """
+    trace = trace_catenary(_counted(catalog_surface("sphere")), 1.0,
+                           CatenaryState(0.7, 0.0, 0.0), s_max=5.0)
+    assert trace.termination == "left_domain"
+    assert (trace.stats["steps_accepted"], trace.stats["steps_rejected"],
+            trace.stats["rhs_evals"], trace.spec.patch.metric.calls) == (14, 64, 87, 135)
+
+
+# kernel calls of one root scan each
+SCAN_WORK = {
+    "sphere critical_parallels": 6228,
+    "sphere turning_points": 6227,
+    "tabulated critical_parallels": 97,
+    "tabulated turning_points": 95,
+}
+
+
+def test_root_scan_work_is_pinned():
+    sphere, tab = catalog_surface("sphere"), _tabulated()
+    scans = {
+        "sphere critical_parallels": (sphere, lambda s: critical_parallels(s, 1.0)),
+        "sphere turning_points": (sphere, lambda s: turning_points(s, 1.0, 0.5)),
+        "tabulated critical_parallels": (tab, lambda s: critical_parallels(s, 1.0)),
+        "tabulated turning_points": (tab, lambda s: turning_points(s, 1.0, 1.2)),
+    }
+    got = {}
+    for label, (spec, scan) in scans.items():
+        counted = _counted(spec)
+        scan(counted)
+        got[label] = counted.patch.metric.calls
+    assert got == SCAN_WORK
 
 
 def _calls():
