@@ -45,7 +45,7 @@ from .surfaces import (
     load_profile_csv,
     tabulated_profile,
 )
-from .tracing import CatenaryState, Trace, trace_catenary, trace_graph
+from .tracing import CatenaryState, Trace, TraceSample, trace_catenary, trace_graph
 
 __all__ = ["build_parser", "run", "main", "emit_trace"]
 
@@ -108,22 +108,17 @@ def _write_json(doc, path: str | None) -> None:
 def _trace_text(trace: Trace, format: str, embed: bool) -> str:
     if not trace.samples:
         raise ConfigError("refusing to emit an empty trace")
-    columns = ["s", "u", "v", "phi", "kappa", "residual"]
     spec = trace.spec
+    columns = list(TraceSample._fields)
+    rows = [list(s) for s in trace.samples]
     if spec.is_revolution:
         columns.append("clairaut_c")
+        for row, s in zip(rows, trace.samples):
+            row.append(clairaut_constant(spec, trace.alpha, s))
     if embed:
         if not spec.is_revolution:
             raise ConfigError("--embed requires a rotationally symmetric surface")
         columns += ["x", "y", "z"]
-    rows = []
-    for s in trace.samples:
-        row = [s.s, s.u, s.v, s.phi, s.kappa, s.residual]
-        if spec.is_revolution:
-            row.append(clairaut_constant(spec, trace.alpha,
-                                         CatenaryState(s.u, s.v, s.phi, s.s)))
-        rows.append(row)
-    if embed:
         for row, xyz in zip(rows, _embedding(spec, [(s.u, s.v) for s in trace.samples])):
             row.extend(xyz)
     if format == "csv":
@@ -286,7 +281,13 @@ def _add_surface_options(sp) -> None:
                     help="weight exponent (default 1)")
 
 
-def _add_output_options(sp) -> None:
+def _add_trace_options(sp) -> None:
+    """Options that trace and trace-graph share: surface, start, step control and output."""
+    _add_surface_options(sp)
+    sp.add_argument("--u0", type=float, required=True)
+    sp.add_argument("--v0", type=float, default=0.0)
+    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--max-step", type=float, default=math.inf)
     sp.add_argument("--out", help="output path (stdout if omitted)")
     sp.add_argument("--format", choices=("csv", "json"),
                     help="output format (default: from extension, else csv)")
@@ -307,27 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_catalog)
 
     sp = sub.add_parser("trace", help="trace by arc length from (u0, v0, phi0)")
-    _add_surface_options(sp)
-    sp.add_argument("--u0", type=float, required=True)
-    sp.add_argument("--v0", type=float, default=0.0)
+    _add_trace_options(sp)
     sp.add_argument("--phi0", type=float, required=True,
                     help="initial tangent angle from the meridian direction")
     sp.add_argument("--smax", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--max-step", type=float, default=math.inf)
     sp.add_argument("--blowup-factor", type=float, default=1e6)
-    _add_output_options(sp)
     sp.set_defaults(func=_cmd_trace)
 
     sp = sub.add_parser("trace-graph", help="integrate the graph equation u(v)")
-    _add_surface_options(sp)
-    sp.add_argument("--u0", type=float, required=True)
+    _add_trace_options(sp)
     sp.add_argument("--du0", type=float, default=0.0)
-    sp.add_argument("--v0", type=float, default=0.0)
     sp.add_argument("--v1", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--max-step", type=float, default=math.inf)
-    _add_output_options(sp)
     sp.set_defaults(func=_cmd_trace_graph)
 
     sp = sub.add_parser("clairaut", help="critical parallels and turning points")

@@ -165,7 +165,10 @@ def _rho_funcs(spec: SurfaceSpec, alpha: float):
 
 @_profile_errors
 def clairaut_constant(spec: SurfaceSpec, alpha: float, state: CatenaryState) -> float:
-    """Conserved quantity u^alpha * a(u) * sin(phi) of a unit-speed state."""
+    """Conserved quantity u^alpha * a(u) * sin(phi) of a unit-speed state.
+
+    Only ``state.u`` and ``state.phi`` are read, so a trace's TraceSample serves as well.
+    """
     check_finite(alpha=alpha, phi=state.phi)
     u = _inside(spec, "u", state.u)
     return u ** alpha * spec.profile.a(u) * math.sin(state.phi)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .curvature import _kappa_residual
-from .errors import CatenaryError, ConfigError, DomainError, check_finite
+from .errors import CatenaryError, ConfigError, DomainError, _positive, check_finite
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -246,10 +246,6 @@ def _bisect(before, a, b, rtol):
     return a, b
 
 
-def _stats(accepted: int, rejected: int, rhs_evals: int) -> dict:
-    return {"steps_accepted": accepted, "steps_rejected": rejected, "rhs_evals": rhs_evals}
-
-
 def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     """Adaptive RK5(4) from t0 to t_end, ending early where a limit of ``bounds`` fails.
 
@@ -263,7 +259,8 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     ``rhs_evals`` counts f0 = f(t0, y0) (from the caller), the initial-step
     probe, the calls that locate a |dphi/ds| exit and the derivative at an
     event exit.  Returns (segments, termination, flag, stats, t_final,
-    y_final, f_final), where f_final is the derivative at the final point.
+    y_final, f_final), where f_final is the derivative at the final point;
+    every exit leaves the loop by ``break``, and the return is built once.
     One chained comparison checks each accepted step end against every
     limit; ``_first_exit`` runs only where it fails.  When a limit fails
     inside a step the full segment is kept for dense output and
@@ -285,6 +282,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     u_top = min(u_hi, blow_up)
     accepted, rejected, evals = 0, 0, 2
     segments: list = []
+    termination, flag = "reached_smax", None
 
     h = _initial_step(f, t0, y0, f0, t_end - t0, tol, max_step)
     t, y, fy = t0, y0, f0
@@ -295,7 +293,8 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
         h = max_step if max_step < h else h
         h = t_end - t if t_end - t < h else h
         if not h > 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):
-            return segments, "step_underflow", None, _stats(accepted, rejected, evals), t, y, fy
+            termination = "step_underflow"
+            break
         ya, yb, yc = y
         k1a, k1b, k1c, _ = fy
         try:
@@ -357,21 +356,24 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
         if not inside:
             hit = _first_exit(f, bounds, seg)
             if hit is not None:
-                t_star, termination, flag, calls = hit
-                y_star = _hermite(seg, t_star)
-                return (segments, termination, flag,
-                        _stats(accepted, rejected, evals + calls + 1), t_star, y_star,
-                        f(t_star, y_star))
+                t, termination, flag, calls = hit
+                y = _hermite(seg, t)
+                fy = f(t, y)
+                evals += calls + 1
+                break
 
         t, y, fy = t_new, y_new, f_new
         if t >= t_end:
-            return segments, "reached_smax", None, _stats(accepted, rejected, evals), t, y, fy
+            break
 
         # max(_MIN_FAC, min(_MAX_SHRINK, fac)) and max(err, 1e-4)
         fac = err ** _EXPO / facold ** _BETA / _SAFETY
         fac = (fac if fac > _MIN_FAC else _MIN_FAC) if fac < _MAX_SHRINK else _MAX_SHRINK
         facold = 1e-4 if 1e-4 > err else err
         h /= fac
+
+    stats = {"steps_accepted": accepted, "steps_rejected": rejected, "rhs_evals": evals}
+    return segments, termination, flag, stats, t, y, fy
 
 
 # --------------------------------------------------------------------------
@@ -415,8 +417,7 @@ def _flow_sample(alpha: float, t: float, y: tuple, fy: tuple) -> TraceSample:
 def _check_config(tol: float, max_step: float, finite: dict) -> None:
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ConfigError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
-    if not max_step > 0.0:
-        raise ConfigError(f"max_step={max_step!r} must be positive")
+    _positive("max_step", max_step)
     check_finite(**finite)
 
 
@@ -501,8 +502,7 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
                                   "start.phi": start.phi, "start.s": start.s,
                                   "s_max": s_max, "blowup_factor": blowup_factor,
                                   "dphi_limit": dphi_limit})
-    if not s_max > 0.0:
-        raise ConfigError(f"s_max={s_max!r} must be positive")
+    _positive("s_max", s_max)
     bounds = _bounds(spec, start.u, start.v, blowup_factor, dphi_limit, False)
     return _sampled_trace(spec, alpha, _flow_f(spec, alpha), _flow_sample, start.s,
                           (start.u, start.v, start.phi), start.s + s_max, tol,
