@@ -73,6 +73,20 @@ def _read_params(params: dict, defaults: dict, owner: str) -> dict:
 
 
 def _positive(name: str, value: float) -> float:
-    if not value > 0.0:
-        raise ConfigError(f"{name}={value!r} must be positive")
-    return value
+    """value if it is a number > 0, else ConfigError."""
+    try:
+        if value > 0.0:
+            return value
+    except TypeError:  # not a number: check_finite says so
+        check_finite(**{name: value})
+    raise ConfigError(f"{name}={value!r} must be positive")
+
+
+def _pair(name: str, value) -> tuple[float, float]:
+    """value as a pair of finite numbers; ConfigError names what it is not."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}={value!r} is not a pair of numbers") from None
+    check_finite(**{f"{name}[0]": first, f"{name}[1]": second})
+    return first, second

@@ -32,6 +32,7 @@ from .errors import (
     KindError,
     NotCriticalError,
     NotRealizableError,
+    _pair,
     _positive,
     check_finite,
 )
@@ -178,8 +179,7 @@ def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:
     """The given u_range, checked finite and inside the domain, or the default scan range."""
     dom = spec.domain
     if u_range is not None:
-        lo, hi = u_range
-        check_finite(**{"u_range[0]": lo, "u_range[1]": hi})
+        lo, hi = _pair("u_range", u_range)
         if not dom.u_min < lo < hi < dom.u_max:  # outside, G need not be positive
             raise DomainError(f"u_range {tuple(u_range)!r} is not an increasing range "
                               f"inside ({dom.u_min!r}, {dom.u_max!r})")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .curvature import _kappa_residual
-from .errors import CatenaryError, ConfigError, DomainError, _positive, check_finite
+from .errors import CatenaryError, ConfigError, DomainError, _pair, _positive, check_finite
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -108,13 +108,21 @@ class Trace:
     def at(self, t: float) -> tuple[float, ...]:
         """Cubic-Hermite dense output of the integrated state at parameter t.
 
-        t is clamped to the traced range.  The segment holding t is found by
+        t is clamped to the traced range; NaN or a non-number raises
+        ConfigError.  The segment holding t is found by
         bisection over segment starts built once per trace, so a lookup
         costs O(log n) in the number of steps.
         """
         if not self._segments:
             raise ConfigError("the trace took no step, so it has no dense output")
-        t = min(max(t, self._starts[0]), self._t_final)
+        t0, t1 = self._starts[0], self._t_final
+        try:
+            if not t0 <= t <= t1:
+                if not (t < t0 or t > t1):  # NaN, reported as a non-number
+                    raise TypeError
+                t = t0 if t < t0 else t1
+        except TypeError:
+            raise ConfigError(f"t={t!r} is not a number") from None
         return _hermite(self._segments[bisect_right(self._starts, t) - 1], t)
 
 
@@ -414,11 +422,16 @@ def _flow_sample(alpha: float, t: float, y: tuple, fy: tuple) -> TraceSample:
     return TraceSample(t, u, v, phi, kappa, residual)
 
 
-def _check_config(tol: float, max_step: float, finite: dict) -> None:
+def _check_config(tol: float, max_step: float, finite: dict, positive: tuple) -> None:
+    """ConfigError unless tol is a number in [TOL_MIN, TOL_MAX] and max_step > 0, every
+    value of ``finite`` is finite and each one named in ``positive`` is > 0."""
+    check_finite(tol=tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ConfigError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
     _positive("max_step", max_step)
     check_finite(**finite)
+    for name in positive:
+        _positive(name, finite[name])
 
 
 def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, bounds,
@@ -480,14 +493,16 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         start: initial (u, v, phi, s); u must be strictly inside the domain.
         s_max: arc length, finite and > 0, at which to stop if no event fires
             first.
-        tol: per-step error tolerance, within [1e-12, 1e-3].
+        tol: per-step error tolerance, a number within [1e-12, 1e-3].
         max_step: cap on the step size, > 0.  The default inf leaves the step
             to the error control, which already holds every step to ``tol``.
             A smaller cap buys more samples and a more accurate cubic-Hermite
             dense output (``Trace.at``) with proportionally more steps, each
             costing six metric evaluations.
-        blowup_factor: terminate with "blow_up" once u > blowup_factor * u0.
-        dphi_limit: terminate with "blow_up" once |dphi/ds| exceeds this.
+        blowup_factor: terminate with "blow_up" once u > blowup_factor * u0;
+            finite and > 0.
+        dphi_limit: terminate with "blow_up" once |dphi/ds| exceeds this;
+            finite and > 0.
 
     Returns:
         A Trace with one sample per accepted step (kappa and the normalized
@@ -501,8 +516,8 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
     _check_config(tol, max_step, {"alpha": alpha, "start.u": start.u, "start.v": start.v,
                                   "start.phi": start.phi, "start.s": start.s,
                                   "s_max": s_max, "blowup_factor": blowup_factor,
-                                  "dphi_limit": dphi_limit})
-    _positive("s_max", s_max)
+                                  "dphi_limit": dphi_limit},
+                  ("s_max", "blowup_factor", "dphi_limit"))
     bounds = _bounds(spec, start.u, start.v, blowup_factor, dphi_limit, False)
     return _sampled_trace(spec, alpha, _flow_f(spec, alpha), _flow_sample, start.s,
                           (start.u, start.v, start.phi), start.s + s_max, tol,
@@ -555,10 +570,9 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
     and float arithmetic that overflows raise ConfigError, a start outside
     the domain DomainError.
     """
-    v0, v1 = float(v_span[0]), float(v_span[1])
+    v0, v1 = map(float, _pair("v_span", v_span))
     _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0,
-                                  "v_span[0]": v0, "v_span[1]": v1,
-                                  "blowup_factor": blowup_factor})
+                                  "blowup_factor": blowup_factor}, ("blowup_factor",))
     if not v1 > v0:
         raise ConfigError(f"v_span={v_span!r} must be increasing")
     bounds = _bounds(spec, u0, v0, blowup_factor, 1.0 / tol, True)

@@ -665,3 +665,15 @@ def test_every_integral_uses_one_tolerance_set(monkeypatch):
         embed_revolution(spec, 1.2, 0.3)
         embed_revolution(spec, 0.6, 0.3, 1.2)
     assert len(used) == 1, used
+
+
+@pytest.mark.parametrize("call", [
+    "turning_points(sphere, 1.0, 0.5, (0.1,))",
+    "critical_parallels(sphere, 1.0, 5)",
+    "critical_parallels(sphere, 1.0, (0.1, 0.5, 0.9))",
+])
+def test_u_range_must_be_a_pair(call):
+    # these once raised DegenerateMetricError (a relabelled unpacking ValueError)
+    # and leaked a TypeError
+    with pytest.raises(ConfigError, match="is not a pair of numbers"):
+        eval(call, globals(), {"sphere": catalog_surface("sphere")})

@@ -608,3 +608,34 @@ def test_arithmetic_beyond_the_float_range_raises_config_error(run, start):
     with pytest.raises(ConfigError, match="leaves the float range") as info:
         run()
     assert start in str(info.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    ("trace_catenary(sphere, 1.0, start, 1.0, tol='x')", "tol='x' is not a number"),
+    ("trace_catenary(sphere, 1.0, start, 1.0, tol=None)", "tol=None is not a number"),
+    ("trace_catenary(sphere, 1.0, start, 1.0, max_step='x')", "max_step='x' is not a number"),
+    ("trace_catenary(sphere, 1.0, start, 1.0, blowup_factor=-1.0)",
+     "blowup_factor=-1.0 must be positive"),
+    ("trace_catenary(sphere, 1.0, start, 1.0, dphi_limit=0.0)", "dphi_limit=0.0 must be positive"),
+    ("trace_graph(sphere, 1.0, 0.5, 0.0, (0.0, 1.0), blowup_factor=0.0)",
+     "blowup_factor=0.0 must be positive"),
+    ("trace_graph(sphere, 1.0, 0.5, 0.0, ('x', 1.0))", "v_span[0]='x' is not a number"),
+    ("trace_graph(sphere, 1.0, 0.5, 0.0, (None, 1.0))", "v_span[0]=None is not a number"),
+    ("trace_graph(sphere, 1.0, 0.5, 0.0, (0.0,))", "v_span=(0.0,) is not a pair of numbers"),
+    ("trace_graph(sphere, 1.0, 0.5, 0.0, 5)", "v_span=5 is not a pair of numbers"),
+])
+def test_tracer_options_raise_config_error(call, message):
+    # these once leaked TypeError, ValueError or IndexError, or ended the trace at
+    # once on "blow_up" with two samples
+    with pytest.raises(ConfigError) as info:
+        eval(call, globals(), {"sphere": catalog_surface("sphere"),
+                               "start": CatenaryState(0.7, 0.0, 1.0)})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("t", [math.nan, "x", None])
+def test_at_rejects_nan_and_non_numbers(t):
+    # NaN once came back as (nan, nan, nan); "x" leaked a TypeError
+    trace = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0), 1.0)
+    with pytest.raises(ConfigError, match="is not a number"):
+        trace.at(t)
