@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SingularJetError
+from .errors import SingularJetError, check_finite
 from .surfaces import SurfaceSpec, eval_metric
 
 __all__ = [
@@ -42,6 +42,12 @@ class CurveJet2:
     dv: float
     ddu: float
     ddv: float
+
+
+def _metric(spec: SurfaceSpec, u: float, v: float, /, **numbers) -> tuple[float, float, float]:
+    """The checked way in: ConfigError unless ``numbers`` are all finite, then eval_metric."""
+    check_finite(**numbers)
+    return eval_metric(spec, u, v)
 
 
 def _speed_sq(g, u, v, du, dv):
@@ -75,13 +81,13 @@ def _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv):
 
 def geodesic_curvature(spec: SurfaceSpec, jet: CurveJet2) -> float:
     """Signed geodesic curvature of the jet; zero exactly for geodesics."""
-    g, gu, gv = eval_metric(spec, jet.u, jet.v)
+    g, gu, gv = _metric(spec, jet.u, jet.v, **vars(jet))
     return _kappa_residual(None, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[0]
 
 
 def catenary_target_curvature(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     """Curvature a weighted critical curve must have: alpha*G*vd/(u*speed)."""
-    g = eval_metric(spec, jet.u, jet.v)[0]
+    g = _metric(spec, jet.u, jet.v, alpha=alpha, **vars(jet))[0]
     return _target(alpha, g, jet.u, jet.dv, _speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 
@@ -91,7 +97,7 @@ def catenary_residual(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     Equals (target - kappa) for regular jets, so both criteria share one
     tolerance.
     """
-    g, gu, gv = eval_metric(spec, jet.u, jet.v)
+    g, gu, gv = _metric(spec, jet.u, jet.v, alpha=alpha, **vars(jet))
     return _kappa_residual(alpha, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[1]
 
 
@@ -100,7 +106,7 @@ def normal_transversality(spec: SurfaceSpec, jet: CurveJet2) -> float:
 
     With the normal n = (-vd*G, ud/G)/||gamma'|| this is -vd*G/||gamma'||.
     """
-    g = eval_metric(spec, jet.u, jet.v)[0]
+    g = _metric(spec, jet.u, jet.v, **vars(jet))[0]
     return -jet.dv * g / math.sqrt(_speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 
@@ -111,7 +117,7 @@ def parallel_catenary_check(spec: SurfaceSpec, alpha: float, u0: float,
     True iff alpha*G + u0*G_u vanishes (within ``tol``) at every v sample.
     """
     for v in v_samples:
-        g, gu, _ = eval_metric(spec, u0, v)
+        g, gu, _ = _metric(spec, u0, v, alpha=alpha, u0=u0, v=v, tol=tol)
         if abs(alpha * g + u0 * gu) >= tol:
             return False
     return True

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catenary import (
+    ConfigError,
     CurveJet2,
     DomainError,
     SingularJetError,
@@ -184,3 +185,26 @@ def test_curvature_equals_normal_relation_on_solutions():
         k = geodesic_curvature(plane, jet)
         n_dot = normal_transversality(plane, jet)
         assert k == pytest.approx(-1.0 * n_dot / jet.u, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    ("parallel_catenary_check(sphere, math.nan, 0.5, [0.0])", "alpha=nan must be finite"),
+    ("parallel_catenary_check(sphere, 1.0, 0.5, [0.0], tol=math.nan)", "tol=nan must be finite"),
+    ("parallel_catenary_check(sphere, 'x', 0.5, [0.0])", "alpha='x' is not a number"),
+    ("catenary_target_curvature(sphere, math.nan, CurveJet2(0.5, 0.0, 1.0, 0.0, 0.0, 0.0))",
+     "alpha=nan must be finite"),
+    ("catenary_residual(sphere, 1.0, CurveJet2(0.5, 0.0, 1.0, math.inf, 0.0, 0.0))",
+     "dv=inf must be finite"),
+    ("catenary_residual(sphere, 'x', CurveJet2(0.5, 0.0, 1.0, 0.0, 0.0, 0.0))",
+     "alpha='x' is not a number"),
+    ("normal_transversality(sphere, CurveJet2(0.5, 0.0, 1.0, math.nan, 0.0, 0.0))",
+     "dv=nan must be finite"),
+    ("geodesic_curvature(sphere, CurveJet2(0.5, 0.0, 'x', 0.0, 0.0, 0.0))",
+     "du='x' is not a number"),
+])
+def test_curvature_checks_its_numbers(call, message):
+    # these once returned True (a wrong answer), nan, raised SingularJetError or
+    # leaked a TypeError
+    with pytest.raises(ConfigError) as info:
+        eval(call, globals(), {"sphere": catalog_surface("sphere")})
+    assert str(info.value) == message
