@@ -11,6 +11,7 @@ curve on the hyperbolic plane, which has no closed-form parametrization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -48,6 +49,40 @@ class ClosedFormFamily:
     d2: Callable
 
 
+def _in_float_range(fn: Callable, name: str | None = None, domain=None) -> Callable:
+    """fn, raising ConfigError where its value overflows or is not finite.
+
+    Given the parameter ``domain``, fn's one argument is checked first, as the solution
+    functions check theirs: ConfigError unless finite, DomainError outside the domain.
+    """
+    name = name or fn.__name__
+
+    @functools.wraps(fn)
+    def checked(*args):
+        if domain is not None:
+            check_finite(t=args[0])
+            if not domain[0] < args[0] < domain[1]:
+                raise DomainError(f"{name}: t={args[0]!r} outside {domain!r}")
+        try:
+            value = fn(*args)
+        except OverflowError:
+            value = math.inf
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name}({', '.join(map(repr, args))}) leaves the float range")
+        return value
+
+    return checked
+
+
+def _family(family: str, params: dict, domain: tuple[float, float], value: Callable,
+            d1: Callable, d2: Callable) -> ClosedFormFamily:
+    """A ClosedFormFamily whose derivatives check their argument and value as ``value`` does."""
+    return ClosedFormFamily(family, params, domain, value,
+                            _in_float_range(d1, f"{family}.d1", domain),
+                            _in_float_range(d2, f"{family}.d2", domain))
+
+
+@_in_float_range
 def euclidean_catenary(mu: float, nu: float, t: float) -> float:
     """u(t) = cosh(mu t + nu)/mu, the plane solution for alpha = 1."""
     check_finite(mu=mu, nu=nu, t=t)
@@ -55,6 +90,7 @@ def euclidean_catenary(mu: float, nu: float, t: float) -> float:
     return math.cosh(mu * t + nu) / mu
 
 
+@_in_float_range
 def cone_catenary(mu: float, nu: float, v: float) -> float:
     """u(v) = mu/sqrt(cos(sqrt(2) v + nu)) on the 45-degree cone, alpha = 1."""
     check_finite(mu=mu, nu=nu, v=v)
@@ -66,6 +102,7 @@ def cone_catenary(mu: float, nu: float, v: float) -> float:
     return mu / math.sqrt(cw)
 
 
+@_in_float_range
 def grusin_catenary(mu: float, nu: float, v: float) -> float:
     """u(v) = mu*sqrt(2 v + nu) in the Grusin half-plane, alpha = 1."""
     check_finite(mu=mu, nu=nu, v=v)
@@ -76,6 +113,7 @@ def grusin_catenary(mu: float, nu: float, v: float) -> float:
     return mu * math.sqrt(arg)
 
 
+@_in_float_range
 def grusin_geodesic(u0: float, v0: float, s: float) -> tuple[float, float]:
     """Non-vertical unit-speed Grusin geodesic through (u0, v0), one arch."""
     check_finite(u0=u0, v0=v0, s=s)
@@ -129,13 +167,13 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
         def d2(s):
             return (-math.cos(s / u0) / u0, math.sin(2.0 * s / u0))
 
-        return ClosedFormFamily(
+        return _family(
             family, params, (-half, half),
             value=lambda s: grusin_geodesic(u0, v0, s), d1=d1, d2=d2,
         )
     mu, nu = _positive("mu", params["mu"]), params["nu"]
     if family == "euclidean":
-        return ClosedFormFamily(
+        return _family(
             family, params, (-math.inf, math.inf),
             value=lambda t: euclidean_catenary(mu, nu, t),
             d1=lambda t: math.sinh(mu * t + nu),
@@ -155,11 +193,11 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
             return mu * (math.cos(w) ** -0.5
                          + 1.5 * math.sin(w) ** 2 * math.cos(w) ** -2.5)
 
-        return ClosedFormFamily(
+        return _family(
             family, params, (lo, hi),
             value=lambda v: cone_catenary(mu, nu, v), d1=d1, d2=d2,
         )
-    return ClosedFormFamily(  # grusin_catenary
+    return _family(  # grusin_catenary
         family, params, (-nu / 2.0, math.inf),
         value=lambda v: grusin_catenary(mu, nu, v),
         d1=lambda v: mu / math.sqrt(2.0 * v + nu),

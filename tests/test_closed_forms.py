@@ -233,3 +233,29 @@ def test_solutions_check_every_argument(call, message):
     with pytest.raises(ConfigError) as info:
         eval(call)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    ("euclidean_catenary(1.0, 0.0, 1000.0)",
+     "euclidean_catenary(1.0, 0.0, 1000.0) leaves the float range"),
+    ("closed_form_family('euclidean').d1(1000.0)", "euclidean.d1(1000.0) leaves the float range"),
+    ("grusin_catenary(1e300, 0.0, 1e300)",
+     "grusin_catenary(1e+300, 0.0, 1e+300) leaves the float range"),
+    ("validate_closed_form(closed_form_family('euclidean'), catalog_surface('plane'), 1.0,"
+     " [1000.0])", "euclidean_catenary(1.0, 0.0, 1000.0) leaves the float range"),
+])
+def test_solutions_past_the_float_range_raise_config_error(call, message):
+    # these once leaked OverflowError or returned inf
+    with pytest.raises(ConfigError) as info:
+        eval(call)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("family, t", [("cone", 2.0), ("grusin_catenary", -1.0),
+                                       ("grusin_geodesic", 3.0)])
+def test_family_derivatives_check_their_domain(family, t):
+    # the cone's once returned a complex number, the Grusin catenary's leaked ValueError
+    fam = closed_form_family(family, **({"u0": 1.0} if family == "grusin_geodesic" else {}))
+    for derivative in (fam.d1, fam.d2):
+        with pytest.raises(DomainError, match="outside"):
+            derivative(t)
