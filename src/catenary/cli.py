@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import tempfile
@@ -188,12 +187,15 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+def _tracer_options(args) -> dict:
+    """The tracer options given on the command line; the tracers own the defaults."""
+    return {k: getattr(args, k) for k in ("tol", "max_step", "blowup_factor") if k in args}
+
+
 def _cmd_trace(args) -> int:
     spec = _build_surface(args)
     start = CatenaryState(u=args.u0, v=args.v0, phi=args.phi0)
-    trace = trace_catenary(spec, args.alpha, start, s_max=args.smax, tol=args.tol,
-                           max_step=args.max_step,
-                           blowup_factor=args.blowup_factor)
+    trace = trace_catenary(spec, args.alpha, start, s_max=args.smax, **_tracer_options(args))
     _emit_or_print(trace, args)
     return 0
 
@@ -201,7 +203,7 @@ def _cmd_trace(args) -> int:
 def _cmd_trace_graph(args) -> int:
     spec = _build_surface(args)
     trace = trace_graph(spec, args.alpha, args.u0, args.du0, (args.v0, args.v1),
-                        tol=args.tol, max_step=args.max_step)
+                        **_tracer_options(args))
     _emit_or_print(trace, args)
     return 0
 
@@ -286,8 +288,8 @@ def _add_trace_options(sp) -> None:
     _add_surface_options(sp)
     sp.add_argument("--u0", type=float, required=True)
     sp.add_argument("--v0", type=float, default=0.0)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--max-step", type=float, default=math.inf)
+    sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--max-step", type=float, default=argparse.SUPPRESS)
     sp.add_argument("--out", help="output path (stdout if omitted)")
     sp.add_argument("--format", choices=("csv", "json"),
                     help="output format (default: from extension, else csv)")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi0", type=float, required=True,
                     help="initial tangent angle from the meridian direction")
     sp.add_argument("--smax", type=float, required=True)
-    sp.add_argument("--blowup-factor", type=float, default=1e6)
+    sp.add_argument("--blowup-factor", type=float, default=argparse.SUPPRESS)
     sp.set_defaults(func=_cmd_trace)
 
     sp = sub.add_parser("trace-graph", help="integrate the graph equation u(v)")

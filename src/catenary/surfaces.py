@@ -154,42 +154,20 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
 # catalog
 # --------------------------------------------------------------------------
 
-# Each catalog profile comes with a fused kernel metric(u, v) -> (a, a_u, 0.0)
-# that evaluates the exact float expressions of a and a_u in one call.
-
-def _const_profile(c: float):
-    def a(u: float) -> float:
-        return c
-
-    def zero(u: float) -> float:
-        return 0.0
-
-    def metric(u: float, v: float) -> tuple[float, float, float]:
-        return c, 0.0, 0.0
-
-    return a, zero, zero, metric
-
-
-def _sqrt_profile(k: float):
+def _sqrt_kernel(k: float):
     # a(u) = sqrt(1 + (k u)^2).  Shared by catenoid, helicoid and binormal
     # surfaces so that isometric entries evaluate bit-identically.
     k2 = k * k
-
-    def a(u: float) -> float:
-        return math.sqrt(1.0 + k2 * u * u)
-
-    def a_u(u: float) -> float:
-        return k2 * u / math.sqrt(1.0 + k2 * u * u)
-
-    def a_uu(u: float) -> float:
-        r = math.sqrt(1.0 + k2 * u * u)
-        return k2 / (r * r * r)
 
     def metric(u: float, v: float) -> tuple[float, float, float]:
         r = math.sqrt(1.0 + k2 * u * u)
         return r, k2 * u / r, 0.0
 
-    return a, a_u, a_uu, metric
+    def a_uu(u: float) -> float:
+        r = math.sqrt(1.0 + k2 * u * u)
+        return k2 / (r * r * r)
+
+    return metric, a_uu
 
 
 def _revolution_spec(kind, params, identifier, a, a_u, a_uu, metric, domain,
@@ -201,6 +179,15 @@ def _revolution_spec(kind, params, identifier, a, a_u, a_uu, metric, domain,
         profile=RevolutionProfile(a, a_u, a_uu, knots, pieces),
         profile_warning=warning,
     )
+
+
+def _catalog_spec(kind, params, identifier, metric, a_uu, domain, warning=False):
+    """A catalog surface from its fused kernel metric(u, v) -> (a, a_u, 0.0) and a_uu.
+
+    The profile's a and a_u read the kernel at v = 0, so each expression is written once.
+    """
+    return _revolution_spec(kind, params, identifier, lambda u: metric(u, 0.0)[0],
+                            lambda u: metric(u, 0.0)[1], a_uu, metric, domain, warning)
 
 
 # each kind's parameters and their defaults
@@ -233,16 +220,14 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
     params = _read_params(params, CATALOG_PARAMS[kind], f"kind {kind!r}")
 
     if kind in ("plane", "cylinder"):
-        return _revolution_spec(kind, params, kind, *_const_profile(1.0), Domain(0.0, _INF))
+        return _catalog_spec(kind, params, kind, lambda u, v: (1.0, 0.0, 0.0),
+                             lambda u: 0.0, Domain(0.0, _INF))
 
     if kind == "sphere":
         u_max = math.pi if params["extended"] else math.pi / 2
-        return _revolution_spec(
-            kind, params, "sphere",
-            math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u),
-            lambda u, v: (math.cos(u), -math.sin(u), 0.0),
-            Domain(0.0, u_max),
-        )
+        return _catalog_spec(kind, params, "sphere",
+                             lambda u, v: (math.cos(u), -math.sin(u), 0.0),
+                             lambda u: -math.cos(u), Domain(0.0, u_max))
 
     if kind == "hyperbolic":
         r = _positive("r", params["r"])
@@ -251,40 +236,27 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
             x = u / r
             return math.cosh(x), math.sinh(x) / r, 0.0
 
-        return _revolution_spec(
-            kind, params, f"hyperbolic(r={r:g})",
-            lambda u: math.cosh(u / r),
-            lambda u: math.sinh(u / r) / r,
-            lambda u: math.cosh(u / r) / (r * r),
-            hyperbolic,
-            Domain(0.0, _INF), warning=True,  # sinh(u/r)/r is unbounded
-        )
+        return _catalog_spec(kind, params, f"hyperbolic(r={r:g})", hyperbolic,
+                             lambda u: math.cosh(u / r) / (r * r),
+                             Domain(0.0, _INF), warning=True)  # sinh(u/r)/r is unbounded
 
     if kind == "cone":
         slope = _positive("slope", params["slope"])
-        return _revolution_spec(
-            kind, params, f"cone(slope={slope:g})",
-            lambda u: slope * u, lambda u: slope, lambda u: 0.0,
-            lambda u, v: (slope * u, slope, 0.0),
-            Domain(0.0, _INF), warning=slope > 1.0,
-        )
+        return _catalog_spec(kind, params, f"cone(slope={slope:g})",
+                             lambda u, v: (slope * u, slope, 0.0), lambda u: 0.0,
+                             Domain(0.0, _INF), warning=slope > 1.0)
 
     if kind in ("catenoid", "helicoid"):
-        return _revolution_spec(kind, params, kind, *_sqrt_profile(1.0), Domain(0.0, _INF))
+        return _catalog_spec(kind, params, kind, *_sqrt_kernel(1.0), Domain(0.0, _INF))
 
     if kind == "binormal":
         tau = _positive("tau", params["tau"])
-        return _revolution_spec(kind, params, f"binormal(tau={tau:g})",  # sup a' = tau
-                                *_sqrt_profile(tau), Domain(0.0, _INF), warning=tau > 1.0)
+        return _catalog_spec(kind, params, f"binormal(tau={tau:g})",  # sup a' = tau
+                             *_sqrt_kernel(tau), Domain(0.0, _INF), warning=tau > 1.0)
 
-    return _revolution_spec(  # grusin
-        kind, params, "grusin",
-        lambda u: 1.0 / u,
-        lambda u: -1.0 / (u * u),
-        lambda u: 2.0 / (u * u * u),
-        lambda u, v: (1.0 / u, -1.0 / (u * u), 0.0),
-        Domain(0.0, _INF), warning=True,  # 1/u^2 > 1 for u < 1
-    )
+    return _catalog_spec(  # grusin
+        kind, params, "grusin", lambda u, v: (1.0 / u, -1.0 / (u * u), 0.0),
+        lambda u: 2.0 / (u * u * u), Domain(0.0, _INF), warning=True)  # 1/u^2 > 1 for u < 1
 
 
 # --------------------------------------------------------------------------

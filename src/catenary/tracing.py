@@ -55,13 +55,17 @@ TOL_MIN, TOL_MAX = 1e-12, 1e-3
 # distance inside the u-range at which "hit_lower_u" and "left_domain" fire
 LOWER_MARGIN = 1e-9
 
+# "blow_up" fires once |dphi/ds| > DPHI_LIMIT (flow) or u > BLOWUP_FACTOR * u0 (default)
+DPHI_LIMIT = 1e12
+BLOWUP_FACTOR = 1e6
+
 # a stage that raises one of these (domain guard, overflow) rejects the step
 _STAGE_ERRORS = (CatenaryError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
 class CatenaryState:
-    """Point on a unit-speed trace: position (u, v), tangent angle phi, arc length s.
+    """Start of a unit-speed trace: position (u, v) and tangent angle phi.
 
     phi is measured from the meridian direction d/du toward d/dv, so the
     implied velocity (cos(phi), sin(phi)/G) always has unit ds-norm.
@@ -70,7 +74,6 @@ class CatenaryState:
     u: float
     v: float
     phi: float
-    s: float = 0.0
 
 
 class TraceSample(NamedTuple):
@@ -483,14 +486,13 @@ def _bounds(spec: SurfaceSpec, u0: float, v0: float, blowup_factor: float,
 def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
                    s_max: float, tol: float = 1e-9, *,
                    max_step: float = math.inf,
-                   blowup_factor: float = 1e6,
-                   dphi_limit: float = 1e12) -> Trace:
-    """Trace the weighted critical curve through ``start`` up to arc length s_max.
+                   blowup_factor: float = BLOWUP_FACTOR) -> Trace:
+    """Trace the weighted critical curve through ``start`` from s = 0 up to s_max.
 
     Args:
         spec: surface to trace on.
         alpha: exponent of the distance weight (0 gives plain geodesics).
-        start: initial (u, v, phi, s); u must be strictly inside the domain.
+        start: initial (u, v, phi); u must be strictly inside the domain.
         s_max: arc length, finite and > 0, at which to stop if no event fires
             first.
         tol: per-step error tolerance, a number within [1e-12, 1e-3].
@@ -501,12 +503,11 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
             costing six metric evaluations.
         blowup_factor: terminate with "blow_up" once u > blowup_factor * u0;
             finite and > 0.
-        dphi_limit: terminate with "blow_up" once |dphi/ds| exceeds this;
-            finite and > 0.
 
     Returns:
         A Trace with one sample per accepted step (kappa and the normalized
         residual recorded at each), a termination reason and step statistics.
+        It also ends on "blow_up" once |dphi/ds| exceeds ``DPHI_LIMIT``.
 
     Raises:
         ConfigError for bad options, and where float arithmetic overflows
@@ -514,14 +515,12 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         DomainError for a start outside the domain.
     """
     _check_config(tol, max_step, {"alpha": alpha, "start.u": start.u, "start.v": start.v,
-                                  "start.phi": start.phi, "start.s": start.s,
-                                  "s_max": s_max, "blowup_factor": blowup_factor,
-                                  "dphi_limit": dphi_limit},
-                  ("s_max", "blowup_factor", "dphi_limit"))
-    bounds = _bounds(spec, start.u, start.v, blowup_factor, dphi_limit, False)
-    return _sampled_trace(spec, alpha, _flow_f(spec, alpha), _flow_sample, start.s,
-                          (start.u, start.v, start.phi), start.s + s_max, tol,
-                          max_step, bounds, "arclength")
+                                  "start.phi": start.phi, "s_max": s_max,
+                                  "blowup_factor": blowup_factor}, ("s_max", "blowup_factor"))
+    bounds = _bounds(spec, start.u, start.v, blowup_factor, DPHI_LIMIT, False)
+    return _sampled_trace(spec, alpha, _flow_f(spec, alpha), _flow_sample, 0.0,
+                          (start.u, start.v, start.phi), s_max, tol, max_step, bounds,
+                          "arclength")
 
 
 # --------------------------------------------------------------------------
@@ -558,23 +557,21 @@ def _graph_sample(alpha: float, v: float, y: tuple, fy: tuple) -> TraceSample:
 
 def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
                 v_span: tuple[float, float], tol: float = 1e-9, *,
-                max_step: float = math.inf,
-                blowup_factor: float = 1e6) -> Trace:
+                max_step: float = math.inf) -> Trace:
     """Integrate the graph equation u = u(v) over the finite ``v_span``.
 
     The solver stops with termination "left_domain" and a "vertical_tangent"
     flag in the stats when |du/dv| exceeds 1/tol: past such a point the
     curve continues as a meridian-tangent arc, which is no longer a graph.
     A span past the domain's v-range ends on "left_domain" without the flag,
-    1e-9 * (1 + |v_max|) inside v_max.  As in ``trace_catenary``, bad options
-    and float arithmetic that overflows raise ConfigError, a start outside
-    the domain DomainError.
+    1e-9 * (1 + |v_max|) inside v_max; u > BLOWUP_FACTOR * u0 ends it on "blow_up".
+    As in ``trace_catenary``, bad options and float arithmetic that overflows
+    raise ConfigError, a start outside the domain DomainError.
     """
     v0, v1 = map(float, _pair("v_span", v_span))
-    _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0,
-                                  "blowup_factor": blowup_factor}, ("blowup_factor",))
+    _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0}, ())
     if not v1 > v0:
         raise ConfigError(f"v_span={v_span!r} must be increasing")
-    bounds = _bounds(spec, u0, v0, blowup_factor, 1.0 / tol, True)
+    bounds = _bounds(spec, u0, v0, BLOWUP_FACTOR, 1.0 / tol, True)
     return _sampled_trace(spec, alpha, _graph_f(spec, alpha), _graph_sample, v0,
                           (float(u0), float(du0), 0.0), v1, tol, max_step, bounds, "graph")

@@ -66,7 +66,7 @@ def test_clairaut_constant_conserved_on_cylinder_catenary():
     tr = trace_catenary(cyl, 1.0, CatenaryState(1.0, 0.0, math.pi / 2),
                         s_max=4.0, tol=1e-10)
     for s in tr.samples:
-        c = clairaut_constant(cyl, 1.0, CatenaryState(s.u, s.v, s.phi, s.s))
+        c = clairaut_constant(cyl, 1.0, s)
         assert c == pytest.approx(1.0, abs=1e-8)
 
 
@@ -83,7 +83,7 @@ def test_cylinder_clairaut_constant_is_inverse_sqrt_mu():
         tr = trace_graph(cyl, 1.0, fam.value(0.0), fam.d1(0.0), (0.0, 1.0),
                          tol=1e-10)
         for s in tr.samples:
-            c = clairaut_constant(cyl, 1.0, CatenaryState(s.u, s.v, s.phi, s.s))
+            c = clairaut_constant(cyl, 1.0, s)
             assert c == pytest.approx(1.0 / math.sqrt(mu_fi), abs=1e-8)
 
 
@@ -447,8 +447,7 @@ def test_conservation_along_traces():
                         ("catenoid", CatenaryState(1.0, 0.0, math.pi / 4))):
         spec = catalog_surface(kind)
         tr = trace_catenary(spec, 1.0, start, s_max=10.0, tol=1e-9)
-        cs = [clairaut_constant(spec, 1.0, CatenaryState(s.u, s.v, s.phi, s.s))
-              for s in tr.samples]
+        cs = [clairaut_constant(spec, 1.0, s) for s in tr.samples]
         drift = max(abs(x - cs[0]) for x in cs) / max(abs(cs[0]), 1e-12)
         assert drift < 1e-6
 

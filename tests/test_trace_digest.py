@@ -25,6 +25,7 @@ from catenary import (
     trace_graph,
     turning_points,
 )
+from catenary import tracing
 from catenary.surfaces import CATALOG_KINDS
 from catenary.tracing import _hermite
 
@@ -56,8 +57,10 @@ def _fixed_traces():
     traces["exit_blow_up_u"] = trace_catenary(catalog_surface("catenoid"), 1.0,
                                               CatenaryState(0.7, 0.1, 0.5), s_max=4.0,
                                               blowup_factor=2.0)
-    traces["exit_blow_up_dphi"] = trace_catenary(sphere, 1.0, CatenaryState(1.0, 0.0, 1.2),
-                                                 s_max=5.0, dphi_limit=1.0)
+    with pytest.MonkeyPatch.context() as mp:  # the |dphi/ds| limit, lowered to reach it
+        mp.setattr(tracing, "DPHI_LIMIT", 1.0)
+        traces["exit_blow_up_dphi"] = trace_catenary(sphere, 1.0,
+                                                     CatenaryState(1.0, 0.0, 1.2), s_max=5.0)
     traces["exit_vertical_tangent"] = trace_graph(catalog_surface("hyperbolic"), 1.0, 0.7,
                                                   -2.0, (0.0, 3.0))
     return traces

@@ -15,6 +15,7 @@ from catenary import (
     trace_catenary,
     trace_graph,
 )
+from catenary import tracing
 from catenary.tracing import _Bounds, _flow_f
 from oracles import USTAR, conformal_geodesic_oracle
 
@@ -386,8 +387,7 @@ def test_nan_start_is_rejected_without_hanging(call):
 
 def test_non_finite_inputs_and_bad_max_step_rejected():
     sphere = catalog_surface("sphere")
-    for start in (CatenaryState(0.7, math.inf, 1.0), CatenaryState(0.7, 0.0, -math.inf),
-                  CatenaryState(0.7, 0.0, 1.0, math.nan)):
+    for start in (CatenaryState(0.7, math.inf, 1.0), CatenaryState(0.7, 0.0, -math.inf)):
         with pytest.raises(ConfigError):
             trace_catenary(sphere, 1.0, start, 1.0)
     for max_step in (math.nan, 0.0, -1.0):
@@ -448,11 +448,15 @@ def test_one_metric_evaluation_per_rhs_call():
     # the dphi event is located by bisection on the dense output, with one
     # RHS call per probe; the exit point's derivative is one more call
     ("sphere", lambda spec: trace_catenary(spec, 1.0, CatenaryState(1.0, 0.0, 1.2),
-                                           s_max=5.0, dphi_limit=1.0), "blow_up", 117, 14),
+                                           s_max=5.0), "blow_up", 117, 14),
     ("cone", lambda spec: trace_graph(spec, 1.0, 1.0, 0.3, (0.0, 1.5)),
      "left_domain", 2925, 488),
 ], ids=["sphere_dphi", "cone_graph"])
-def test_event_exit_counts_every_rhs_call(kind, run, termination, evaluations, samples):
+def test_event_exit_counts_every_rhs_call(kind, run, termination, evaluations, samples,
+                                          monkeypatch):
+    # the |dphi/ds| limit, lowered so that the sphere trace reaches it; graph traces
+    # bound |du/dv| by 1/tol instead
+    monkeypatch.setattr(tracing, "DPHI_LIMIT", 1.0)
     spec, calls = _counting_kernel(catalog_surface(kind))
     tr = run(spec)
     assert tr.termination == termination
@@ -460,10 +464,10 @@ def test_event_exit_counts_every_rhs_call(kind, run, termination, evaluations, s
     assert len(tr.samples) == samples
 
 
-def test_dphi_limit_ends_trace_on_blow_up():
+def test_dphi_limit_ends_trace_on_blow_up(monkeypatch):
+    monkeypatch.setattr(tracing, "DPHI_LIMIT", 1.0)
     sphere = catalog_surface("sphere")
-    tr = trace_catenary(sphere, 1.0, CatenaryState(1.0, 0.0, 1.2), s_max=5.0,
-                        dphi_limit=1.0)
+    tr = trace_catenary(sphere, 1.0, CatenaryState(1.0, 0.0, 1.2), s_max=5.0)
     assert tr.termination == "blow_up"
     assert len(tr.samples) == 14
     last = tr.samples[-1]
@@ -493,18 +497,14 @@ def test_arithmetic_error_in_stage_halves_the_step(error):
 
 
 def test_non_finite_start_u_and_limits_raise_config_error():
-    # a NaN blow-up factor or dphi limit would silently switch its event off
+    # a NaN blow-up factor would silently switch its event off
     sphere = catalog_surface("sphere")
-    good = CatenaryState(0.7, 0.0, 1.0)
-    for kwargs in ({"blowup_factor": math.nan}, {"dphi_limit": math.nan}):
-        with pytest.raises(ConfigError, match="must be finite"):
-            trace_catenary(sphere, 1.0, good, 1.0, **kwargs)
+    with pytest.raises(ConfigError, match="must be finite"):
+        trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), 1.0, blowup_factor=math.nan)
     with pytest.raises(ConfigError, match="must be finite"):
         trace_catenary(sphere, 1.0, CatenaryState(math.inf, 0.0, 1.0), 1.0)
     with pytest.raises(ConfigError, match="must be finite"):
         trace_graph(sphere, 1.0, math.nan, 0.0, (0.0, 1.0))
-    with pytest.raises(ConfigError, match="must be finite"):
-        trace_graph(sphere, 1.0, 0.7, 0.0, (0.0, 1.0), blowup_factor=math.nan)
 
 
 def test_max_residual_is_nan_when_any_residual_is_nan():
@@ -616,9 +616,6 @@ def test_arithmetic_beyond_the_float_range_raises_config_error(run, start):
     ("trace_catenary(sphere, 1.0, start, 1.0, max_step='x')", "max_step='x' is not a number"),
     ("trace_catenary(sphere, 1.0, start, 1.0, blowup_factor=-1.0)",
      "blowup_factor=-1.0 must be positive"),
-    ("trace_catenary(sphere, 1.0, start, 1.0, dphi_limit=0.0)", "dphi_limit=0.0 must be positive"),
-    ("trace_graph(sphere, 1.0, 0.5, 0.0, (0.0, 1.0), blowup_factor=0.0)",
-     "blowup_factor=0.0 must be positive"),
     ("trace_graph(sphere, 1.0, 0.5, 0.0, ('x', 1.0))", "v_span[0]='x' is not a number"),
     ("trace_graph(sphere, 1.0, 0.5, 0.0, (None, 1.0))", "v_span[0]=None is not a number"),
     ("trace_graph(sphere, 1.0, 0.5, 0.0, (0.0,))", "v_span=(0.0,) is not a pair of numbers"),
