@@ -90,3 +90,15 @@ def _pair(name: str, value) -> tuple[float, float]:
         raise ConfigError(f"{name}={value!r} is not a pair of numbers") from None
     check_finite(**{f"{name}[0]": first, f"{name}[1]": second})
     return first, second
+
+
+def _interval(name: str, value) -> tuple[float, float]:
+    """value as a pair (lo, hi) of numbers, lo < hi, either end possibly infinite; else
+    ConfigError "bad <name> <value>"."""
+    try:
+        lo, hi = value
+        if not math.isnan(lo) and lo < hi:  # isnan raises TypeError for a non-number
+            return lo, hi
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"bad {name} {value!r}: need a pair of numbers lo < hi")

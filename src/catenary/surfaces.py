@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (ConfigError, DegenerateMetricError, DomainError, _positive, _read_params,
-                     check_finite)
+from .errors import (ConfigError, DegenerateMetricError, DomainError, _interval, _positive,
+                     _read_params, check_finite)
 
 __all__ = [
     "Domain",
@@ -366,14 +366,17 @@ def _ruled_jet(u: float, v: float, fv: float, f_v: float, gv: float, g_v: float)
 
 
 def _ruled_spec(metric, u_range, v_range, identifier: str) -> SurfaceSpec:
-    patch = MetricPatch(identifier, metric,
-                        Domain(u_range[0], u_range[1], v_range[0], v_range[1]))
+    patch = MetricPatch(identifier, metric, Domain(*_interval("ruled u-range", u_range),
+                                                   *_interval("ruled v-range", v_range)))
     return SurfaceSpec(kind="ruled", params={}, patch=patch, profile=None)
 
 
 def ruled_surface(f, g, f_v, g_v, u_range=(0.0, _INF), v_range=(-_INF, _INF),
                   identifier: str = "ruled") -> SurfaceSpec:
-    """Ruled surface from callables f(v), g(v) and their derivatives."""
+    """Ruled surface from callables f(v), g(v) and their derivatives.
+
+    ``u_range`` and ``v_range`` are pairs of numbers lo < hi, either one possibly infinite.
+    """
 
     def metric(u, v):
         return _ruled_jet(u, v, f(v), f_v(v), g(v), g_v(v))
@@ -391,7 +394,8 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
     f and g are interpolated by PCHIP, the monotone piecewise cubic of
     Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980); the interpolant equals
     scipy's ``PchipInterpolator``.  Requires at least 4 finite samples, one
-    f and one g per v, strictly increasing v and nonnegative g.
+    f and one g per v, strictly increasing v and nonnegative g; ``u_range`` as in
+    ``ruled_surface``.
     """
     try:
         vs, fs, gs = ([float(t) for t in column]
@@ -425,18 +429,19 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
 
 def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
                     identifier: str = "profile") -> SurfaceSpec:
-    """Rotationally symmetric metric from analytic profile callables.
+    """Rotationally symmetric metric from analytic profile callables on ``u_range``.
 
-    Positivity of a and ``profile_warning`` (|a'| > 1) come from 199 interior probe
-    points, so a slope peak between them is missed; ``tabulated_profile``'s is exact.
+    ``u_range`` is a pair of numbers 0 <= lo < hi; hi may be infinite.  Positivity of a
+    and ``profile_warning`` (|a'| > 1) come from 199 interior probe points, so a slope
+    peak between them is missed; ``tabulated_profile``'s is exact.
     An unbounded domain gets 200 probes on (u_min, u_min + 10] and 199 more out to
     max(100, 10 u_min), the end of the root scans of ``critical_parallels`` and
     ``turning_points``; nothing beyond is checked.  A callable that raises
     ArithmeticError or ValueError on a probe raises ConfigError.
     """
-    lo, hi = float(u_range[0]), float(u_range[1])
-    if not (lo >= 0.0 and hi > lo):
-        raise ConfigError(f"bad profile u-range {u_range!r}")
+    lo, hi = map(float, _interval("profile u-range", u_range))
+    if not lo >= 0.0:
+        raise ConfigError(f"bad profile u-range {u_range!r}: u must be >= 0")
     if math.isfinite(hi):
         probe = _linspace(lo, hi, 201)[1:-1]
     else:

@@ -485,3 +485,24 @@ def test_tabulated_profile_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: profile_surface(math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u), 5),
+    lambda: profile_surface(math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u),
+                            ("x", 1.0)),
+    lambda: ruled_surface(lambda v: 0.0, lambda v: 1.0, lambda v: 0.0, lambda v: 0.0,
+                          u_range=5),
+    lambda: ruled_surface(lambda v: 0.0, lambda v: 1.0, lambda v: 0.0, lambda v: 0.0,
+                          v_range=(1.0, 0.0)),
+    lambda: ruled_surface(lambda v: 0.0, lambda v: 1.0, lambda v: 0.0, lambda v: 0.0,
+                          u_range=(math.nan, 1.0)),
+    lambda: ruled_surface_from_samples([0.0, 1.0, 2.0, 3.0], [0.0] * 4, [1.0] * 4,
+                                       u_range=("x", 1.0)),
+], ids=["profile_int", "profile_str", "ruled_int", "ruled_decreasing", "ruled_nan",
+        "ruled_samples_str"])
+def test_surface_ranges_are_pairs_of_numbers(build):
+    # these leaked TypeError or ValueError, or built a surface whose domain
+    # check leaked TypeError later
+    with pytest.raises(ConfigError, match="need a pair of numbers lo < hi"):
+        build()
