@@ -76,8 +76,9 @@ def _in_float_range(fn: Callable, name: str | None = None, domain=None) -> Calla
 
 def _family(family: str, params: dict, domain: tuple[float, float], value: Callable,
             d1: Callable, d2: Callable) -> ClosedFormFamily:
-    """A ClosedFormFamily whose derivatives check their argument and value as ``value`` does."""
-    return ClosedFormFamily(family, params, domain, value,
+    """A ClosedFormFamily whose value, d1 and d2 check their argument and result alike."""
+    return ClosedFormFamily(family, params, domain,
+                            _in_float_range(value, f"{family}.value", domain),
                             _in_float_range(d1, f"{family}.d1", domain),
                             _in_float_range(d2, f"{family}.d2", domain))
 

@@ -259,3 +259,25 @@ def test_family_derivatives_check_their_domain(family, t):
     for derivative in (fam.d1, fam.d2):
         with pytest.raises(DomainError, match="outside"):
             derivative(t)
+
+
+def _raises_domain_error(fn, t):
+    try:
+        fn(t)
+    except DomainError:
+        return True
+    except ConfigError:  # a derivative that overflows next to the edge is still inside
+        pass
+    return False
+
+
+@pytest.mark.parametrize("family", ["cone", "grusin_catenary", "grusin_geodesic"])
+def test_family_value_checks_the_domain_as_its_derivatives_do(family):
+    # at s = pi/2 the Grusin geodesic's value returned (6.1e-17, ...) while d1 and d2
+    # raised DomainError
+    fam = closed_form_family(family, **({"u0": 1.0} if family == "grusin_geodesic" else {}))
+    for edge in filter(math.isfinite, fam.domain):
+        for t in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+            outside = not fam.domain[0] < t < fam.domain[1]
+            assert _raises_domain_error(fam.value, t) == outside, t
+            assert _raises_domain_error(fam.d1, t) == _raises_domain_error(fam.d2, t) == outside, t
