@@ -5,7 +5,7 @@ import math
 import pytest
 
 from catenary import CatenaryState, catalog_surface, trace_catenary
-from catenary.cli import emit_trace, run
+from catenary.cli import build_parser, emit_trace, run
 
 
 def read_csv(path):
@@ -63,6 +63,30 @@ def test_bad_tolerance_exits_2(tmp_path):
     code = run(["trace", "--surface", "sphere", "--u0", "0.5", "--phi0", "1",
                 "--smax", "1", "--tol", "1e-2", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+_TRACE_ARGV = ["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1", "--smax", "3"]
+_GRAPH_ARGV = ["trace-graph", "--surface", "plane", "--u0", "1", "--v1", "1"]
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (_TRACE_ARGV, ["--tol", "1e-9", "--max-step", "inf"]),
+    (_TRACE_ARGV, ["--blowup-factor", "1e6"]),
+    (_GRAPH_ARGV, ["--tol", "1e-9", "--max-step", "inf"]),
+], ids=["trace_step", "trace_blowup", "trace_graph_step"])
+def test_tracer_defaults_on_the_command_line_change_nothing(argv, defaults, tmp_path):
+    # the flags are not passed when absent, so the library's defaults must equal them
+    plain, explicit = tmp_path / "plain.csv", tmp_path / "explicit.csv"
+    assert run([*argv, "--out", str(plain)]) == 0
+    assert run([*argv, *defaults, "--out", str(explicit)]) == 0
+    assert plain.read_bytes() == explicit.read_bytes()
+
+
+def test_absent_tracer_flags_are_not_parsed():
+    # the tracers own the defaults: an absent flag leaves no attribute to pass on
+    for argv in (_TRACE_ARGV, _GRAPH_ARGV):
+        args = vars(build_parser().parse_args(argv))
+        assert not {"tol", "max_step", "blowup_factor"} & set(args)
 
 
 def test_csv_roundtrip_is_bit_exact(tmp_path):
