@@ -50,7 +50,7 @@ class ClosedFormFamily:
 
 
 def _in_float_range(fn: Callable, name: str | None = None, domain=None) -> Callable:
-    """fn, raising ConfigError where its value overflows or is not finite.
+    """fn, raising ConfigError where its value overflows, is not finite or is a math error.
 
     Given the parameter ``domain``, fn's one argument is checked first, as the solution
     functions check theirs: ConfigError unless finite, DomainError outside the domain.
@@ -65,7 +65,7 @@ def _in_float_range(fn: Callable, name: str | None = None, domain=None) -> Calla
                 raise DomainError(f"{name}: t={args[0]!r} outside {domain!r}")
         try:
             value = fn(*args)
-        except OverflowError:
+        except (OverflowError, ValueError):  # ValueError: a math domain error, as cos(inf)
             value = math.inf
         if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{name}({', '.join(map(repr, args))}) leaves the float range")
@@ -135,6 +135,7 @@ def hyperbolic_quadrature(r: float, alpha: float, c: float,
     r=r)`` with Clairaut constant |c|, signed by c.  The integrand must be
     real on (u0, u1) except at integrable turning-point endpoints.
     """
+    check_finite(c=c)
     dv = quadrature_v(catalog_surface("hyperbolic", r=r), alpha, abs(c), u0, u1)
     return dv if c > 0.0 else -dv
 

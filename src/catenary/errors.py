@@ -46,6 +46,8 @@ def check_finite(**values: float) -> None:
             finite = math.isfinite(value)
         except TypeError:
             raise ConfigError(f"{name}={value!r} is not a number") from None
+        except OverflowError:  # an int past the float range; its repr may be too long
+            raise ConfigError(f"{name} is an int beyond the float range") from None
         if not finite:
             raise ConfigError(f"{name}={value!r} must be finite")
 
@@ -68,6 +70,8 @@ def _read_params(params: dict, defaults: dict, owner: str) -> dict:
             values[name] = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"parameter {name}={value!r} is not a number") from None
+        except OverflowError:
+            raise ConfigError(f"parameter {name} is an int beyond the float range") from None
         check_finite(**{name: values[name]})
     return values
 

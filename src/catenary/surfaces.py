@@ -93,9 +93,11 @@ class MetricPatch:
 class RevolutionProfile:
     """Profile a(u) of a rotationally symmetric metric du^2 + a(u)^2 dv^2.
 
-    ``knots`` holds the sample abscissae of a tabulated profile, where a'' jumps; integrals
-    over a(u) are split there.  ``pieces`` holds each knot piece's (y, d, c1, c0, ...), with
-    a = y + d s + c1 s^2 + c0 s^3 in s = u - knot.  Analytic profiles have neither.
+    A catalog or tabulated profile's ``a`` and ``a_u`` read its surface's fused kernel at
+    v = 0; ``profile_surface`` keeps the caller's callables.  ``knots`` holds the sample
+    abscissae of a tabulated profile, where a'' jumps; integrals over a(u) are split there.
+    ``pieces`` holds each knot piece's (y, d, c1, c0, ...), with a = y + d s + c1 s^2 +
+    c0 s^3 in s = u - knot.  Analytic profiles have neither.
     """
 
     a: Callable[[float], float]
@@ -170,24 +172,16 @@ def _sqrt_kernel(k: float):
     return metric, a_uu
 
 
-def _revolution_spec(kind, params, identifier, a, a_u, a_uu, metric, domain,
-                     warning=False, knots=(), pieces=()):
-    return SurfaceSpec(
-        kind=kind,
-        params=dict(params),
-        patch=MetricPatch(identifier, metric, domain),
-        profile=RevolutionProfile(a, a_u, a_uu, knots, pieces),
-        profile_warning=warning,
-    )
-
-
-def _catalog_spec(kind, params, identifier, metric, a_uu, domain, warning=False):
-    """A catalog surface from its fused kernel metric(u, v) -> (a, a_u, 0.0) and a_uu.
+def _profile_spec(kind, params, identifier, metric, a_uu, domain, warning=False,
+                  knots=(), pieces=()):
+    """A catalog or tabulated surface from its fused kernel metric(u, v) -> (a, a_u, 0.0).
 
     The profile's a and a_u read the kernel at v = 0, so each expression is written once.
     """
-    return _revolution_spec(kind, params, identifier, lambda u: metric(u, 0.0)[0],
-                            lambda u: metric(u, 0.0)[1], a_uu, metric, domain, warning)
+    return SurfaceSpec(kind, dict(params), MetricPatch(identifier, metric, domain),
+                       RevolutionProfile(lambda u: metric(u, 0.0)[0],
+                                         lambda u: metric(u, 0.0)[1], a_uu, knots, pieces),
+                       warning)
 
 
 # each kind's parameters and their defaults
@@ -220,12 +214,12 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
     params = _read_params(params, CATALOG_PARAMS[kind], f"kind {kind!r}")
 
     if kind in ("plane", "cylinder"):
-        return _catalog_spec(kind, params, kind, lambda u, v: (1.0, 0.0, 0.0),
+        return _profile_spec(kind, params, kind, lambda u, v: (1.0, 0.0, 0.0),
                              lambda u: 0.0, Domain(0.0, _INF))
 
     if kind == "sphere":
         u_max = math.pi if params["extended"] else math.pi / 2
-        return _catalog_spec(kind, params, "sphere",
+        return _profile_spec(kind, params, "sphere",
                              lambda u, v: (math.cos(u), -math.sin(u), 0.0),
                              lambda u: -math.cos(u), Domain(0.0, u_max))
 
@@ -236,25 +230,25 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
             x = u / r
             return math.cosh(x), math.sinh(x) / r, 0.0
 
-        return _catalog_spec(kind, params, f"hyperbolic(r={r:g})", hyperbolic,
+        return _profile_spec(kind, params, f"hyperbolic(r={r:g})", hyperbolic,
                              lambda u: math.cosh(u / r) / (r * r),
                              Domain(0.0, _INF), warning=True)  # sinh(u/r)/r is unbounded
 
     if kind == "cone":
         slope = _positive("slope", params["slope"])
-        return _catalog_spec(kind, params, f"cone(slope={slope:g})",
+        return _profile_spec(kind, params, f"cone(slope={slope:g})",
                              lambda u, v: (slope * u, slope, 0.0), lambda u: 0.0,
                              Domain(0.0, _INF), warning=slope > 1.0)
 
     if kind in ("catenoid", "helicoid"):
-        return _catalog_spec(kind, params, kind, *_sqrt_kernel(1.0), Domain(0.0, _INF))
+        return _profile_spec(kind, params, kind, *_sqrt_kernel(1.0), Domain(0.0, _INF))
 
     if kind == "binormal":
         tau = _positive("tau", params["tau"])
-        return _catalog_spec(kind, params, f"binormal(tau={tau:g})",  # sup a' = tau
+        return _profile_spec(kind, params, f"binormal(tau={tau:g})",  # sup a' = tau
                              *_sqrt_kernel(tau), Domain(0.0, _INF), warning=tau > 1.0)
 
-    return _catalog_spec(  # grusin
+    return _profile_spec(  # grusin
         kind, params, "grusin", lambda u, v: (1.0 / u, -1.0 / (u * u), 0.0),
         lambda u: 2.0 / (u * u * u), Domain(0.0, _INF), warning=True)  # 1/u^2 > 1 for u < 1
 
@@ -279,19 +273,19 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 
 
 def _pchip(x: Sequence[float], y: Sequence[float]):
-    """PCHIP interpolant of samples y(x), its first two derivatives and a kernel.
+    """PCHIP interpolant of samples y(x) as a kernel, its second derivative and piece data.
 
-    Returns callables (a, a_u, a_uu) equal bit for bit to scipy's
-    ``PchipInterpolator(x, y)`` and its ``derivative()`` and
-    ``derivative(2)``: the same knot slopes (weighted harmonic mean inside,
-    Fritsch & Carlson 1980), the same cubic coefficients, the same piece
-    (the end pieces extend beyond the knots, x[-1] belongs to the last one)
-    and the same order of floating-point operations.  x must be strictly
-    increasing with at least 3 entries; nothing is checked here.  The fourth,
-    ``metric(t, v) -> (a(t), a_u(t), 0.0)``, finds the piece once for both.
-    The fifth is max |a_u| on [x[0], x[-1]]; a_u is quadratic on a piece, so
-    that is its largest value at a knot or at a vertex inside a piece.  The
-    sixth holds the tuple (y, d, c1, c0, 2 c1, 3 c0, 6 c0) of every piece.
+    Returns ``(metric, a_uu, slope_max, pieces)``.  ``metric(t, v) -> (a(t), a_u(t), 0.0)``
+    and ``a_uu`` equal bit for bit scipy's ``PchipInterpolator(x, y)`` and its
+    ``derivative()`` and ``derivative(2)``: the same knot slopes (weighted harmonic mean
+    inside, Fritsch & Carlson 1980), the same cubic coefficients, the same piece (the end
+    pieces extend beyond the knots, x[-1] belongs to the last one) and the same order of
+    floating-point operations.  x must be strictly increasing with at least 3 entries;
+    nothing is checked here.  Each lookup tests the piece found last before it bisects;
+    both give the same piece for every t, ±inf and NaN included.  ``slope_max`` is
+    max |a_u| on [x[0], x[-1]]; a_u is quadratic on a piece, so that is its largest
+    value at a knot or at a vertex inside a piece.  ``pieces`` holds the tuple
+    (y, d, c1, c0, 2 c1, 3 c0, 6 c0) of every piece.
     """
     x = [float(t) for t in x]
     y = [float(t) for t in y]
@@ -318,32 +312,28 @@ def _pchip(x: Sequence[float], y: Sequence[float]):
         if 0.0 < vertex < hk:
             slope_max = max(slope_max, abs(c2 + e1 * vertex + e0 * (vertex * vertex)))
     hi = len(x) - 1  # bisect over x[1:-1]: clamps t to the end pieces
-
-    def a(t: float) -> float:
-        k = bisect.bisect_right(x, t, 1, hi) - 1
-        s = t - x[k]
-        c3, c2, c1, c0, _, _, _ = pieces[k]
-        return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-
-    def a_u(t: float) -> float:
-        k = bisect.bisect_right(x, t, 1, hi) - 1
-        s = t - x[k]
-        _, c2, _, _, e1, e0, _ = pieces[k]
-        return 0.0 + c2 + e1 * s + e0 * (s * s)
-
-    def a_uu(t: float) -> float:
-        k = bisect.bisect_right(x, t, 1, hi) - 1
-        _, _, _, _, e1, _, f0 = pieces[k]
-        return 0.0 + e1 + f0 * (t - x[k])
+    cuts = [-_INF, *x[1:-1], _INF]  # piece k holds cuts[k] <= t < cuts[k + 1]
+    last = 0  # the piece found last; read once per call and checked, so threads may share it
 
     def metric(t: float, v: float) -> tuple[float, float, float]:
-        k = bisect.bisect_right(x, t, 1, hi) - 1
+        nonlocal last
+        k = last
+        if not cuts[k] <= t < cuts[k + 1]:
+            k = last = bisect.bisect_right(x, t, 1, hi) - 1
         s = t - x[k]
         c3, c2, c1, c0, e1, e0, _ = pieces[k]
         return (0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s),
                 0.0 + c2 + e1 * s + e0 * (s * s), 0.0)
 
-    return a, a_u, a_uu, metric, slope_max, pieces
+    def a_uu(t: float) -> float:
+        nonlocal last
+        k = last
+        if not cuts[k] <= t < cuts[k + 1]:
+            k = last = bisect.bisect_right(x, t, 1, hi) - 1
+        _, _, _, _, e1, _, f0 = pieces[k]
+        return 0.0 + e1 + f0 * (t - x[k])
+
+    return metric, a_uu, slope_max, pieces
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +403,7 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
         raise ConfigError("v samples must be strictly increasing")
     if not all(g >= 0.0 for g in gs):
         raise ConfigError("g = ||W'||^2 samples must be nonnegative")
-    f_jet, g_jet = _pchip(vs, fs)[3], _pchip(vs, gs)[3]
+    f_jet, g_jet = _pchip(vs, fs)[0], _pchip(vs, gs)[0]
 
     def metric(u, v):
         fv, f_v, _ = f_jet(v, 0.0)  # (f, f') from one piece lookup
@@ -457,10 +447,8 @@ def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
     def generic(u, v):
         return a(u), a_u(u), 0.0
 
-    return _revolution_spec(
-        "revolution_profile", {}, identifier, a, a_u, a_uu, generic,
-        Domain(lo, hi), warning=warning,
-    )
+    return SurfaceSpec("revolution_profile", {}, MetricPatch(identifier, generic, Domain(lo, hi)),
+                       RevolutionProfile(a, a_u, a_uu), warning)
 
 
 def tabulated_profile(samples: Sequence[tuple[float, float]],
@@ -489,11 +477,9 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
         raise ConfigError(f"profile u samples must be >= 0, got u={us[0]!r}")
     if not all(a > 0.0 for a in vals):
         raise ConfigError("profile values a(u) must be positive")
-    a, a_u, a_uu, metric, slope_max, pieces = _pchip(us, vals)
-    return _revolution_spec(
-        "revolution_profile", {}, identifier, a, a_u, a_uu, metric,
-        Domain(us[0], us[-1]), warning=slope_max > 1.0, knots=tuple(us), pieces=pieces,
-    )
+    metric, a_uu, slope_max, pieces = _pchip(us, vals)
+    return _profile_spec("revolution_profile", {}, identifier, metric, a_uu,
+                         Domain(us[0], us[-1]), slope_max > 1.0, tuple(us), pieces)
 
 
 def load_profile_csv(path) -> list[tuple[float, float]]:

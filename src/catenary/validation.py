@@ -35,7 +35,8 @@ THRESHOLDS = {
     "cross_oracle": 1e-5,
 }
 
-_USTAR_BRACKET = (0.5, 1.5)
+# the sphere's critical parallel at alpha = 1: the root of cos u = u sin u, correctly rounded
+_USTAR = 0.8603335890193797
 
 
 @dataclass(frozen=True)
@@ -53,27 +54,6 @@ class CheckResult:
 def _result(name, value, threshold, detail="") -> CheckResult:
     return CheckResult(name=name, passed=bool(value < threshold), value=float(value),
                        threshold=float(threshold), detail=detail)
-
-
-def bisect_oracle(fn, a, b, xtol=1e-14):
-    """Plain bisection root finder, used as an independent reference."""
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        raise ValueError("no sign change in bracket")
-    while (b - a) > xtol:
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
 
 
 # --------------------------------------------------------------------------
@@ -255,9 +235,8 @@ def check_trace_vs_closed_forms() -> list[CheckResult]:
 
 
 def check_sphere_critical_parallel() -> list[CheckResult]:
-    """Criterion 3: the unique sphere critical parallel against the bisection oracle."""
+    """Criterion 3: the unique sphere critical parallel against the reference root."""
     sphere = catalog_surface("sphere")
-    oracle = bisect_oracle(lambda u: math.cos(u) - u * math.sin(u), *_USTAR_BRACKET)
     found = critical_parallels(sphere, 1.0)
     out = [
         CheckResult("sphere_critical_count", len(found) == 1, float(len(found)),
@@ -265,8 +244,8 @@ def check_sphere_critical_parallel() -> list[CheckResult]:
     ]
     if found:
         root = found[0]
-        out.append(_result("sphere_critical_vs_oracle", abs(root.u - oracle), 1e-10,
-                           detail=f"root={root.u!r} oracle={oracle!r}"))
+        out.append(_result("sphere_critical_vs_oracle", abs(root.u - _USTAR), 1e-10,
+                           detail=f"root={root.u!r} oracle={_USTAR!r}"))
         out.append(_result("sphere_critical_vs_reported", abs(root.u - 0.86), 5e-3))
         out.append(CheckResult("sphere_critical_stable", root.lam > 0.0, root.lam,
                                0.0, f"lambda={root.lam!r}"))

@@ -227,6 +227,7 @@ def test_family_parameter_errors_name_the_parameter(family, params, message):
     ("euclidean_catenary(math.inf, 0.0, 1.0)", "mu=inf must be finite"),
     ("grusin_geodesic(math.inf, 0.0, 0.1)", "u0=inf must be finite"),
     ("euclidean_catenary('x', 0.0, 1.0)", "mu='x' is not a number"),
+    ("hyperbolic_quadrature(1.0, 1.0, 'x', 0.5, 1.0)", "c='x' is not a number"),
 ])
 def test_solutions_check_every_argument(call, message):
     # these once returned nan, (inf, nan) and leaked a TypeError
@@ -243,6 +244,9 @@ def test_solutions_check_every_argument(call, message):
      "grusin_catenary(1e+300, 0.0, 1e+300) leaves the float range"),
     ("validate_closed_form(closed_form_family('euclidean'), catalog_surface('plane'), 1.0,"
      " [1000.0])", "euclidean_catenary(1.0, 0.0, 1000.0) leaves the float range"),
+    # s/u0 overflows to inf and cos(inf) is a math domain error (ValueError)
+    ("grusin_geodesic(1e-320, 0.0, 0.5)",
+     "grusin_geodesic(1e-320, 0.0, 0.5) leaves the float range"),
 ])
 def test_solutions_past_the_float_range_raise_config_error(call, message):
     # these once leaked OverflowError or returned inf

@@ -16,6 +16,7 @@ from catenary import (
     catalog_surface,
     catenary_residual,
     clairaut_constant,
+    closed_form_family,
     conformal_coordinate,
     critical_parallels,
     embed_revolution,
@@ -30,7 +31,6 @@ from catenary import (
     turning_points,
 )
 from catenary.revolution import _scan_range
-from catenary.validation import bisect_oracle
 from oracles import (
     CATENOID_IMPROPER_HALF,
     RHO_STAR,
@@ -180,8 +180,8 @@ def test_turning_points_near_critical_pair_straddles_parallel(k):
     def gap(u):
         return u * math.cos(u) - c
 
-    assert tp[0] == pytest.approx(bisect_oracle(gap, 0.3, USTAR), abs=1e-12)
-    assert tp[1] == pytest.approx(bisect_oracle(gap, USTAR, 1.5), abs=1e-12)
+    assert tp[0] == pytest.approx(bisect(gap, 0.3, USTAR), abs=1e-12)
+    assert tp[1] == pytest.approx(bisect(gap, USTAR, 1.5), abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [10, 11, 12, 14, 16, math.inf])
@@ -343,11 +343,24 @@ def test_default_scan_range_fits_a_domain_narrower_than_its_margin(spec):
     assert u == pytest.approx(2e-7, rel=1e-9)
 
 
-def test_bisect_oracle_ends_and_brackets():
-    assert bisect_oracle(lambda u: u - 1.0, 1.0, 2.0) == 1.0
-    assert bisect_oracle(lambda u: u - 2.0, 1.0, 2.0) == 2.0
-    with pytest.raises(ValueError, match="no sign change"):
-        bisect_oracle(lambda u: u, 1.0, 2.0)
+@pytest.mark.parametrize("call, message", [
+    ("trace_catenary(catalog_surface('sphere'), 1, CatenaryState(0.7, 0, 1), 10**400)",
+     "s_max is an int beyond the float range"),
+    ("catalog_surface('cone', slope=10**400)", "parameter slope is an int beyond the float range"),
+    ("closed_form_family('euclidean', mu=10**400)",
+     "parameter mu is an int beyond the float range"),
+    ("critical_parallels(catalog_surface('sphere'), 10**400)",
+     "alpha is an int beyond the float range"),
+    # an int whose repr exceeds Python's digit limit is not named by value
+    ("closed_form_family('euclidean', mu=10**5000)",
+     "parameter mu is an int beyond the float range"),
+])
+def test_ints_past_the_float_range_raise_config_error(call, message):
+    # these once leaked OverflowError from float() and math.isfinite, or, for
+    # critical_parallels, said DegenerateMetricError
+    with pytest.raises(ConfigError) as info:
+        eval(call)
+    assert str(info.value) == message
 
 
 def test_quadrature_rejects_divergent_tail():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -179,14 +180,32 @@ CATALOG_CASES = [
 ]
 
 
+# each catalog kind's a(u) in closed form, for mpmath
+CLOSED_FORM_A = {
+    "plane": lambda u, p: mpmath.mpf(1), "cylinder": lambda u, p: mpmath.mpf(1),
+    "sphere": lambda u, p: mpmath.cos(u), "hyperbolic": lambda u, p: mpmath.cosh(u / p["r"]),
+    "cone": lambda u, p: p["slope"] * u, "catenoid": lambda u, p: mpmath.sqrt(1 + u * u),
+    "helicoid": lambda u, p: mpmath.sqrt(1 + u * u),
+    "binormal": lambda u, p: mpmath.sqrt(1 + (p["tau"] * u) ** 2),
+    "grusin": lambda u, p: 1 / u,
+}
+
+
 @pytest.mark.parametrize("kind, params", CATALOG_CASES)
-def test_fused_catalog_kernel_matches_profile_bit_for_bit(kind, params):
+def test_catalog_kernel_and_a_uu_match_mpmath_derivatives(kind, params):
+    # the kernel's a and a' and the profile's a'' against the closed form's derivatives,
+    # taken by mpmath at 40 digits at the exact float u
     spec = catalog_surface(kind, **params)
-    top = min(spec.domain.u_max, 30.0)
-    us = [1e-9, 1e-3, *(top * k / 400 for k in range(1, 400))]
-    p = spec.profile
-    for u in us:
-        assert repr(spec.patch.metric(u, 0.3)) == repr((p.a(u), p.a_u(u), 0.0)), u
+    a, top = CLOSED_FORM_A[kind], min(spec.domain.u_max, 30.0)
+    rng = np.random.default_rng(20261020)
+    us = [*rng.uniform(0.0, top, 190).tolist(), *(10.0 ** rng.uniform(-9, 0, 10)).tolist()]
+    with mpmath.workdps(40):
+        for u in us:
+            g, g_u, g_v = spec.patch.metric(u, 0.3)
+            assert g_v == 0.0
+            for order, value in enumerate((g, g_u, spec.profile.a_uu(u))):
+                want = mpmath.diff(lambda t: a(t, spec.params), mpmath.mpf(u), order)
+                assert abs(value - want) <= 2e-15 * abs(want), (u, order)
 
 
 @pytest.mark.parametrize("kind, params", CATALOG_CASES)
@@ -217,8 +236,9 @@ def test_fused_ruled_kernel_matches_four_callables_bit_for_bit():
     fs = [0.04 + 0.1 * math.sin(v + 2.1) for v in vs]
     gs = [0.6 + 0.2 * math.cos(2 * v + 0.7) for v in vs]
     fused = ruled_surface_from_samples(vs, fs, gs)
-    f, f_v, *_ = _pchip(vs, fs)
-    g, g_v, *_ = _pchip(vs, gs)
+    (f_jet, *_), (g_jet, *_) = _pchip(vs, fs), _pchip(vs, gs)
+    f, f_v = (lambda v: f_jet(v, 0.0)[0]), (lambda v: f_jet(v, 0.0)[1])
+    g, g_v = (lambda v: g_jet(v, 0.0)[0]), (lambda v: g_jet(v, 0.0)[1])
     separate = ruled_surface(f, g, f_v, g_v, v_range=(vs[0], vs[-1]))
     pts = [(0.05 + 2.9 * i / 36, -2.99 + 5.98 * j / 70) for i in range(37) for j in range(71)]
     pts += [(0.7, v) for v in vs[1:-1]]  # on the knots
@@ -428,18 +448,20 @@ def test_pchip_matches_scipy_bit_for_bit(seed):
             rng.uniform(x[0], x[-1], 50),
             rng.uniform(x[0] - 2.0, x[0], 5),  # outside the knots
             rng.uniform(x[-1], x[-1] + 2.0, 5),
+            [math.inf, -math.inf, math.nan],
         ])
-        a, a_u, a_uu, metric, slope_max, _ = _pchip(x, y)
-        for fn, oracle in zip((a, a_u, a_uu), (ref, ref.derivative(), ref.derivative(2))):
-            got = np.array([fn(t) for t in pts.tolist()])
-            np.testing.assert_array_equal(got.view(np.int64), oracle(pts).view(np.int64))
-        # the fused kernel a tabulated profile's patch uses: (a, a', 0.0) per point
-        got = np.array([metric(t, v) for t, v in zip(pts.tolist(), pts[::-1].tolist())])
-        want = np.stack([ref(pts), ref.derivative()(pts), np.zeros(len(pts))], axis=1)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        metric, a_uu, slope_max, _ = _pchip(x, y)
+        want = np.stack([ref(pts), ref.derivative()(pts), np.zeros(len(pts)),
+                         ref.derivative(2)(pts)], axis=1)
+        # sorted, reversed and shuffled: the lookup's last piece hits, and its bisection
+        # runs from every piece
+        for order in (np.argsort(pts), np.argsort(pts)[::-1], rng.permutation(len(pts))):
+            got = np.array([(*metric(t, v), a_uu(t))
+                            for t, v in zip(pts[order].tolist(), pts.tolist())])
+            np.testing.assert_array_equal(got.view(np.int64), want[order].view(np.int64))
         # the exact maximum of |a'| over the knots' range bounds every sampled |a'|
         inside = [t for t in pts.tolist() if x[0] <= t <= x[-1]]
-        assert max(abs(a_u(t)) for t in inside) <= slope_max * (1.0 + 1e-12)
+        assert max(abs(metric(t, 0.0)[1]) for t in inside) <= slope_max * (1.0 + 1e-12)
 
 
 def test_linspace_matches_numpy_bit_for_bit():

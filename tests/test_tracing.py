@@ -496,6 +496,30 @@ def test_arithmetic_error_in_stage_halves_the_step(error):
     assert f_final == (1.0, 0.0, 0.0, y_final[0]) == segments[-1][5]
 
 
+def test_initial_step_survives_a_failing_trial_stage():
+    # heading straight for u = 0 from u = 2e-9, the initial-step heuristic's trial
+    # Euler step lands below u = 0, where the RHS raises: the heuristic falls back
+    # on the start's derivative, and the trace ends at the lower edge
+    import sys
+
+    raised, code, outer = [], tracing._initial_step.__code__, sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[0])
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        tr = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(2e-9, 0.0, math.pi),
+                            1.0)
+    finally:
+        sys.settrace(outer)
+    assert raised and issubclass(raised[0], tracing._STAGE_ERRORS)
+    assert tr.termination == "hit_lower_u"
+    assert len(tr.samples) == 2
+
+
 def test_non_finite_start_u_and_limits_raise_config_error():
     # a NaN blow-up factor would silently switch its event off
     sphere = catalog_surface("sphere")

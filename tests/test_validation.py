@@ -115,3 +115,11 @@ def test_conformal_geodesic_stops_on_nan_metric():
     assert geodesic(0.05) == pytest.approx((0.75, 0.0), abs=1e-12)
     with pytest.raises(ValueError, match="too short"):
         geodesic(0.2)
+
+
+def test_sphere_reference_root_is_the_correctly_rounded_root():
+    import mpmath
+
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda u: mpmath.cos(u) - u * mpmath.sin(u), 0.86)
+    assert validation._USTAR == float(root)
