@@ -189,7 +189,7 @@ def _cmd_catalog(args) -> int:
 
 def _tracer_options(args) -> dict:
     """The tracer options given on the command line; the tracers own the defaults."""
-    return {k: getattr(args, k) for k in ("tol", "max_step", "blowup_factor") if k in args}
+    return {k: getattr(args, k) for k in ("tol", "max_step") if k in args}
 
 
 def _cmd_trace(args) -> int:
@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi0", type=float, required=True,
                     help="initial tangent angle from the meridian direction")
     sp.add_argument("--smax", type=float, required=True)
-    sp.add_argument("--blowup-factor", type=float, default=argparse.SUPPRESS)
     sp.set_defaults(func=_cmd_trace)
 
     sp = sub.add_parser("trace-graph", help="integrate the graph equation u(v)")

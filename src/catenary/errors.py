@@ -2,6 +2,10 @@
 
 import math
 
+__all__ = ["CatenaryError", "DomainError", "ConfigError", "DegenerateMetricError",
+           "SingularJetError", "KindError", "InaccessibleRegionError", "NotCriticalError",
+           "NotRealizableError"]
+
 
 class CatenaryError(Exception):
     """Base class for all library errors."""

@@ -16,10 +16,11 @@ Two independent formulations are provided:
   valid away from points where the curve turns vertical.
 
 Both use an embedded Dormand-Prince 5(4) pair with PI step-size control and
-cubic Hermite dense output on accepted steps.  The events (domain margins,
-blow-up, |dphi/ds| and vertical tangents) are bounds that one chained
-comparison checks at every accepted step end; a bound that fails is located
-by bisection on that step's cubic.  The metric kernel is called once per
+cubic Hermite dense output on accepted steps, which only this module reads:
+``Trace.at`` and the queries beside it (``find_turnings``, ``v_at_u``,
+``u_of_v``).  The events (domain margins, blow-up, |dphi/ds| and vertical
+tangents) are bounds that one chained comparison checks at every accepted
+step end; a bound that fails is located by bisection on that step's cubic.  The metric kernel is called once per
 stage, behind an inline copy of ``MetricPatch.evaluate``'s checks, and never
 per sample: the right-hand side returns the metric it read, and a step-end
 sample reuses the step's last (first-same-as-last) stage.  A point that fails
@@ -55,7 +56,7 @@ TOL_MIN, TOL_MAX = 1e-12, 1e-3
 # distance inside the u-range at which "hit_lower_u" and "left_domain" fire
 LOWER_MARGIN = 1e-9
 
-# "blow_up" fires once |dphi/ds| > DPHI_LIMIT (flow) or u > BLOWUP_FACTOR * u0 (default)
+# "blow_up" fires once |dphi/ds| > DPHI_LIMIT (flow) or u > BLOWUP_FACTOR * u0
 DPHI_LIMIT = 1e12
 BLOWUP_FACTOR = 1e6
 
@@ -127,6 +128,43 @@ class Trace:
         except TypeError:
             raise ConfigError(f"t={t!r} is not a number") from None
         return _hermite(self._segments[bisect_right(self._starts, t) - 1], t)
+
+
+def _bisect_dense(before, a, b):
+    """Parameter in [a, b] where ``before(t)`` turns from true to false, to 1e-13."""
+    a, b = _bisect(before, a, b, 1e-13)
+    return 0.5 * (a + b)
+
+
+def find_turnings(trace: Trace) -> list[float]:
+    """Arc-length values where the meridional velocity cos(phi) changes sign."""
+    out = []
+    samples, segments = trace.samples, trace._segments
+    for i in range(len(samples) - 1):
+        c0, c1 = math.cos(samples[i].phi), math.cos(samples[i + 1].phi)
+        # cos of a finite double is never exactly 0, so a sign change is all there is
+        if (c0 < 0.0) != (c1 < 0.0):
+            # samples i and i + 1 bound segment i, so its cubic is what
+            # Trace.at would look up at every probe
+            out.append(_bisect_dense(
+                lambda t: (c0 < 0.0) == (math.cos(_hermite(segments[i], t)[2]) < 0.0),
+                samples[i].s, samples[i + 1].s))
+    return out
+
+
+def v_at_u(trace: Trace, u_target: float, s_hi: float) -> float:
+    """v where a monotone-in-u stretch of the trace first reaches u_target."""
+    s_lo = trace.samples[0].s
+    increasing = trace.at(s_hi)[0] > trace.at(s_lo)[0]
+    s = _bisect_dense(lambda t: (trace.at(t)[0] < u_target) == increasing, s_lo, s_hi)
+    return trace.at(s)[1]
+
+
+def u_of_v(trace: Trace, v_target: float) -> float:
+    """u at a given v along a trace with strictly monotone v(s)."""
+    s = _bisect_dense(lambda t: trace.at(t)[1] < v_target,
+                      trace.samples[0].s, trace.samples[-1].s)
+    return trace.at(s)[0]
 
 
 # --------------------------------------------------------------------------
@@ -425,16 +463,14 @@ def _flow_sample(alpha: float, t: float, y: tuple, fy: tuple) -> TraceSample:
     return TraceSample(t, u, v, phi, kappa, residual)
 
 
-def _check_config(tol: float, max_step: float, finite: dict, positive: tuple) -> None:
-    """ConfigError unless tol is a number in [TOL_MIN, TOL_MAX] and max_step > 0, every
-    value of ``finite`` is finite and each one named in ``positive`` is > 0."""
+def _check_config(tol: float, max_step: float, finite: dict) -> None:
+    """ConfigError unless tol is a number in [TOL_MIN, TOL_MAX], max_step > 0 and every
+    value of ``finite`` is finite."""
     check_finite(tol=tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ConfigError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
     _positive("max_step", max_step)
     check_finite(**finite)
-    for name in positive:
-        _positive(name, finite[name])
 
 
 def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, bounds,
@@ -466,8 +502,7 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, bounds,
                  stats=stats, mode=mode, _segments=segments, _t_final=t_final)
 
 
-def _bounds(spec: SurfaceSpec, u0: float, v0: float, blowup_factor: float,
-            rate: float, graph: bool) -> _Bounds:
+def _bounds(spec: SurfaceSpec, u0: float, v0: float, rate: float, graph: bool) -> _Bounds:
     """Limits of a trace that starts at (u0, v0); ``rate`` and ``graph`` as in _Bounds.
 
     The domain limits sit a margin inside the domain's edges.  Raises
@@ -480,13 +515,12 @@ def _bounds(spec: SurfaceSpec, u0: float, v0: float, blowup_factor: float,
     v_lo = dom.v_min + 1e-9 * (1.0 + abs(dom.v_min)) if math.isfinite(dom.v_min) else -math.inf
     v_hi = dom.v_max - 1e-9 * (1.0 + abs(dom.v_max)) if math.isfinite(dom.v_max) else math.inf
     return _Bounds(dom.u_min + LOWER_MARGIN, dom.u_max - LOWER_MARGIN, v_lo, v_hi,
-                   blowup_factor * u0, rate, graph)
+                   BLOWUP_FACTOR * u0, rate, graph)
 
 
 def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
                    s_max: float, tol: float = 1e-9, *,
-                   max_step: float = math.inf,
-                   blowup_factor: float = BLOWUP_FACTOR) -> Trace:
+                   max_step: float = math.inf) -> Trace:
     """Trace the weighted critical curve through ``start`` from s = 0 up to s_max.
 
     Args:
@@ -501,13 +535,12 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
             A smaller cap buys more samples and a more accurate cubic-Hermite
             dense output (``Trace.at``) with proportionally more steps, each
             costing six metric evaluations.
-        blowup_factor: terminate with "blow_up" once u > blowup_factor * u0;
-            finite and > 0.
 
     Returns:
         A Trace with one sample per accepted step (kappa and the normalized
         residual recorded at each), a termination reason and step statistics.
-        It also ends on "blow_up" once |dphi/ds| exceeds ``DPHI_LIMIT``.
+        It ends on "blow_up" once u exceeds ``BLOWUP_FACTOR`` * u0 or
+        |dphi/ds| exceeds ``DPHI_LIMIT``.
 
     Raises:
         ConfigError for bad options, and where float arithmetic overflows
@@ -515,9 +548,9 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         DomainError for a start outside the domain.
     """
     _check_config(tol, max_step, {"alpha": alpha, "start.u": start.u, "start.v": start.v,
-                                  "start.phi": start.phi, "s_max": s_max,
-                                  "blowup_factor": blowup_factor}, ("s_max", "blowup_factor"))
-    bounds = _bounds(spec, start.u, start.v, blowup_factor, DPHI_LIMIT, False)
+                                  "start.phi": start.phi, "s_max": s_max})
+    _positive("s_max", s_max)
+    bounds = _bounds(spec, start.u, start.v, DPHI_LIMIT, False)
     return _sampled_trace(spec, alpha, _flow_f(spec, alpha), _flow_sample, 0.0,
                           (start.u, start.v, start.phi), s_max, tol, max_step, bounds,
                           "arclength")
@@ -569,9 +602,9 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
     raise ConfigError, a start outside the domain DomainError.
     """
     v0, v1 = map(float, _pair("v_span", v_span))
-    _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0}, ())
+    _check_config(tol, max_step, {"alpha": alpha, "u0": u0, "du0": du0})
     if not v1 > v0:
         raise ConfigError(f"v_span={v_span!r} must be increasing")
-    bounds = _bounds(spec, u0, v0, BLOWUP_FACTOR, 1.0 / tol, True)
+    bounds = _bounds(spec, u0, v0, 1.0 / tol, True)
     return _sampled_trace(spec, alpha, _graph_f(spec, alpha), _graph_sample, v0,
                           (float(u0), float(du0), 0.0), v1, tol, max_step, bounds, "graph")

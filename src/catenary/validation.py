@@ -25,7 +25,8 @@ from .revolution import (
     turning_points,
 )
 from .surfaces import _linspace, catalog_surface, eval_metric, profile_surface
-from .tracing import CatenaryState, Trace, _bisect, _hermite, trace_catenary, trace_graph
+from .tracing import (CatenaryState, Trace, find_turnings, trace_catenary, trace_graph, u_of_v,
+                      v_at_u)
 
 __all__ = ["CheckResult", "THRESHOLDS", "run_all"]
 
@@ -54,48 +55,6 @@ class CheckResult:
 def _result(name, value, threshold, detail="") -> CheckResult:
     return CheckResult(name=name, passed=bool(value < threshold), value=float(value),
                        threshold=float(threshold), detail=detail)
-
-
-# --------------------------------------------------------------------------
-# trace utilities
-# --------------------------------------------------------------------------
-
-def _bisect_dense(before, a, b):
-    """Parameter in [a, b] where ``before(t)`` turns from true to false, to 1e-13."""
-    a, b = _bisect(before, a, b, 1e-13)
-    return 0.5 * (a + b)
-
-
-def find_turnings(trace: Trace) -> list[float]:
-    """Arc-length values where the meridional velocity cos(phi) changes sign."""
-    out = []
-    samples, segments = trace.samples, trace._segments
-    for i in range(len(samples) - 1):
-        c0, c1 = math.cos(samples[i].phi), math.cos(samples[i + 1].phi)
-        if c0 == 0.0:
-            out.append(samples[i].s)
-        elif (c0 < 0.0) != (c1 < 0.0):
-            # samples i and i + 1 bound segment i, so its cubic is what
-            # Trace.at would look up at every probe
-            out.append(_bisect_dense(
-                lambda t: (c0 < 0.0) == (math.cos(_hermite(segments[i], t)[2]) < 0.0),
-                samples[i].s, samples[i + 1].s))
-    return out
-
-
-def v_at_u(trace: Trace, u_target: float, s_hi: float) -> float:
-    """v where a monotone-in-u stretch of the trace first reaches u_target."""
-    s_lo = trace.samples[0].s
-    increasing = trace.at(s_hi)[0] > trace.at(s_lo)[0]
-    s = _bisect_dense(lambda t: (trace.at(t)[0] < u_target) == increasing, s_lo, s_hi)
-    return trace.at(s)[1]
-
-
-def u_of_v(trace: Trace, v_target: float) -> float:
-    """u at a given v along a trace with strictly monotone v(s)."""
-    s = _bisect_dense(lambda t: trace.at(t)[1] < v_target,
-                      trace.samples[0].s, trace.samples[-1].s)
-    return trace.at(s)[0]
 
 
 # Fehlberg's 4(5) pair (NASA TR R-315, 1969): stage rows, the fifth-order

@@ -71,9 +71,8 @@ _GRAPH_ARGV = ["trace-graph", "--surface", "plane", "--u0", "1", "--v1", "1"]
 
 @pytest.mark.parametrize("argv, defaults", [
     (_TRACE_ARGV, ["--tol", "1e-9", "--max-step", "inf"]),
-    (_TRACE_ARGV, ["--blowup-factor", "1e6"]),
     (_GRAPH_ARGV, ["--tol", "1e-9", "--max-step", "inf"]),
-], ids=["trace_step", "trace_blowup", "trace_graph_step"])
+], ids=["trace_step", "trace_graph_step"])
 def test_tracer_defaults_on_the_command_line_change_nothing(argv, defaults, tmp_path):
     # the flags are not passed when absent, so the library's defaults must equal them
     plain, explicit = tmp_path / "plain.csv", tmp_path / "explicit.csv"
@@ -86,7 +85,7 @@ def test_absent_tracer_flags_are_not_parsed():
     # the tracers own the defaults: an absent flag leaves no attribute to pass on
     for argv in (_TRACE_ARGV, _GRAPH_ARGV):
         args = vars(build_parser().parse_args(argv))
-        assert not {"tol", "max_step", "blowup_factor"} & set(args)
+        assert not {"tol", "max_step"} & set(args)
 
 
 def test_csv_roundtrip_is_bit_exact(tmp_path):

@@ -54,9 +54,10 @@ def _fixed_traces():
                                                 s_max=4.0)
     traces["exit_u_max"] = trace_catenary(sphere, 1.0, CatenaryState(1.2, 0.1, 0.0),
                                           s_max=4.0)
-    traces["exit_blow_up_u"] = trace_catenary(catalog_surface("catenoid"), 1.0,
-                                              CatenaryState(0.7, 0.1, 0.5), s_max=4.0,
-                                              blowup_factor=2.0)
+    with pytest.MonkeyPatch.context() as mp:  # the u limit, lowered to reach it
+        mp.setattr(tracing, "BLOWUP_FACTOR", 2.0)
+        traces["exit_blow_up_u"] = trace_catenary(catalog_surface("catenoid"), 1.0,
+                                                  CatenaryState(0.7, 0.1, 0.5), s_max=4.0)
     with pytest.MonkeyPatch.context() as mp:  # the |dphi/ds| limit, lowered to reach it
         mp.setattr(tracing, "DPHI_LIMIT", 1.0)
         traces["exit_blow_up_dphi"] = trace_catenary(sphere, 1.0,

@@ -14,6 +14,7 @@ from catenary import (
     ruled_surface_from_samples,
     trace_catenary,
     trace_graph,
+    turning_points,
 )
 from catenary import tracing
 from catenary.tracing import _Bounds, _flow_f
@@ -521,10 +522,7 @@ def test_initial_step_survives_a_failing_trial_stage():
 
 
 def test_non_finite_start_u_and_limits_raise_config_error():
-    # a NaN blow-up factor would silently switch its event off
     sphere = catalog_surface("sphere")
-    with pytest.raises(ConfigError, match="must be finite"):
-        trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), 1.0, blowup_factor=math.nan)
     with pytest.raises(ConfigError, match="must be finite"):
         trace_catenary(sphere, 1.0, CatenaryState(math.inf, 0.0, 1.0), 1.0)
     with pytest.raises(ConfigError, match="must be finite"):
@@ -638,8 +636,6 @@ def test_arithmetic_beyond_the_float_range_raises_config_error(run, start):
     ("trace_catenary(sphere, 1.0, start, 1.0, tol='x')", "tol='x' is not a number"),
     ("trace_catenary(sphere, 1.0, start, 1.0, tol=None)", "tol=None is not a number"),
     ("trace_catenary(sphere, 1.0, start, 1.0, max_step='x')", "max_step='x' is not a number"),
-    ("trace_catenary(sphere, 1.0, start, 1.0, blowup_factor=-1.0)",
-     "blowup_factor=-1.0 must be positive"),
     ("trace_graph(sphere, 1.0, 0.5, 0.0, ('x', 1.0))", "v_span[0]='x' is not a number"),
     ("trace_graph(sphere, 1.0, 0.5, 0.0, (None, 1.0))", "v_span[0]=None is not a number"),
     ("trace_graph(sphere, 1.0, 0.5, 0.0, (0.0,))", "v_span=(0.0,) is not a pair of numbers"),
@@ -652,6 +648,27 @@ def test_tracer_options_raise_config_error(call, message):
         eval(call, globals(), {"sphere": catalog_surface("sphere"),
                                "start": CatenaryState(0.7, 0.0, 1.0)})
     assert str(info.value) == message
+
+
+def test_find_turnings_lands_on_the_sphere_turning_points():
+    sphere = catalog_surface("sphere")
+    u_m, u_M = turning_points(sphere, 1.0, 0.5)
+    trace = trace_catenary(sphere, 1.0, CatenaryState(u_m, 0.0, math.pi / 2), 20.0)
+    turns = tracing.find_turnings(trace)
+    assert len(turns) >= 4
+    for s in turns:
+        u = trace.at(s)[0]
+        assert min(abs(u - u_m), abs(u - u_M)) < 1e-6
+
+
+def test_u_of_v_and_v_at_u_follow_the_plane_catenary():
+    # alpha = 1 from the vertex (1, 0): the graph is u = cosh v, with v(s) = asinh s
+    trace = trace_catenary(catalog_surface("plane"), 1.0, CatenaryState(1.0, 0.0, math.pi / 2),
+                           3.0)
+    for v in (0.25, 0.5, 1.0, 1.5):
+        assert abs(tracing.u_of_v(trace, v) - math.cosh(v)) < 1e-6
+    for u in (1.1, 1.5, 2.0, 3.0):
+        assert abs(tracing.v_at_u(trace, u, trace.samples[-1].s) - math.acosh(u)) < 1e-6
 
 
 @pytest.mark.parametrize("t", [math.nan, "x", None])
