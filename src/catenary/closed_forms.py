@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .curvature import CurveJet2, catenary_residual
-from .errors import ConfigError, DomainError, _positive, _read_params, check_finite
+from .errors import ConfigError, DomainError, _positive, _read_params, _sequence, check_finite
 from .revolution import quadrature_v
 from .surfaces import SurfaceSpec, catalog_surface
 
@@ -214,7 +214,8 @@ def validate_closed_form(family: ClosedFormFamily, spec: SurfaceSpec,
     Graph families are checked through ``catenary_residual`` on their exact
     2-jets, the geodesic family against the two Grusin geodesic equations.
     """
-    if len(grid) == 0:
+    grid = _sequence("grid", grid)
+    if not grid:
         raise ConfigError("empty validation grid")
     worst = 0.0
     if family.family == "grusin_geodesic":

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SingularJetError, check_finite
+from .errors import SingularJetError, _sequence, check_finite
 from .surfaces import SurfaceSpec, eval_metric
 
 __all__ = [
@@ -116,7 +116,7 @@ def parallel_catenary_check(spec: SurfaceSpec, alpha: float, u0: float,
 
     True iff alpha*G + u0*G_u vanishes (within ``tol``) at every v sample.
     """
-    for v in v_samples:
+    for v in _sequence("v_samples", v_samples):
         g, gu, _ = _metric(spec, u0, v, alpha=alpha, u0=u0, v=v, tol=tol)
         if abs(alpha * g + u0 * gu) >= tol:
             return False

@@ -100,13 +100,23 @@ def _pair(name: str, value) -> tuple[float, float]:
     return first, second
 
 
+def _sequence(name: str, value) -> list:
+    """value as a list; ConfigError unless it is iterable.  Its items are checked where read."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ConfigError(f"{name}={value!r} is not a sequence of numbers") from None
+
+
 def _interval(name: str, value) -> tuple[float, float]:
-    """value as a pair (lo, hi) of numbers, lo < hi, either end possibly infinite; else
-    ConfigError "bad <name> <value>"."""
+    """value as a pair (lo, hi) of floats, lo < hi, either end possibly infinite; else
+    ConfigError "bad <name> ..."."""
     try:
         lo, hi = value
         if not math.isnan(lo) and lo < hi:  # isnan raises TypeError for a non-number
-            return lo, hi
+            return float(lo), float(hi)
     except (TypeError, ValueError):
         pass
+    except OverflowError:  # an int past the float range; its repr may be too long
+        raise ConfigError(f"bad {name}: an int beyond the float range") from None
     raise ConfigError(f"bad {name} {value!r}: need a pair of numbers lo < hi")

@@ -135,10 +135,11 @@ def _inside(spec: SurfaceSpec, name: str, u, closed=False, improper=False):
     G need not be positive.  An ``improper`` u = +inf passes on an unbounded domain only.
     """
     lo, hi, _, _ = spec.domain
-    try:  # strictly inside, u is finite
-        if lo < u < hi or closed and lo <= u <= hi and (improper or math.isfinite(u)):
+    try:
+        if (math.isfinite(u) or improper and u == math.inf) and (
+                lo < u < hi or closed and lo <= u <= hi):
             return u
-    except TypeError:  # not a number: check_finite says so
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
         pass
     if not (improper and u == math.inf):
         check_finite(**{name: u})
@@ -558,6 +559,9 @@ def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
     out = []
     for (u, v), (b, _) in zip(points, heights):
         a_val = profile.a(u)
+        if not math.isfinite(a_val):  # b and v are finite; a(u) may overflow
+            raise ConfigError(f"embedding of u={u!r} on {spec.identifier} leaves the float "
+                              f"range: a(u)={a_val!r}")
         out.append((a_val * math.cos(v), a_val * math.sin(v), b))
     return out
 

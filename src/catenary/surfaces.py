@@ -390,8 +390,9 @@ def ruled_surface_from_samples(v_samples: Sequence[float],
     try:
         vs, fs, gs = ([float(t) for t in column]
                       for column in (v_samples, f_samples, g_samples))
-    except (TypeError, ValueError):
-        raise ConfigError("v, f and g samples must be sequences of numbers") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("v, f and g samples must be sequences of numbers in the float "
+                          "range") from None
     if len(vs) < 4:
         raise ConfigError("need at least 4 samples of f and g")
     if not len(fs) == len(gs) == len(vs):
@@ -429,7 +430,7 @@ def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
     ``turning_points``; nothing beyond is checked.  A callable that raises
     ArithmeticError or ValueError on a probe raises ConfigError.
     """
-    lo, hi = map(float, _interval("profile u-range", u_range))
+    lo, hi = _interval("profile u-range", u_range)
     if not lo >= 0.0:
         raise ConfigError(f"bad profile u-range {u_range!r}: u must be >= 0")
     if math.isfinite(hi):
@@ -464,8 +465,9 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
     """
     try:
         pts = [(float(u), float(a)) for u, a in samples]
-    except (TypeError, ValueError):
-        raise ConfigError("profile samples must be (u, a) pairs of numbers") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("profile samples must be (u, a) pairs of numbers in the float "
+                          "range") from None
     for u, a in pts:
         check_finite(u=u, a=a)
     if len(pts) < 4:

@@ -18,15 +18,17 @@ Two independent formulations are provided:
 Both use an embedded Dormand-Prince 5(4) pair with PI step-size control and
 cubic Hermite dense output on accepted steps, which only this module reads:
 ``Trace.at`` and the queries beside it (``find_turnings``, ``v_at_u``,
-``u_of_v``).  The events (domain margins, blow-up, |dphi/ds| and vertical
-tangents) are bounds that one chained comparison checks at every accepted
-step end; a bound that fails is located by bisection on that step's cubic.  The metric kernel is called once per
-stage, behind an inline copy of ``MetricPatch.evaluate``'s checks, and never
-per sample: the right-hand side returns the metric it read, and a step-end
-sample reuses the step's last (first-same-as-last) stage.  A point that fails
-the checks goes to ``evaluate``, so its error is the patch's own.  Runtime
-exits are reported through ``Trace.termination``, never as exceptions; float
-arithmetic that overflows where no step can avoid it raises ConfigError.
+``u_of_v``).  A trace ends after at most ``MAX_STEPS`` steps.  The events
+(domain margins, blow-up, |dphi/ds| and vertical tangents) are bounds that
+one chained comparison checks at every accepted step end; a bound that fails
+is located by bisection on that step's cubic.  The metric kernel is called
+once per stage, behind an inline copy of ``MetricPatch.evaluate``'s checks,
+and never per sample: the right-hand side returns the metric it read, and a
+step-end sample reuses the step's last (first-same-as-last) stage.  A point
+that fails the checks goes to ``evaluate``, so its error is the patch's own.
+Runtime exits are reported through ``Trace.termination``, never as
+exceptions; float arithmetic that overflows where no step can avoid it raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ __all__ = [
     "trace_graph",
 ]
 
-TERMINATIONS = ("reached_smax", "hit_lower_u", "blow_up", "left_domain", "step_underflow")
+TERMINATIONS = ("reached_smax", "hit_lower_u", "blow_up", "left_domain", "step_underflow",
+                "max_steps")
 
 TOL_MIN, TOL_MAX = 1e-12, 1e-3
 
@@ -59,6 +62,9 @@ LOWER_MARGIN = 1e-9
 # "blow_up" fires once |dphi/ds| > DPHI_LIMIT (flow) or u > BLOWUP_FACTOR * u0
 DPHI_LIMIT = 1e12
 BLOWUP_FACTOR = 1e6
+
+# "max_steps" fires after MAX_STEPS passes of the step loop, accepted or rejected
+MAX_STEPS = 100_000
 
 # a stage that raises one of these (domain guard, overflow) rejects the step
 _STAGE_ERRORS = (CatenaryError, ArithmeticError, ValueError)
@@ -309,7 +315,8 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     probe, the calls that locate a |dphi/ds| exit and the derivative at an
     event exit.  Returns (segments, termination, flag, stats, t_final,
     y_final, f_final), where f_final is the derivative at the final point;
-    every exit leaves the loop by ``break``, and the return is built once.
+    every exit but "max_steps" (the loop's MAX_STEPS passes used up) leaves
+    the loop by ``break``, and the return is built once.
     One chained comparison checks each accepted step end against every
     limit; ``_first_exit`` runs only where it fails.  When a limit fails
     inside a step the full segment is kept for dense output and
@@ -337,7 +344,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     t, y, fy = t0, y0, f0
     facold = 1e-4
 
-    while True:
+    for _ in range(MAX_STEPS):  # a rejected step is a pass too, so the loop always ends
         # h = min(h, max_step, t_end - t); the floor is 1e-14 * max(1, |t|)
         h = max_step if max_step < h else h
         h = t_end - t if t_end - t < h else h
@@ -420,6 +427,8 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
         fac = (fac if fac > _MIN_FAC else _MIN_FAC) if fac < _MAX_SHRINK else _MAX_SHRINK
         facold = 1e-4 if 1e-4 > err else err
         h /= fac
+    else:
+        termination = "max_steps"
 
     stats = {"steps_accepted": accepted, "steps_rejected": rejected, "rhs_evals": evals}
     return segments, termination, flag, stats, t, y, fy
@@ -540,7 +549,8 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         A Trace with one sample per accepted step (kappa and the normalized
         residual recorded at each), a termination reason and step statistics.
         It ends on "blow_up" once u exceeds ``BLOWUP_FACTOR`` * u0 or
-        |dphi/ds| exceeds ``DPHI_LIMIT``.
+        |dphi/ds| exceeds ``DPHI_LIMIT``, and on "max_steps" after
+        ``MAX_STEPS`` accepted and rejected steps.
 
     Raises:
         ConfigError for bad options, and where float arithmetic overflows
@@ -597,7 +607,8 @@ def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,
     flag in the stats when |du/dv| exceeds 1/tol: past such a point the
     curve continues as a meridian-tangent arc, which is no longer a graph.
     A span past the domain's v-range ends on "left_domain" without the flag,
-    1e-9 * (1 + |v_max|) inside v_max; u > BLOWUP_FACTOR * u0 ends it on "blow_up".
+    1e-9 * (1 + |v_max|) inside v_max; u > BLOWUP_FACTOR * u0 ends it on "blow_up",
+    MAX_STEPS steps on "max_steps".
     As in ``trace_catenary``, bad options and float arithmetic that overflows
     raise ConfigError, a start outside the domain DomainError.
     """

@@ -9,8 +9,8 @@ import math
 
 from scipy.integrate import quad, solve_ivp
 
-# Root of cos(u) = u*sin(u) on (0, pi/2), 30-digit bisection, frozen.
-USTAR = 0.8603335890193798
+# Root of cos(u) = u*sin(u) on (0, pi/2), correctly rounded (test_validation checks it).
+USTAR = 0.8603335890193797
 # rho(USTAR) with rho(u) = u*cos(u)
 RHO_STAR = 0.5610963381910451
 # Solutions of u*cos(u) = 0.5 bracketing USTAR

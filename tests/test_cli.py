@@ -161,6 +161,18 @@ def test_catenoid_json_reports_blow_up(tmp_path):
     assert 0.3 < v_final < 0.5
 
 
+def test_trace_past_the_step_budget_ends_on_max_steps(tmp_path, monkeypatch):
+    # --smax 1e9 once ran until it was killed; the budget, lowered here, ends it
+    from catenary import tracing
+
+    monkeypatch.setattr(tracing, "MAX_STEPS", 40)
+    out = tmp_path / "long.json"
+    assert run([*_TRACE_ARGV[:-1], "1e9", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["termination"] == "max_steps"
+    assert doc["stats"]["steps_accepted"] + doc["stats"]["steps_rejected"] == 40
+
+
 def test_trace_graph_command(tmp_path):
     out = tmp_path / "graph.csv"
     code = run(["trace-graph", "--surface", "plane", "--u0", "1", "--du0", "0",
@@ -192,7 +204,7 @@ def test_clairaut_command(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["critical_parallels"]) == 1
-    assert doc["critical_parallels"][0]["u"] == pytest.approx(0.8603335890193798,
+    assert doc["critical_parallels"][0]["u"] == pytest.approx(0.8603335890193797,
                                                               abs=1e-10)
     assert doc["critical_parallels"][0]["classification"] == "stable"
     assert len(doc["turning_points"]) == 2
@@ -232,7 +244,7 @@ def test_clairaut_command_rejects_a_one_sided_range(flag, capsys):
 
 def test_stability_command(capsys):
     code = run(["stability", "--surface", "sphere", "--ustar",
-                "0.8603335890193798"])
+                "0.8603335890193797"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["parallels"][0]["classification"] == "stable"

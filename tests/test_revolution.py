@@ -23,6 +23,7 @@ from catenary import (
     parallel_catenary_check,
     profile_surface,
     quadrature_v,
+    ruled_surface,
     ruled_surface_from_samples,
     stability_exponent,
     tabulated_profile,
@@ -354,13 +355,33 @@ def test_default_scan_range_fits_a_domain_narrower_than_its_margin(spec):
     # an int whose repr exceeds Python's digit limit is not named by value
     ("closed_form_family('euclidean', mu=10**5000)",
      "parameter mu is an int beyond the float range"),
+    ("embed_revolution(catalog_surface('catenoid'), 10**400, 0.3, 0.5)",
+     "u is an int beyond the float range"),
+    ("quadrature_v(catalog_surface('catenoid'), 1, 0.5, 1, 10**400)",
+     "u1 is an int beyond the float range"),
+    ("profile_surface(math.cos, math.sin, math.cos, (0.0, 10**400))",
+     "bad profile u-range: an int beyond the float range"),
+    ("ruled_surface(math.sin, math.cos, math.cos, math.sin, u_range=(0.0, 10**400))",
+     "bad ruled u-range: an int beyond the float range"),
+    ("tabulated_profile([(0, 1), (1, 1), (2, 1), (10**400, 1)])",
+     "profile samples must be (u, a) pairs of numbers in the float range"),
+    ("ruled_surface_from_samples([0, 1, 2, 10**400], [0.0] * 4, [1.0] * 4)",
+     "v, f and g samples must be sequences of numbers in the float range"),
 ])
 def test_ints_past_the_float_range_raise_config_error(call, message):
-    # these once leaked OverflowError from float() and math.isfinite, or, for
-    # critical_parallels, said DegenerateMetricError
+    # these once leaked OverflowError from float(), math.isfinite and math.isnan, or
+    # said DegenerateMetricError; the ruled surface kept the int as its u_max
     with pytest.raises(ConfigError) as info:
         eval(call)
     assert str(info.value) == message
+
+
+def test_embedding_past_the_float_range_raises_config_error():
+    # a(u) = sqrt(1 + u^2) overflows to inf: this once returned (inf, inf, 1e200)
+    catenoid = catalog_surface("catenoid")
+    with pytest.raises(ConfigError, match="leaves the float range"):
+        embed_revolution(catenoid, 1e200, 0.3, 0.5)
+    assert all(map(math.isfinite, embed_revolution(catenoid, 1e100, 0.3, 0.5)))
 
 
 def test_quadrature_rejects_divergent_tail():

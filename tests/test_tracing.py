@@ -650,6 +650,40 @@ def test_tracer_options_raise_config_error(call, message):
     assert str(info.value) == message
 
 
+def test_step_budget_ends_a_trace_that_would_not_end(monkeypatch):
+    # s_max = 1e308 is about 1e312 steps of the sphere trace; MAX_STEPS ends it
+    monkeypatch.setattr(tracing, "MAX_STEPS", 50)
+    runs = (lambda: trace_catenary(catalog_surface("sphere"), 1.0,
+                                   CatenaryState(0.7, 0.0, 1.0), 1e308),
+            lambda: trace_graph(catalog_surface("plane"), 0.0, 1.0, 0.0, (0.0, 1e308)))
+    for run in runs:
+        trace = run()
+        assert trace.termination == "max_steps" and "max_steps" in tracing.TERMINATIONS
+        accepted, rejected = trace.stats["steps_accepted"], trace.stats["steps_rejected"]
+        assert accepted + rejected == 50
+        assert len(trace.samples) == accepted + 1
+        assert trace.at(math.inf)[0] == trace.samples[-1].u
+
+
+def test_step_budget_counts_rejected_steps(monkeypatch):
+    # every stage past the first fails, so every step is rejected and h halves
+    # toward underflow; the budget ends the run of rejections first
+    from catenary.tracing import _drive
+
+    def f(t, y):
+        if t > 0.0:
+            raise ArithmeticError
+        return (1.0, 0.0, 0.0, None)
+
+    y0 = (1.0, 0.0, 0.0)
+    assert _drive(f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, _OPEN)[1] == "step_underflow"
+    monkeypatch.setattr(tracing, "MAX_STEPS", 10)
+    segments, termination, _, stats, t, y, _ = _drive(f, 0.0, y0, f(0.0, y0), 10.0, 1e-9,
+                                                      math.inf, _OPEN)
+    assert termination == "max_steps" and segments == [] and (t, y) == (0.0, y0)
+    assert stats["steps_accepted"] == 0 and stats["steps_rejected"] == 10
+
+
 def test_find_turnings_lands_on_the_sphere_turning_points():
     sphere = catalog_surface("sphere")
     u_m, u_M = turning_points(sphere, 1.0, 0.5)

@@ -18,6 +18,7 @@ from catenary import (
     geodesic_curvature,
 )
 from catenary import validation
+import oracles
 from oracles import conformal_geodesic_oracle
 
 
@@ -122,4 +123,4 @@ def test_sphere_reference_root_is_the_correctly_rounded_root():
 
     with mpmath.workdps(50):
         root = mpmath.findroot(lambda u: mpmath.cos(u) - u * mpmath.sin(u), 0.86)
-    assert validation._USTAR == float(root)
+    assert validation._USTAR == oracles.USTAR == float(root)
