@@ -104,8 +104,9 @@ def _sequence(name: str, value) -> list:
     """value as a list; ConfigError unless it is iterable.  Its items are checked where read."""
     try:
         return list(value)
-    except TypeError:
-        raise ConfigError(f"{name}={value!r} is not a sequence of numbers") from None
+    except TypeError:  # named by type: the repr of a huge int raises ValueError
+        raise ConfigError(f"{name} of type {type(value).__name__} is not a sequence "
+                          "of numbers") from None
 
 
 def _interval(name: str, value) -> tuple[float, float]:

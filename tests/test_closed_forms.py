@@ -147,7 +147,7 @@ def test_validate_rejects_empty_grid():
 def test_validate_reads_any_iterable_grid():
     # a number leaked TypeError from len(), and so did a generator
     fam, plane = closed_form_family("euclidean"), catalog_surface("plane")
-    with pytest.raises(ConfigError, match=r"^grid=5 is not a sequence of numbers$"):
+    with pytest.raises(ConfigError, match=r"^grid of type int is not a sequence of numbers$"):
         validate_closed_form(fam, plane, 1.0, 5)
     grid = [0.1 * k for k in range(-10, 11)]
     assert validate_closed_form(fam, plane, 1.0, (t for t in grid)) == \

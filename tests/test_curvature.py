@@ -191,7 +191,10 @@ def test_curvature_equals_normal_relation_on_solutions():
     ("parallel_catenary_check(sphere, math.nan, 0.5, [0.0])", "alpha=nan must be finite"),
     ("parallel_catenary_check(sphere, 1.0, 0.5, [0.0], tol=math.nan)", "tol=nan must be finite"),
     ("parallel_catenary_check(sphere, 'x', 0.5, [0.0])", "alpha='x' is not a number"),
-    ("parallel_catenary_check(sphere, 1.0, 0.86, 5)", "v_samples=5 is not a sequence of numbers"),
+    ("parallel_catenary_check(sphere, 1.0, 0.86, 5)",
+     "v_samples of type int is not a sequence of numbers"),
+    ("parallel_catenary_check(sphere, 1.0, 0.86, 10**5000)",
+     "v_samples of type int is not a sequence of numbers"),
     ("catenary_target_curvature(sphere, math.nan, CurveJet2(0.5, 0.0, 1.0, 0.0, 0.0, 0.0))",
      "alpha=nan must be finite"),
     ("catenary_residual(sphere, 1.0, CurveJet2(0.5, 0.0, 1.0, math.inf, 0.0, 0.0))",

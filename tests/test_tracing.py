@@ -695,6 +695,17 @@ def test_find_turnings_lands_on_the_sphere_turning_points():
         assert min(abs(u - u_m), abs(u - u_M)) < 1e-6
 
 
+def test_cos_of_a_finite_double_is_never_zero():
+    # why find_turnings needs no cos(phi) == 0 case: pi/2 is irrational, and the double
+    # nearest any of its odd multiples, 6381956970095103 * 2**797 (the worst case of
+    # argument reduction), lies 4.7e-19 from one, so |cos| stays far above the subnormals
+    assert abs(math.cos(6381956970095103 * 2.0 ** 797)) > 4e-19
+    for k in range(-10_000, 10_000):
+        x = (k + 0.5) * math.pi
+        for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            assert abs(math.cos(y)) > 1e-19
+
+
 def test_u_of_v_and_v_at_u_follow_the_plane_catenary():
     # alpha = 1 from the vertex (1, 0): the graph is u = cosh v, with v(s) = asinh s
     trace = trace_catenary(catalog_surface("plane"), 1.0, CatenaryState(1.0, 0.0, math.pi / 2),
