@@ -651,7 +651,7 @@ def test_tracer_options_raise_config_error(call, message):
 
 
 def test_step_budget_ends_a_trace_that_would_not_end(monkeypatch):
-    # s_max = 1e308 is about 1e312 steps of the sphere trace; MAX_STEPS ends it
+    # s_max = 1e308 would take some 1e309 steps of the sphere trace; MAX_STEPS ends it
     monkeypatch.setattr(tracing, "MAX_STEPS", 50)
     runs = (lambda: trace_catenary(catalog_surface("sphere"), 1.0,
                                    CatenaryState(0.7, 0.0, 1.0), 1e308),
