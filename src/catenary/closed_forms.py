@@ -11,7 +11,6 @@ curve on the hyperbolic plane, which has no closed-form parametrization.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,7 +18,7 @@ from typing import Callable, Sequence
 from .curvature import CurveJet2, catenary_residual
 from .errors import ConfigError, DomainError, _positive, _read_params, _sequence, check_finite
 from .revolution import quadrature_v
-from .surfaces import SurfaceSpec, catalog_surface
+from .surfaces import SurfaceSpec, catalog_surface, eval_metric
 
 __all__ = [
     "ClosedFormFamily",
@@ -49,81 +48,52 @@ class ClosedFormFamily:
     d2: Callable
 
 
-def _in_float_range(fn: Callable, name: str | None = None, domain=None) -> Callable:
-    """fn, raising ConfigError where its value overflows, is not finite or is a math error.
-
-    Given the parameter ``domain``, fn's one argument is checked first, as the solution
-    functions check theirs: ConfigError unless finite, DomainError outside the domain.
-    """
-    name = name or fn.__name__
-
-    @functools.wraps(fn)
-    def checked(*args):
-        if domain is not None:
-            check_finite(t=args[0])
-            if not domain[0] < args[0] < domain[1]:
-                raise DomainError(f"{name}: t={args[0]!r} outside {domain!r}")
-        try:
-            value = fn(*args)
-        except (OverflowError, ValueError):  # ValueError: a math domain error, as cos(inf)
-            value = math.inf
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{name}({', '.join(map(repr, args))}) leaves the float range")
-        return value
-
-    return checked
-
-
 def _family(family: str, params: dict, domain: tuple[float, float], value: Callable,
             d1: Callable, d2: Callable) -> ClosedFormFamily:
-    """A ClosedFormFamily whose value, d1 and d2 check their argument and result alike."""
-    return ClosedFormFamily(family, params, domain,
-                            _in_float_range(value, f"{family}.value", domain),
-                            _in_float_range(d1, f"{family}.d1", domain),
-                            _in_float_range(d2, f"{family}.d2", domain))
+    """A ClosedFormFamily whose value, d1 and d2 check their argument and result alike:
+    ConfigError unless t is finite, DomainError outside the open ``domain``, and ConfigError
+    ("euclidean.value(1000.0) leaves the float range") where the result overflows, is not
+    finite or is a math error."""
+    def checked(fn: Callable, name: str) -> Callable:
+        def call(t):
+            check_finite(t=t)
+            if not domain[0] < t < domain[1]:
+                raise DomainError(f"{name}: t={t!r} outside {domain!r}")
+            try:
+                result = fn(t)
+            except (OverflowError, ValueError):  # ValueError: a math domain error, as cos(inf)
+                result = math.inf
+            if not all(map(math.isfinite, result if isinstance(result, tuple) else (result,))):
+                raise ConfigError(f"{name}({t!r}) leaves the float range")
+            return result
+        return call
+
+    return ClosedFormFamily(family, params, domain, checked(value, f"{family}.value"),
+                            checked(d1, f"{family}.d1"), checked(d2, f"{family}.d2"))
 
 
-@_in_float_range
 def euclidean_catenary(mu: float, nu: float, t: float) -> float:
-    """u(t) = cosh(mu t + nu)/mu, the plane solution for alpha = 1."""
+    """u(t) = cosh(mu t + nu)/mu, the plane solution for alpha = 1: a family value."""
     check_finite(mu=mu, nu=nu, t=t)
-    _positive("mu", mu)
-    return math.cosh(mu * t + nu) / mu
+    return closed_form_family("euclidean", mu=mu, nu=nu).value(t)
 
 
-@_in_float_range
 def cone_catenary(mu: float, nu: float, v: float) -> float:
-    """u(v) = mu/sqrt(cos(sqrt(2) v + nu)) on the 45-degree cone, alpha = 1."""
+    """u(v) = mu/sqrt(cos(sqrt(2) v + nu)) on the 45-degree cone, alpha = 1: a family value."""
     check_finite(mu=mu, nu=nu, v=v)
-    _positive("mu", mu)
-    w = math.sqrt(2.0) * v + nu
-    cw = math.cos(w)
-    if not cw > 0.0:
-        raise DomainError(f"cos(sqrt(2) v + nu) = {cw!r} <= 0 at v={v!r}")
-    return mu / math.sqrt(cw)
+    return closed_form_family("cone", mu=mu, nu=nu).value(v)
 
 
-@_in_float_range
 def grusin_catenary(mu: float, nu: float, v: float) -> float:
-    """u(v) = mu*sqrt(2 v + nu) in the Grusin half-plane, alpha = 1."""
+    """u(v) = mu*sqrt(2 v + nu) in the Grusin half-plane, alpha = 1: a family value."""
     check_finite(mu=mu, nu=nu, v=v)
-    _positive("mu", mu)
-    arg = 2.0 * v + nu
-    if not arg > 0.0:
-        raise DomainError(f"2 v + nu = {arg!r} <= 0 at v={v!r}")
-    return mu * math.sqrt(arg)
+    return closed_form_family("grusin_catenary", mu=mu, nu=nu).value(v)
 
 
-@_in_float_range
 def grusin_geodesic(u0: float, v0: float, s: float) -> tuple[float, float]:
-    """Non-vertical unit-speed Grusin geodesic through (u0, v0), one arch."""
+    """Non-vertical unit-speed Grusin geodesic through (u0, v0), one arch: a family value."""
     check_finite(u0=u0, v0=v0, s=s)
-    _positive("u0", u0)
-    u = u0 * math.cos(s / u0)
-    if not u > 0.0:
-        raise DomainError(f"geodesic leaves u > 0 at s={s!r}")
-    v = v0 - 0.5 * u0 * u0 * (s / u0 + 0.5 * math.sin(2.0 * s / u0))
-    return u, v
+    return closed_form_family("grusin_geodesic", u0=u0, v0=v0).value(s)
 
 
 def hyperbolic_quadrature(r: float, alpha: float, c: float,
@@ -171,20 +141,20 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
 
         return _family(
             family, params, (-half, half),
-            value=lambda s: grusin_geodesic(u0, v0, s), d1=d1, d2=d2,
+            value=lambda s: (u0 * math.cos(s / u0),
+                             v0 - 0.5 * u0 * u0 * (s / u0 + 0.5 * math.sin(2.0 * s / u0))),
+            d1=d1, d2=d2,
         )
     mu, nu = _positive("mu", params["mu"]), params["nu"]
     if family == "euclidean":
         return _family(
             family, params, (-math.inf, math.inf),
-            value=lambda t: euclidean_catenary(mu, nu, t),
+            value=lambda t: math.cosh(mu * t + nu) / mu,
             d1=lambda t: math.sinh(mu * t + nu),
             d2=lambda t: mu * math.cosh(mu * t + nu),
         )
     if family == "cone":
         rt2 = math.sqrt(2.0)
-        lo = (-math.pi / 2 - nu) / rt2
-        hi = (math.pi / 2 - nu) / rt2
 
         def d1(v):
             w = rt2 * v + nu
@@ -195,13 +165,11 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
             return mu * (math.cos(w) ** -0.5
                          + 1.5 * math.sin(w) ** 2 * math.cos(w) ** -2.5)
 
-        return _family(
-            family, params, (lo, hi),
-            value=lambda v: cone_catenary(mu, nu, v), d1=d1, d2=d2,
-        )
+        return _family(family, params, ((-math.pi / 2 - nu) / rt2, (math.pi / 2 - nu) / rt2),
+                       value=lambda v: mu / math.sqrt(math.cos(rt2 * v + nu)), d1=d1, d2=d2)
     return _family(  # grusin_catenary
         family, params, (-nu / 2.0, math.inf),
-        value=lambda v: grusin_catenary(mu, nu, v),
+        value=lambda v: mu * math.sqrt(2.0 * v + nu),
         d1=lambda v: mu / math.sqrt(2.0 * v + nu),
         d2=lambda v: -mu * (2.0 * v + nu) ** -1.5,
     )
@@ -209,22 +177,27 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
 
 def validate_closed_form(family: ClosedFormFamily, spec: SurfaceSpec,
                          alpha: float, grid: Sequence[float]) -> float:
-    """Max residual of the family against its governing equation over the grid.
+    """Max residual of the family against its governing equation on ``spec`` over the grid.
 
-    Graph families are checked through ``catenary_residual`` on their exact
-    2-jets, the geodesic family against the two Grusin geodesic equations.
+    Graph families are checked through ``catenary_residual`` on their exact 2-jets.  The
+    geodesic family, critical for length (alpha = 0; any other alpha raises ConfigError),
+    is checked against the geodesic equations of ``spec``'s metric du^2 + G^2 dv^2:
+    u'' - G G_u v'^2 = 0 and v'' + (2 G_u u' v' + G_v v'^2)/G = 0.
     """
     grid = _sequence("grid", grid)
     if not grid:
         raise ConfigError("empty validation grid")
     worst = 0.0
     if family.family == "grusin_geodesic":
+        if alpha != 0.0:
+            raise ConfigError(f"alpha={alpha!r}: geodesics are critical for alpha = 0")
         for s in grid:
-            u, _ = family.value(s)
+            u, v = family.value(s)
             du, dv = family.d1(s)
             ddu, ddv = family.d2(s)
-            r1 = ddu + dv * dv / u ** 3
-            r2 = ddv - 2.0 * du * dv / u
+            g, g_u, g_v = eval_metric(spec, u, v)
+            r1 = ddu - g * g_u * dv * dv
+            r2 = ddv + (2.0 * g_u * du * dv + g_v * dv * dv) / g
             worst = max(worst, abs(r1), abs(r2))
         return worst
     for t in grid:

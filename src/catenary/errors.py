@@ -56,6 +56,16 @@ def check_finite(**values: float) -> None:
             raise ConfigError(f"{name}={value!r} must be finite")
 
 
+def _shown(name: str, value) -> str:
+    """repr(value) for a message; ConfigError where value is or holds an int too long to
+    print (past 4300 digits, so far beyond the float range)."""
+    try:
+        return repr(value)
+    except ValueError:
+        is_or_holds = "is" if isinstance(value, int) else "holds"
+        raise ConfigError(f"{name} {is_or_holds} an int beyond the float range") from None
+
+
 def _read_params(params: dict, defaults: dict, owner: str) -> dict:
     """Each name of ``defaults`` (None: required) from ``params`` as a finite float.
 
@@ -87,7 +97,7 @@ def _positive(name: str, value: float) -> float:
             return value
     except TypeError:  # not a number: check_finite says so
         check_finite(**{name: value})
-    raise ConfigError(f"{name}={value!r} must be positive")
+    raise ConfigError(f"{name}={_shown(name, value)} must be positive")
 
 
 def _pair(name: str, value) -> tuple[float, float]:
@@ -95,7 +105,7 @@ def _pair(name: str, value) -> tuple[float, float]:
     try:
         first, second = value
     except (TypeError, ValueError):
-        raise ConfigError(f"{name}={value!r} is not a pair of numbers") from None
+        raise ConfigError(f"{name}={_shown(name, value)} is not a pair of numbers") from None
     check_finite(**{f"{name}[0]": first, f"{name}[1]": second})
     return first, second
 
@@ -120,4 +130,4 @@ def _interval(name: str, value) -> tuple[float, float]:
         pass
     except OverflowError:  # an int past the float range; its repr may be too long
         raise ConfigError(f"bad {name}: an int beyond the float range") from None
-    raise ConfigError(f"bad {name} {value!r}: need a pair of numbers lo < hi")
+    raise ConfigError(f"bad {name} {_shown(name, value)}: need a pair of numbers lo < hi")

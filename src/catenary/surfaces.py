@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (ConfigError, DegenerateMetricError, DomainError, _interval, _positive,
-                     _read_params, check_finite)
+                     _read_params, _shown, check_finite)
 
 __all__ = [
     "Domain",
@@ -71,9 +71,8 @@ class MetricPatch:
         u_min, u_max, v_min, v_max = self.domain
         try:
             if not (u_min < u < u_max and v_min < v < v_max):
-                raise DomainError(
-                    f"({u!r}, {v!r}) outside domain {tuple(self.domain)} of {self.identifier}"
-                )
+                raise DomainError(f"({_shown('u', u)}, {_shown('v', v)}) outside domain "
+                                  f"{tuple(self.domain)} of {self.identifier}")
         except TypeError:  # not numbers: check_finite raises ConfigError
             check_finite(u=u, v=v)
             raise
@@ -81,7 +80,7 @@ class MetricPatch:
             values = self.metric(u, v)
         except (ArithmeticError, ValueError) as exc:
             raise DegenerateMetricError(f"metric of {self.identifier} fails at "
-                                        f"({u!r}, {v!r}): {exc}") from exc
+                                        f"({_shown('u', u)}, {_shown('v', v)}): {exc}") from exc
         if not values[0] > 0.0:
             raise DegenerateMetricError(
                 f"G({u!r}, {v!r}) = {values[0]!r} is not positive on {self.identifier}"

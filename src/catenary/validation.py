@@ -154,21 +154,21 @@ def check_closed_form_residuals() -> list[CheckResult]:
     plane = catalog_surface("plane")
     cone = catalog_surface("cone")
     grusin = catalog_surface("grusin")
-    cases = [
-        ("euclidean", closed_form_family("euclidean", mu=1.0, nu=0.0), plane,
+    cases = [  # name, family, surface, alpha (0: a geodesic), grid
+        ("euclidean", closed_form_family("euclidean", mu=1.0, nu=0.0), plane, 1.0,
          _linspace(-2.0, 2.0, 100)),
-        ("euclidean_shifted", closed_form_family("euclidean", mu=1.7, nu=0.3), plane,
+        ("euclidean_shifted", closed_form_family("euclidean", mu=1.7, nu=0.3), plane, 1.0,
          _linspace(-1.5, 1.5, 100)),
-        ("cone", closed_form_family("cone", mu=1.0, nu=0.0), cone,
+        ("cone", closed_form_family("cone", mu=1.0, nu=0.0), cone, 1.0,
          _linspace(-1.0, 1.0, 100)),
         ("grusin_catenary", closed_form_family("grusin_catenary", mu=1.0, nu=1.0),
-         grusin, _linspace(-0.45, 4.0, 100)),
+         grusin, 1.0, _linspace(-0.45, 4.0, 100)),
         ("grusin_geodesic", closed_form_family("grusin_geodesic", u0=1.3, v0=0.5),
-         grusin, _linspace(-1.9, 1.9, 100)),
+         grusin, 0.0, _linspace(-1.9, 1.9, 100)),
     ]
     out = []
-    for name, family, spec, grid in cases:
-        worst = validate_closed_form(family, spec, 1.0, grid)
+    for name, family, spec, alpha, grid in cases:
+        worst = validate_closed_form(family, spec, alpha, grid)
         out.append(_result(f"closed_form_residual[{name}]", worst, thr))
     return out
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from catenary import (
@@ -19,6 +18,7 @@ from catenary import (
     trace_graph,
     validate_closed_form,
 )
+from catenary.surfaces import _linspace
 
 
 def test_euclidean_values():
@@ -34,7 +34,7 @@ def test_euclidean_values():
 def test_euclidean_solves_plane_equation():
     # alpha/u = u'' / (1 + u'^2), checked directly from the derivatives
     fam = closed_form_family("euclidean", mu=1.4, nu=-0.3)
-    for t in np.linspace(-2.0, 2.0, 100):
+    for t in _linspace(-2.0, 2.0, 100):
         u, du, ddu = fam.value(t), fam.d1(t), fam.d2(t)
         assert abs(1.0 / u - ddu / (1.0 + du * du)) < 1e-12
 
@@ -43,7 +43,7 @@ def test_euclidean_first_integral_constant():
     # 1 + u'^2 = mu^2 u^2 along the solution (weighted-length first integral)
     fam = closed_form_family("euclidean", mu=1.0, nu=0.0)
     vals = [(1.0 + fam.d1(t) ** 2) / fam.value(t) ** 2
-            for t in np.linspace(-2.0, 2.0, 50)]
+            for t in _linspace(-2.0, 2.0, 50)]
     assert max(vals) - min(vals) < 1e-10
 
 
@@ -61,7 +61,7 @@ def test_cone_solves_cone_equation():
     # u u'' = 3 u'^2 + u^2 for the 45-degree cone at alpha = 1
     fam = closed_form_family("cone", mu=0.8, nu=0.2)
     lo, hi = fam.domain
-    for v in np.linspace(lo + 0.05, hi - 0.05, 100):
+    for v in _linspace(lo + 0.05, hi - 0.05, 100):
         u, du, ddu = fam.value(v), fam.d1(v), fam.d2(v)
         assert abs(u * ddu - 3.0 * du * du - u * u) < 1e-10
 
@@ -76,7 +76,7 @@ def test_grusin_values_and_domain():
 def test_grusin_solves_reduced_equation():
     # u u'' + u'^2 = 0; substitution gives -mu^2/(2v+nu) + mu^2/(2v+nu)
     fam = closed_form_family("grusin_catenary", mu=1.3, nu=0.7)
-    for v in np.linspace(-0.3, 4.0, 100):
+    for v in _linspace(-0.3, 4.0, 100):
         u, du, ddu = fam.value(v), fam.d1(v), fam.d2(v)
         assert abs(u * ddu + du * du) < 1e-12
 
@@ -84,7 +84,7 @@ def test_grusin_solves_reduced_equation():
 def test_grusin_conformal_image_is_line():
     # under ubar = u^2, vbar = 2v the solution is ubar = mu^2 (vbar + nu)
     mu, nu = 1.7, 0.4
-    for v in np.linspace(0.0, 3.0, 20):
+    for v in _linspace(0.0, 3.0, 20):
         ubar = grusin_catenary(mu, nu, v) ** 2
         vbar = 2.0 * v
         assert ubar == pytest.approx(mu * mu * (vbar + nu), rel=1e-14)
@@ -94,7 +94,7 @@ def test_grusin_geodesic_values_and_odes():
     u0, v0 = 1.3, 0.5
     assert grusin_geodesic(u0, v0, 0.0) == (u0, v0)
     fam = closed_form_family("grusin_geodesic", u0=u0, v0=v0)
-    for s in np.linspace(-1.9, 1.9, 100):
+    for s in _linspace(-1.9, 1.9, 100):
         u, _ = fam.value(s)
         du, dv = fam.d1(s)
         ddu, ddv = fam.d2(s)
@@ -120,21 +120,36 @@ def test_validate_closed_form_families():
     cone = catalog_surface("cone")
     grusin = catalog_surface("grusin")
     cases = [
-        (closed_form_family("euclidean"), plane, np.linspace(-2, 2, 100)),
-        (closed_form_family("cone"), cone, np.linspace(-0.9, 0.9, 100)),
-        (closed_form_family("grusin_catenary", nu=1.0), grusin,
-         np.linspace(-0.45, 4, 100)),
-        (closed_form_family("grusin_geodesic", u0=1.0), grusin,
-         np.linspace(-1.4, 1.4, 100)),
+        (closed_form_family("euclidean"), plane, 1.0, _linspace(-2, 2, 100)),
+        (closed_form_family("cone"), cone, 1.0, _linspace(-0.9, 0.9, 100)),
+        (closed_form_family("grusin_catenary", nu=1.0), grusin, 1.0,
+         _linspace(-0.45, 4, 100)),
+        (closed_form_family("grusin_geodesic", u0=1.0), grusin, 0.0,
+         _linspace(-1.4, 1.4, 100)),
     ]
-    for fam, spec, grid in cases:
-        assert validate_closed_form(fam, spec, 1.0, list(grid)) < 1e-10
+    for fam, spec, alpha, grid in cases:
+        assert validate_closed_form(fam, spec, alpha, grid) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["plane", "sphere"])
+def test_validate_closed_form_geodesic_reads_the_surface(kind):
+    # the geodesic residuals were the Grusin equations whatever the surface: 4.4e-16
+    fam = closed_form_family("grusin_geodesic", u0=1.0)
+    assert validate_closed_form(fam, catalog_surface(kind), 0.0, _linspace(-1.4, 1.4, 100)) > 0.5
+
+
+@pytest.mark.parametrize("alpha", [1.0, 7.0])
+def test_validate_closed_form_geodesic_needs_alpha_zero(alpha):
+    # geodesics are critical for length, weight u^0: any other alpha was ignored
+    fam = closed_form_family("grusin_geodesic", u0=1.0)
+    with pytest.raises(ConfigError, match=r"geodesics are critical for alpha = 0$"):
+        validate_closed_form(fam, catalog_surface("grusin"), alpha, [0.0, 0.5])
 
 
 def test_validate_rejects_wrong_alpha():
     plane = catalog_surface("plane")
     fam = closed_form_family("euclidean")
-    worst = validate_closed_form(fam, plane, 2.0, list(np.linspace(-1.0, 1.0, 100)))
+    worst = validate_closed_form(fam, plane, 2.0, _linspace(-1.0, 1.0, 100))
     assert worst > 1e-3
 
 
@@ -247,22 +262,26 @@ def test_solutions_check_every_argument(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    ("euclidean_catenary(1.0, 0.0, 1000.0)",
-     "euclidean_catenary(1.0, 0.0, 1000.0) leaves the float range"),
+    ("euclidean_catenary(1.0, 0.0, 1000.0)", "euclidean.value(1000.0) leaves the float range"),
     ("closed_form_family('euclidean').d1(1000.0)", "euclidean.d1(1000.0) leaves the float range"),
     ("grusin_catenary(1e300, 0.0, 1e300)",
-     "grusin_catenary(1e+300, 0.0, 1e+300) leaves the float range"),
+     "grusin_catenary.value(1e+300) leaves the float range"),
     ("validate_closed_form(closed_form_family('euclidean'), catalog_surface('plane'), 1.0,"
-     " [1000.0])", "euclidean_catenary(1.0, 0.0, 1000.0) leaves the float range"),
-    # s/u0 overflows to inf and cos(inf) is a math domain error (ValueError)
-    ("grusin_geodesic(1e-320, 0.0, 0.5)",
-     "grusin_geodesic(1e-320, 0.0, 0.5) leaves the float range"),
+     " [1000.0])", "euclidean.value(1000.0) leaves the float range"),
 ])
 def test_solutions_past_the_float_range_raise_config_error(call, message):
     # these once leaked OverflowError or returned inf
     with pytest.raises(ConfigError) as info:
         eval(call)
     assert str(info.value) == message
+
+
+def test_geodesic_outside_its_arch_raises_domain_error():
+    # the arch of u0 = 1e-320 is |s| < pi u0/2; s/u0 overflowed to inf and cos(inf) was
+    # a math domain error, reported as leaving the float range
+    with pytest.raises(DomainError) as info:
+        grusin_geodesic(1e-320, 0.0, 0.5)
+    assert str(info.value) == "grusin_geodesic.value: t=0.5 outside (-1.571e-320, 1.571e-320)"
 
 
 @pytest.mark.parametrize("family, t", [("cone", 2.0), ("grusin_catenary", -1.0),
@@ -285,13 +304,22 @@ def _raises_domain_error(fn, t):
     return False
 
 
-@pytest.mark.parametrize("family", ["cone", "grusin_catenary", "grusin_geodesic"])
+_SOLUTIONS = {"euclidean": euclidean_catenary, "cone": cone_catenary,
+              "grusin_catenary": grusin_catenary, "grusin_geodesic": grusin_geodesic}
+
+
+@pytest.mark.parametrize("family", ["cone", "grusin_catenary", "grusin_geodesic", "euclidean"])
 def test_family_value_checks_the_domain_as_its_derivatives_do(family):
     # at s = pi/2 the Grusin geodesic's value returned (6.1e-17, ...) while d1 and d2
-    # raised DomainError
+    # raised DomainError; the public solution, at the family's default parameters
+    # (1, 0), is the family's value
     fam = closed_form_family(family, **({"u0": 1.0} if family == "grusin_geodesic" else {}))
+    solution = _SOLUTIONS[family]
+    points = [0.0]  # inside every family's domain but grusin_catenary's, whose edge it is
     for edge in filter(math.isfinite, fam.domain):
-        for t in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
-            outside = not fam.domain[0] < t < fam.domain[1]
-            assert _raises_domain_error(fam.value, t) == outside, t
-            assert _raises_domain_error(fam.d1, t) == _raises_domain_error(fam.d2, t) == outside, t
+        points += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    for t in points:
+        outside = not fam.domain[0] < t < fam.domain[1]
+        assert _raises_domain_error(fam.value, t) == outside, t
+        assert _raises_domain_error(lambda t: solution(1.0, 0.0, t), t) == outside, t
+        assert _raises_domain_error(fam.d1, t) == _raises_domain_error(fam.d2, t) == outside, t

@@ -20,6 +20,7 @@ from catenary import (
     conformal_coordinate,
     critical_parallels,
     embed_revolution,
+    eval_metric,
     parallel_catenary_check,
     profile_surface,
     quadrature_v,
@@ -352,9 +353,18 @@ def test_default_scan_range_fits_a_domain_narrower_than_its_margin(spec):
      "parameter mu is an int beyond the float range"),
     ("critical_parallels(catalog_surface('sphere'), 10**400)",
      "alpha is an int beyond the float range"),
-    # an int whose repr exceeds Python's digit limit is not named by value
+    # an int whose repr exceeds Python's digit limit is not named by value: repr()
+    # raised ValueError in the messages below, and turning_points said DegenerateMetricError
     ("closed_form_family('euclidean', mu=10**5000)",
      "parameter mu is an int beyond the float range"),
+    ("trace_catenary(catalog_surface('sphere'), 1, CatenaryState(0.7, 0, 1), 1.0,"
+     " max_step=-10**5000)", "max_step is an int beyond the float range"),
+    ("eval_metric(catalog_surface('sphere'), -10**5000, 0.0)",
+     "u is an int beyond the float range"),
+    ("turning_points(catalog_surface('sphere'), 1, 0.5, 10**5000)",
+     "u_range is an int beyond the float range"),
+    ("ruled_surface(abs, abs, abs, abs, u_range=('x', 10**5000))",
+     "ruled u-range holds an int beyond the float range"),
     ("embed_revolution(catalog_surface('catenoid'), 10**400, 0.3, 0.5)",
      "u is an int beyond the float range"),
     ("quadrature_v(catalog_surface('catenoid'), 1, 0.5, 1, 10**400)",
