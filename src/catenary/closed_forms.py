@@ -12,8 +12,7 @@ curve on the hyperbolic plane, which has no closed-form parametrization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .curvature import CurveJet2, catenary_residual
 from .errors import ConfigError, DomainError, _positive, _read_params, _sequence, check_finite
@@ -31,8 +30,8 @@ __all__ = [
     "validate_closed_form",
 ]
 
-@dataclass(frozen=True)
-class ClosedFormFamily:
+
+class ClosedFormFamily(NamedTuple):
     """A parametrized exact solution with analytic derivatives.
 
     ``value``, ``d1`` and ``d2`` map the curve parameter to floats for the
@@ -126,7 +125,7 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
     (default 1) and nu (default 0); grusin_geodesic takes u0 and v0
     (default 0).  Any other name or parameter raises ConfigError.
     """
-    if family not in _FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
         raise ConfigError(f"unknown closed-form family: {family!r}")
     params = _read_params(params, _FAMILY_PARAMS[family], f"family {family!r}")
     if family == "grusin_geodesic":
@@ -165,7 +164,14 @@ def closed_form_family(family: str, **params) -> ClosedFormFamily:
             return mu * (math.cos(w) ** -0.5
                          + 1.5 * math.sin(w) ** 2 * math.cos(w) ** -2.5)
 
-        return _family(family, params, ((-math.pi / 2 - nu) / rt2, (math.pi / 2 - nu) / rt2),
+        lo, hi = (-math.pi / 2 - nu) / rt2, (math.pi / 2 - nu) / rt2
+        # rt2 * v + nu can round past +-pi/2 next to the edges: move each inward to the
+        # last float where cos(rt2 * v + nu) > 0, so cos is positive on the whole domain
+        while not math.cos(rt2 * hi + nu) > 0.0:
+            hi = math.nextafter(hi, -math.inf)
+        while not math.cos(rt2 * lo + nu) > 0.0:
+            lo = math.nextafter(lo, math.inf)
+        return _family(family, params, (lo, hi),
                        value=lambda v: mu / math.sqrt(math.cos(rt2 * v + nu)), d1=d1, d2=d2)
     return _family(  # grusin_catenary
         family, params, (-nu / 2.0, math.inf),

@@ -16,8 +16,7 @@ it does not depend on the parametrization speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SingularJetError, _sequence, check_finite
 from .surfaces import SurfaceSpec, eval_metric
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurveJet2:
+class CurveJet2(NamedTuple):
     """Second-order jet of a parametrized curve: position, velocity, acceleration."""
 
     u: float
@@ -81,13 +79,13 @@ def _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv):
 
 def geodesic_curvature(spec: SurfaceSpec, jet: CurveJet2) -> float:
     """Signed geodesic curvature of the jet; zero exactly for geodesics."""
-    g, gu, gv = _metric(spec, jet.u, jet.v, **vars(jet))
+    g, gu, gv = _metric(spec, jet.u, jet.v, **jet._asdict())
     return _kappa_residual(None, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[0]
 
 
 def catenary_target_curvature(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     """Curvature a weighted critical curve must have: alpha*G*vd/(u*speed)."""
-    g = _metric(spec, jet.u, jet.v, alpha=alpha, **vars(jet))[0]
+    g = _metric(spec, jet.u, jet.v, alpha=alpha, **jet._asdict())[0]
     return _target(alpha, g, jet.u, jet.dv, _speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 
@@ -97,7 +95,7 @@ def catenary_residual(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     Equals (target - kappa) for regular jets, so both criteria share one
     tolerance.
     """
-    g, gu, gv = _metric(spec, jet.u, jet.v, alpha=alpha, **vars(jet))
+    g, gu, gv = _metric(spec, jet.u, jet.v, alpha=alpha, **jet._asdict())
     return _kappa_residual(alpha, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[1]
 
 
@@ -106,7 +104,7 @@ def normal_transversality(spec: SurfaceSpec, jet: CurveJet2) -> float:
 
     With the normal n = (-vd*G, ud/G)/||gamma'|| this is -vd*G/||gamma'||.
     """
-    g = _metric(spec, jet.u, jet.v, **vars(jet))[0]
+    g = _metric(spec, jet.u, jet.v, **jet._asdict())[0]
     return -jet.dv * g / math.sqrt(_speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 

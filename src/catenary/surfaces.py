@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (ConfigError, DegenerateMetricError, DomainError, _interval, _positive,
@@ -50,8 +49,7 @@ class Domain(NamedTuple):
         return self.u_min < u < self.u_max and self.v_min < v < self.v_max
 
 
-@dataclass(frozen=True)
-class MetricPatch:
+class MetricPatch(NamedTuple):
     """Fused metric kernel of a semi-geodesic patch on an open rectangle.
 
     ``metric(u, v)`` returns (G, G_u, G_v) in one call and checks nothing: it may be
@@ -88,8 +86,7 @@ class MetricPatch:
         return values
 
 
-@dataclass(frozen=True)
-class RevolutionProfile:
+class RevolutionProfile(NamedTuple):
     """Profile a(u) of a rotationally symmetric metric du^2 + a(u)^2 dv^2.
 
     A catalog or tabulated profile's ``a`` and ``a_u`` read its surface's fused kernel at
@@ -106,8 +103,7 @@ class RevolutionProfile:
     pieces: tuple[tuple[float, ...], ...] = ()
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(NamedTuple):
     """An immutable surface: a named metric patch plus optional profile data.
 
     ``profile`` is set for every rotationally symmetric metric (G_v == 0),
@@ -120,7 +116,7 @@ class SurfaceSpec:
     params: dict
     patch: MetricPatch
     profile: RevolutionProfile | None = None
-    profile_warning: bool = field(default=False)
+    profile_warning: bool = False
 
     @property
     def identifier(self) -> str:
@@ -208,7 +204,7 @@ def catalog_surface(kind: str, /, **params) -> SurfaceSpec:
     instead of (0, pi/2); queries beyond the equator's focal distance then
     fail with G <= 0).  ``params`` of the result holds the converted values.
     """
-    if kind not in CATALOG_PARAMS:
+    if kind not in CATALOG_KINDS:  # a tuple, so an unhashable kind is unknown too
         raise ConfigError(f"unknown surface kind: {kind!r}")
     params = _read_params(params, CATALOG_PARAMS[kind], f"kind {kind!r}")
 
@@ -426,9 +422,11 @@ def profile_surface(a, a_u, a_uu, u_range: tuple[float, float],
     peak between them is missed; ``tabulated_profile``'s is exact.
     An unbounded domain gets 200 probes on (u_min, u_min + 10] and 199 more out to
     max(100, 10 u_min), the end of the root scans of ``critical_parallels`` and
-    ``turning_points``; nothing beyond is checked.  A callable that raises
-    ArithmeticError or ValueError on a probe raises ConfigError.
+    ``turning_points``; nothing beyond is checked.  A non-callable a, a_u or a_uu, and a
+    callable that raises ArithmeticError or ValueError on a probe, raise ConfigError.
     """
+    if not all(map(callable, (a, a_u, a_uu))):
+        raise ConfigError("profile a, a_u and a_uu must be callables")
     lo, hi = _interval("profile u-range", u_range)
     if not lo >= 0.0:
         raise ConfigError(f"bad profile u-range {u_range!r}: u must be >= 0")

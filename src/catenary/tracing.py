@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .curvature import _kappa_residual
@@ -70,8 +69,7 @@ MAX_STEPS = 100_000
 _STAGE_ERRORS = (CatenaryError, ArithmeticError, ValueError)
 
 
-@dataclass(frozen=True)
-class CatenaryState:
+class CatenaryState(NamedTuple):
     """Start of a unit-speed trace: position (u, v) and tangent angle phi.
 
     phi is measured from the meridian direction d/du toward d/dv, so the
@@ -92,7 +90,6 @@ class TraceSample(NamedTuple):
     residual: float
 
 
-@dataclass
 class Trace:
     """Result of a trace: per-step samples, diagnostics and the exit reason.
 
@@ -102,17 +99,13 @@ class Trace:
     arclength mode, v for graph mode).
     """
 
-    spec: SurfaceSpec
-    alpha: float
-    samples: list[TraceSample]
-    termination: str
-    stats: dict
-    mode: str = "arclength"
-    _segments: list = field(default_factory=list, repr=False)
-    _t_final: float = field(default=0.0, repr=False)
-    _starts: list = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, spec: SurfaceSpec, alpha: float, samples: list[TraceSample],
+                 termination: str, stats: dict, mode: str = "arclength",
+                 _segments: list | None = None, _t_final: float = 0.0):
+        self.spec, self.alpha, self.samples = spec, alpha, samples
+        self.termination, self.stats, self.mode = termination, stats, mode
+        self._segments = [] if _segments is None else _segments
+        self._t_final = _t_final
         self._starts = [seg[0] for seg in self._segments]
 
     def at(self, t: float) -> tuple[float, ...]:

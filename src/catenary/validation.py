@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .closed_forms import closed_form_family, validate_closed_form
 from .curvature import _kappa_residual, _speed_sq, _target
@@ -40,8 +40,7 @@ THRESHOLDS = {
 _USTAR = 0.8603335890193797
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     value: float
@@ -49,7 +48,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _result(name, value, threshold, detail="") -> CheckResult:

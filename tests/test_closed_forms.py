@@ -57,6 +57,29 @@ def test_cone_values_and_domain():
         cone_catenary(-2.0, 0.0, 0.0)
 
 
+def test_cone_family_holds_up_to_its_open_edges():
+    # sqrt(2) v + nu rounded past +-pi/2 at floats just inside the formula's edges
+    # (-+pi/2 - nu)/sqrt(2): value raised ConfigError and d1, d2 leaked TypeError (a
+    # negative base to a fractional power).  A fixed sweep of nu over [-3, 3]: the float
+    # outside each edge and the edge raise DomainError, the three floats inside give
+    # finite numbers.
+    for nu in [-3.0 + i / 100 for i in range(601)]:
+        fam = closed_form_family("cone", nu=nu)
+        for edge, inward in zip(fam.domain, (math.inf, -math.inf)):
+            t = math.nextafter(edge, -inward)
+            for k in range(5):
+                for fn in (fam.value, fam.d1, fam.d2):
+                    if k < 2:
+                        with pytest.raises(DomainError):
+                            fn(t)
+                    else:
+                        assert math.isfinite(fn(t)), (nu, t)
+                t = math.nextafter(t, inward)
+    # the float next to the formula's upper edge at this nu now lies outside the domain
+    with pytest.raises(DomainError):
+        cone_catenary(1.0, -1.0038288878392254, 1.820534948281658)
+
+
 def test_cone_solves_cone_equation():
     # u u'' = 3 u'^2 + u^2 for the 45-degree cone at alpha = 1
     fam = closed_form_family("cone", mu=0.8, nu=0.2)
@@ -241,6 +264,8 @@ def test_family_rejects_bad_parameters(family, params):
     ("grusin_geodesic", {"v0": 1.0}, "parameter 'u0' is required for family 'grusin_geodesic'"),
     ("cone", {"mu": "x"}, "parameter mu='x' is not a number"),
     ("euclidean", {"kappa": 1.0}, "unknown parameter(s) ['kappa'] for family 'euclidean'"),
+    ("nope", {}, "unknown closed-form family: 'nope'"),
+    ([], {}, "unknown closed-form family: []"),  # an unhashable name leaked TypeError
 ])
 def test_family_parameter_errors_name_the_parameter(family, params, message):
     with pytest.raises(ConfigError) as info:

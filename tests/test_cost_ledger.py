@@ -6,13 +6,14 @@ Three ledgers, all plain counts that do not depend on the host's speed:
   of the fixed traces of ``test_trace_digest.py``, and the kernel calls of
   ``critical_parallels`` and ``turning_points`` on the sphere and on a
   40-knot tabulated profile.  Kernel calls are counted by a copy of the
-  surface whose ``patch.metric`` counts its calls (``dataclasses.replace``).
+  surface whose ``patch.metric`` counts its calls (``SurfaceSpec._replace``).
 * GK21 rules (and GK15 rules of the infinite-range transform) that QUADPACK
   applies for a fixed list of ``quadrature_v``, ``conformal_coordinate`` and
   ``embed_revolution`` calls, on a catalog profile and on a 40-knot tabulated
   one.  They are counted by wrapping ``quadpack._qk21`` and ``quadpack._qk15i``.
 * The sorted ``catenary.*`` modules that each CLI subcommand leaves in
-  ``sys.modules``, one fresh interpreter per subcommand.
+  ``sys.modules``, one fresh interpreter per subcommand, and the absence there of
+  the costly stdlib modules ``ast``, ``dataclasses``, ``dis`` and ``inspect``.
 
 A change that moves a count must say why; a refactor that claims to keep the
 work as it was leaves this file untouched.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -61,7 +61,7 @@ class _CountedKernel:
 
 def _counted(spec):
     """A copy of spec whose ``patch.metric`` is a _CountedKernel."""
-    return replace(spec, patch=replace(spec.patch, metric=_CountedKernel(spec.patch.metric)))
+    return spec._replace(patch=spec.patch._replace(metric=_CountedKernel(spec.patch.metric)))
 
 
 def _counting(tracer):
@@ -230,11 +230,19 @@ CLI_MODULES = {
 }
 
 
+# stdlib modules that no subcommand loads: ``dataclasses`` alone pulls in the other three
+# and execs generated methods for each record class, milliseconds of every process start
+_UNLOADED_STDLIB = ("ast", "dataclasses", "dis", "inspect")
+
+
 @pytest.mark.parametrize("name", sorted(_CLI))
 def test_cli_module_sets_are_pinned(name):
     code = ("import contextlib, io, sys; from catenary.cli import run\n"
             f"with contextlib.redirect_stdout(io.StringIO()): code = run({_CLI[name]!r})\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'catenary'))")
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'catenary'))\n"
+            f"print([m for m in {_UNLOADED_STDLIB!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == f"0 {CLI_MODULES[name]!r}"
+    modules, stdlib = out.stdout.strip().split("\n")
+    assert modules == f"0 {CLI_MODULES[name]!r}"
+    assert stdlib == "[]"

@@ -4,7 +4,6 @@ The reference is always ``profile_surface`` over the same PCHIP callables: it
 has no piece data, so its scans evaluate rho' at every grid point.
 """
 
-import dataclasses
 import math
 import random
 
@@ -73,7 +72,7 @@ def test_screen_evaluates_a_small_part_of_the_grid():
     counts = []
     for probe in (spec, _reference(spec)):
         calls.clear()
-        critical_parallels(dataclasses.replace(probe, patch=patch), 1.0)
+        critical_parallels(probe._replace(patch=patch), 1.0)
         counts.append(len(calls))
     screened, full = counts
     assert full >= 1000 and screened < full / 5

@@ -90,6 +90,9 @@ def test_catalog_matches_expected_profiles():
 def test_catalog_rejects_bad_input():
     with pytest.raises(ConfigError):
         catalog_surface("torus")
+    # an unhashable kind leaked TypeError from the lookup
+    with pytest.raises(ConfigError, match="unknown surface kind"):
+        catalog_surface([])
     with pytest.raises(ConfigError):
         catalog_surface("hyperbolic", r=-1.0)
     with pytest.raises(ConfigError):
@@ -354,6 +357,16 @@ def test_profile_csv_rejects_garbage(tmp_path):
 def test_profile_surface_rejects_bad_input(a, u_range, message):
     with pytest.raises(ConfigError, match=message):
         profile_surface(a, lambda u: -math.sin(u), lambda u: -math.cos(u), u_range)
+
+
+@pytest.mark.parametrize("callables", [
+    (math.cos, None, lambda u: -math.cos(u)),  # leaked TypeError from the first probe
+    (math.cos, lambda u: -math.sin(u), 3),  # a spec that failed at its first use
+    ("cos", lambda u: -math.sin(u), lambda u: -math.cos(u)),
+])
+def test_profile_surface_requires_callables(callables):
+    with pytest.raises(ConfigError, match="must be callables"):
+        profile_surface(*callables, (0.1, 1.0))
 
 
 def test_profile_surface_flags_steep_slopes_near_and_far():

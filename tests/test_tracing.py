@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,7 +429,7 @@ def _counting_kernel(spec):
         calls[0] += 1
         return metric(u, v)
 
-    return replace(spec, patch=replace(spec.patch, metric=counting)), calls
+    return spec._replace(patch=spec.patch._replace(metric=counting)), calls
 
 
 def test_one_metric_evaluation_per_rhs_call():
@@ -553,7 +552,7 @@ def _failing_at(spec, point, values):
             return 1.0 / 0.0
         return values
 
-    return replace(spec, patch=replace(spec.patch, metric=kernel))
+    return spec._replace(patch=spec.patch._replace(metric=kernel))
 
 
 def _exit_point():
