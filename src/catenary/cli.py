@@ -19,23 +19,12 @@ Set CATENARY_LOG to error/info/debug to control diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 from .errors import CatenaryError, ConfigError
-from .revolution import (
-    CriticalParallel,
-    _classify,
-    _embedding,
-    clairaut_constant,
-    critical_parallels,
-    quadrature_v,
-    stability_exponent,
-    turning_points,
-)
 from .surfaces import (
     CATALOG_KINDS,
     CATALOG_PARAMS,
@@ -44,11 +33,11 @@ from .surfaces import (
     load_profile_csv,
     tabulated_profile,
 )
-from .tracing import CatenaryState, Trace, TraceSample, trace_catenary, trace_graph
+
+if TYPE_CHECKING:
+    from .tracing import Trace
 
 __all__ = ["build_parser", "run", "main", "emit_trace"]
-
-log = logging.getLogger("catenary")
 
 
 def _parse_params(items) -> dict:
@@ -101,10 +90,15 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _write_json(doc, path: str | None) -> None:
+    import json
+
     _write(json.dumps(doc, indent=2) + "\n", path)
 
 
 def _trace_text(trace: Trace, format: str, embed: bool) -> str:
+    from .revolution import _embedding, clairaut_constant
+    from .tracing import TraceSample
+
     if not trace.samples:
         raise ConfigError("refusing to emit an empty trace")
     spec = trace.spec
@@ -125,6 +119,8 @@ def _trace_text(trace: Trace, format: str, embed: bool) -> str:
         lines += [",".join(_fmt(x) for x in row) for row in rows]
         return "\n".join(lines) + "\n"
     if format == "json":
+        import json
+
         return json.dumps({
             "surface": trace.spec.identifier,
             "alpha": trace.alpha,
@@ -152,8 +148,11 @@ def emit_trace(trace: Trace, format: str, path: str | None, embed: bool = False)
 def _emit_or_print(trace: Trace, args) -> None:
     format = args.format or ("json" if args.out and args.out.endswith(".json") else "csv")
     emit_trace(trace, format, args.out, embed=args.embed)
-    log.info("trace: %d samples, termination=%s", len(trace.samples),
-             trace.termination)
+    if _verbose():
+        import logging
+
+        logging.getLogger("catenary").info("trace: %d samples, termination=%s",
+                                           len(trace.samples), trace.termination)
 
 
 def _parallels_doc(parallels) -> list[dict]:
@@ -178,7 +177,7 @@ def _cmd_catalog(args) -> int:
             "revolution": spec.is_revolution,
         })
     if args.json:
-        print(json.dumps(entries, indent=2))
+        _write_json(entries, None)
     else:
         for e in entries:
             pars = ",".join(e["parameters"]) or "-"
@@ -193,6 +192,8 @@ def _tracer_options(args) -> dict:
 
 
 def _cmd_trace(args) -> int:
+    from .tracing import CatenaryState, trace_catenary
+
     spec = _build_surface(args)
     start = CatenaryState(u=args.u0, v=args.v0, phi=args.phi0)
     trace = trace_catenary(spec, args.alpha, start, s_max=args.smax, **_tracer_options(args))
@@ -201,6 +202,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_trace_graph(args) -> int:
+    from .tracing import trace_graph
+
     spec = _build_surface(args)
     trace = trace_graph(spec, args.alpha, args.u0, args.du0, (args.v0, args.v1),
                         **_tracer_options(args))
@@ -209,6 +212,8 @@ def _cmd_trace_graph(args) -> int:
 
 
 def _cmd_clairaut(args) -> int:
+    from .revolution import critical_parallels, turning_points
+
     if (args.umin is None) != (args.umax is None):
         raise ConfigError("--umin and --umax must be given together")
     spec = _build_surface(args)
@@ -227,6 +232,8 @@ def _cmd_clairaut(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from .revolution import CriticalParallel, _classify, critical_parallels, stability_exponent
+
     spec = _build_surface(args)
     if args.ustar is not None:
         lam = stability_exponent(spec, args.alpha, args.ustar)
@@ -239,6 +246,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_quadrature(args) -> int:
+    from .revolution import quadrature_v
+
     spec = _build_surface(args)
     print(_fmt(quadrature_v(spec, args.alpha, args.c, args.u0, args.u1)))
     return 0
@@ -352,18 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verbose() -> bool:
+    """CATENARY_LOG is info or debug; at any other value (error) nothing is printed."""
+    return os.environ.get("CATENARY_LOG", "error").lower() in ("info", "debug")
+
+
 def _configure_logging() -> None:
-    level = os.environ.get("CATENARY_LOG", "error").lower()
-    mapping = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    import logging
+
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     # basicConfig is a no-op once handlers exist; the level must be set anew
-    log.setLevel(mapping.get(level, logging.ERROR))
+    logging.getLogger("catenary").setLevel(os.environ["CATENARY_LOG"].upper())
 
 
 def run(argv=None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    _configure_logging()
+    if _verbose():
+        _configure_logging()
+    elif "logging" in sys.modules:  # loaded already, perhaps by a verbose run: quiet again
+        sys.modules["logging"].getLogger("catenary").setLevel("ERROR")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,7 +15,8 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .curvature import CurveJet2, catenary_residual
-from .errors import ConfigError, DomainError, _positive, _read_params, _sequence, check_finite
+from .errors import (ConfigError, DomainError, _instance, _positive, _read_params, _sequence,
+                     check_finite)
 from .revolution import quadrature_v
 from .surfaces import SurfaceSpec, catalog_surface, eval_metric
 
@@ -194,7 +195,7 @@ def validate_closed_form(family: ClosedFormFamily, spec: SurfaceSpec,
     if not grid:
         raise ConfigError("empty validation grid")
     worst = 0.0
-    if family.family == "grusin_geodesic":
+    if _instance("family", family, ClosedFormFamily).family == "grusin_geodesic":
         if alpha != 0.0:
             raise ConfigError(f"alpha={alpha!r}: geodesics are critical for alpha = 0")
         for s in grid:

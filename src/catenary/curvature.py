@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import SingularJetError, _sequence, check_finite
+from .errors import SingularJetError, _instance, _sequence, check_finite
 from .surfaces import SurfaceSpec, eval_metric
 
 __all__ = [
@@ -42,10 +42,11 @@ class CurveJet2(NamedTuple):
     ddv: float
 
 
-def _metric(spec: SurfaceSpec, u: float, v: float, /, **numbers) -> tuple[float, float, float]:
-    """The checked way in: ConfigError unless ``numbers`` are all finite, then eval_metric."""
-    check_finite(**numbers)
-    return eval_metric(spec, u, v)
+def _metric(spec: SurfaceSpec, jet: CurveJet2, /, **numbers) -> tuple[float, float, float]:
+    """The checked way in: ConfigError unless jet is a CurveJet2 and ``numbers`` and its
+    fields are all finite, then eval_metric at its point."""
+    check_finite(**numbers, **_instance("jet", jet, CurveJet2)._asdict())
+    return eval_metric(spec, jet.u, jet.v)
 
 
 def _speed_sq(g, u, v, du, dv):
@@ -79,13 +80,13 @@ def _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv):
 
 def geodesic_curvature(spec: SurfaceSpec, jet: CurveJet2) -> float:
     """Signed geodesic curvature of the jet; zero exactly for geodesics."""
-    g, gu, gv = _metric(spec, jet.u, jet.v, **jet._asdict())
+    g, gu, gv = _metric(spec, jet)
     return _kappa_residual(None, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[0]
 
 
 def catenary_target_curvature(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     """Curvature a weighted critical curve must have: alpha*G*vd/(u*speed)."""
-    g = _metric(spec, jet.u, jet.v, alpha=alpha, **jet._asdict())[0]
+    g = _metric(spec, jet, alpha=alpha)[0]
     return _target(alpha, g, jet.u, jet.dv, _speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 
@@ -95,7 +96,7 @@ def catenary_residual(spec: SurfaceSpec, alpha: float, jet: CurveJet2) -> float:
     Equals (target - kappa) for regular jets, so both criteria share one
     tolerance.
     """
-    g, gu, gv = _metric(spec, jet.u, jet.v, alpha=alpha, **jet._asdict())
+    g, gu, gv = _metric(spec, jet, alpha=alpha)
     return _kappa_residual(alpha, g, gu, gv, jet.u, jet.v, jet.du, jet.dv, jet.ddu, jet.ddv)[1]
 
 
@@ -104,7 +105,7 @@ def normal_transversality(spec: SurfaceSpec, jet: CurveJet2) -> float:
 
     With the normal n = (-vd*G, ud/G)/||gamma'|| this is -vd*G/||gamma'||.
     """
-    g = _metric(spec, jet.u, jet.v, **jet._asdict())[0]
+    g = _metric(spec, jet)[0]
     return -jet.dv * g / math.sqrt(_speed_sq(g, jet.u, jet.v, jet.du, jet.dv))
 
 
@@ -115,7 +116,8 @@ def parallel_catenary_check(spec: SurfaceSpec, alpha: float, u0: float,
     True iff alpha*G + u0*G_u vanishes (within ``tol``) at every v sample.
     """
     for v in _sequence("v_samples", v_samples):
-        g, gu, _ = _metric(spec, u0, v, alpha=alpha, u0=u0, v=v, tol=tol)
+        check_finite(alpha=alpha, u0=u0, v=v, tol=tol)
+        g, gu, _ = eval_metric(spec, u0, v)
         if abs(alpha * g + u0 * gu) >= tol:
             return False
     return True

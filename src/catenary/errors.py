@@ -66,6 +66,13 @@ def _shown(name: str, value) -> str:
         raise ConfigError(f"{name} {is_or_holds} an int beyond the float range") from None
 
 
+def _instance(name: str, value, cls):
+    """value if it is a ``cls``, else ConfigError naming its type."""
+    if isinstance(value, cls):
+        return value
+    raise ConfigError(f"{name} of type {type(value).__name__} is not a {cls.__name__}")
+
+
 def _read_params(params: dict, defaults: dict, owner: str) -> dict:
     """Each name of ``defaults`` (None: required) from ``params`` as a finite float.
 

@@ -20,7 +20,6 @@ are QUADPACK breakpoints.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from typing import NamedTuple
 
@@ -32,12 +31,12 @@ from .errors import (
     KindError,
     NotCriticalError,
     NotRealizableError,
+    _instance,
     _pair,
     _positive,
     check_finite,
 )
 from .surfaces import RevolutionProfile, SurfaceSpec, _far_end, _linspace
-from .tracing import CatenaryState
 
 __all__ = [
     "CriticalParallel",
@@ -49,8 +48,6 @@ __all__ = [
     "stability_exponent",
     "embed_revolution",
 ]
-
-log = logging.getLogger("catenary")
 
 SCAN_POINTS_PER_DECADE = 1000
 ROOT_XTOL = 1e-12
@@ -102,6 +99,11 @@ def quad(fn, a, b, *, points=(), epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     else:
         value, abserr, ier = quadpack.qagse(fn, a, b, epsabs, epsrel, limit)
     if ier in _NOT_CONVERGED:
+        import logging  # here alone: a process whose integrals converge never loads it
+
+        log = logging.getLogger("catenary")
+        if not log.handlers:  # a library's NullHandler: no lastResort output to stderr
+            log.addHandler(logging.NullHandler())
         log.warning("integral over [%r, %r] did not converge (ier=%d): %s",
                     a, b, ier, _NOT_CONVERGED[ier])
     elif ier:
@@ -117,7 +119,7 @@ def _profile_errors(fn):
     """
     @functools.wraps(fn)
     def guarded(spec, *args, **kwargs):
-        if spec.profile is None:
+        if _instance("spec", spec, SurfaceSpec).profile is None:
             raise KindError(f"{spec.identifier} is not rotationally symmetric (G depends on v)")
         try:
             return fn(spec, *args, **kwargs)
@@ -166,14 +168,19 @@ def _rho_funcs(spec: SurfaceSpec, alpha: float):
 
 
 @_profile_errors
-def clairaut_constant(spec: SurfaceSpec, alpha: float, state: CatenaryState) -> float:
+def clairaut_constant(spec: SurfaceSpec, alpha: float, state) -> float:
     """Conserved quantity u^alpha * a(u) * sin(phi) of a unit-speed state.
 
-    Only ``state.u`` and ``state.phi`` are read, so a trace's TraceSample serves as well.
+    A CatenaryState or a trace's TraceSample: only ``state.u`` and ``state.phi`` are read.
     """
-    check_finite(alpha=alpha, phi=state.phi)
-    u = _inside(spec, "u", state.u)
-    return u ** alpha * spec.profile.a(u) * math.sin(state.phi)
+    try:
+        u, phi = state.u, state.phi
+    except AttributeError:
+        raise ConfigError(f"state of type {type(state).__name__} is not a CatenaryState "
+                          "or TraceSample") from None
+    check_finite(alpha=alpha, phi=phi)
+    u = _inside(spec, "u", u)
+    return u ** alpha * spec.profile.a(u) * math.sin(phi)
 
 
 def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:

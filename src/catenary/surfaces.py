@@ -11,12 +11,11 @@ tabulated revolution profiles and ruled surfaces.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (ConfigError, DegenerateMetricError, DomainError, _interval, _positive,
-                     _read_params, _shown, check_finite)
+from .errors import (ConfigError, DegenerateMetricError, DomainError, _instance, _interval,
+                     _positive, _read_params, _shown, check_finite)
 
 __all__ = [
     "Domain",
@@ -133,7 +132,7 @@ class SurfaceSpec(NamedTuple):
 
 def eval_metric(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, float]:
     """Metric coefficient and partials (G, G_u, G_v) at an interior point."""
-    return spec.patch.evaluate(u, v)
+    return _instance("spec", spec, SurfaceSpec).patch.evaluate(u, v)
 
 
 def _far_end(lo: float) -> float:
@@ -483,6 +482,8 @@ def tabulated_profile(samples: Sequence[tuple[float, float]],
 
 def load_profile_csv(path) -> list[tuple[float, float]]:
     """Read a two-column profile CSV ``u,a`` with a header row."""
+    import csv
+
     rows: list[tuple[float, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

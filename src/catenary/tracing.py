@@ -38,7 +38,8 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .curvature import _kappa_residual
-from .errors import CatenaryError, ConfigError, DomainError, _pair, _positive, check_finite
+from .errors import (CatenaryError, ConfigError, DomainError, _instance, _pair, _positive,
+                     check_finite)
 from .surfaces import SurfaceSpec
 
 __all__ = [
@@ -511,7 +512,7 @@ def _bounds(spec: SurfaceSpec, u0: float, v0: float, rate: float, graph: bool) -
     DomainError unless the start lies strictly inside the domain and above
     the "hit_lower_u" margin.
     """
-    dom = spec.domain
+    dom = _instance("spec", spec, SurfaceSpec).domain
     if not dom.contains(u0, v0) or u0 <= dom.u_min + LOWER_MARGIN:
         raise DomainError(f"start (u={u0!r}, v={v0!r}) not strictly inside {tuple(dom)}")
     v_lo = dom.v_min + 1e-9 * (1.0 + abs(dom.v_min)) if math.isfinite(dom.v_min) else -math.inf
@@ -550,6 +551,7 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         or divides by an underflowed zero (alpha = 1e200 on the plane, say);
         DomainError for a start outside the domain.
     """
+    start = _instance("start", start, CatenaryState)
     _check_config(tol, max_step, {"alpha": alpha, "start.u": start.u, "start.v": start.v,
                                   "start.phi": start.phi, "s_max": s_max})
     _positive("s_max", s_max)

@@ -1,10 +1,16 @@
-"""The package's public names: each module's ``__all__`` is the one list of them.  Its
-records are immutable NamedTuples with pinned fields; ``Trace`` is a plain class."""
+"""The package's public names: each module's ``__all__`` is the one list of them, and a
+module loads on the first use of one of its names.  Its records are immutable NamedTuples
+with pinned fields; ``Trace`` is a plain class.  A wrong object where a record belongs
+raises ConfigError."""
+
+import subprocess
+import sys
 
 import pytest
 
 import catenary
 from catenary import closed_forms, curvature, errors, revolution, surfaces, tracing, validation
+from catenary import *  # noqa: F403 - the star import is under test
 
 _MODULES = (errors, surfaces, curvature, tracing, revolution, closed_forms)
 
@@ -16,6 +22,44 @@ def test_package_all_is_the_modules_all_lists():
     for module in _MODULES:
         for name in module.__all__:
             assert getattr(catenary, name) is getattr(module, name)
+
+
+def test_star_import_and_dir_give_every_public_name():
+    star = {name: value for name, value in globals().items() if name in catenary.__all__}
+    assert len(star) == len(catenary.__all__) == 50
+    assert all(value is getattr(catenary, name) for name, value in star.items())
+    assert set(catenary.__all__) <= set(dir(catenary))
+    assert catenary.trace_catenary is tracing.trace_catenary
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_instance", "check_finite", "a.b", ""])
+def test_unknown_names_raise_attribute_error(name):
+    assert not hasattr(catenary, name)
+    with pytest.raises(AttributeError, match="has no attribute"):
+        getattr(catenary, name)
+
+
+def _loaded_after(code):
+    """The sorted catenary.* modules a fresh interpreter holds after running code."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('catenary')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("code, modules", [
+    ("import catenary", ["catenary"]),
+    ("import catenary; catenary.CatenaryError", ["catenary", "catenary.errors"]),
+    ("import catenary; catenary.surfaces.catalog_surface",
+     ["catenary", "catenary.errors", "catenary.surfaces"]),
+    # a submodule outside the six is imported alone, not found by a search of them
+    ("from catenary import quadpack", ["catenary", "catenary.quadpack"]),
+    ("from catenary.revolution import quad; quad(abs, 0.0, 1.0)",
+     ["catenary", "catenary.errors", "catenary.quadpack", "catenary.revolution",
+      "catenary.surfaces"]),
+])
+def test_modules_load_on_first_use(code, modules):
+    assert _loaded_after(code) == repr(modules)
 
 
 def test_errors_all_lists_every_library_error():
@@ -77,3 +121,31 @@ def test_trace_is_built_from_keywords():
     assert (empty.mode, empty._segments, empty._t_final) == ("graph", [], 0.0)
     with pytest.raises(errors.ConfigError, match="took no step"):
         empty.at(0.0)
+
+
+_SPHERE = surfaces.catalog_surface("sphere")
+_START = tracing.CatenaryState(0.7, 0.0, 1.0)
+_JET = curvature.CurveJet2(0.7, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+# each of these leaked an AttributeError from reading a field of the float
+@pytest.mark.parametrize("call", [
+    lambda: trace_catenary(1.5, 1.0, _START, 1.0),
+    lambda: trace_graph(1.5, 1.0, 1.0, 0.0, (0.0, 1.0)),
+    lambda: critical_parallels(1.5, 1.0),
+    lambda: turning_points(1.5, 1.0, 0.5),
+    lambda: quadrature_v(1.5, 1.0, 0.5, 1.0, 1.2),
+    lambda: embed_revolution(1.5, 0.7, 0.0),
+    lambda: geodesic_curvature(1.5, _JET),
+    lambda: eval_metric(1.5, 0.7, 0.0),
+    lambda: trace_catenary(_SPHERE, 1.0, 1.5, 1.0),
+    lambda: clairaut_constant(_SPHERE, 1.0, 1.5),
+    lambda: geodesic_curvature(_SPHERE, 1.5),
+    lambda: validate_closed_form(1.5, _SPHERE, 1.0, [0.1]),
+], ids=["trace_catenary-spec", "trace_graph-spec", "critical_parallels-spec",
+        "turning_points-spec", "quadrature_v-spec", "embed_revolution-spec",
+        "geodesic_curvature-spec", "eval_metric-spec", "trace_catenary-start",
+        "clairaut_constant-state", "geodesic_curvature-jet", "validate_closed_form-family"])
+def test_a_float_where_a_record_belongs_raises_config_error(call):
+    with pytest.raises(errors.ConfigError, match="of type float is not a"):
+        call()

@@ -324,6 +324,55 @@ def test_log_env_var_enables_diagnostics(tmp_path):
     assert "trace:" in chatty.stderr
 
 
+# far out on the catenoid each --embed integral over [0, u] ends on QUADPACK's round-off
+# flag (ier=2), one per sample: a warning record that only info and debug print
+_CATENOID_WARNINGS = "".join(
+    f"WARNING catenary: integral over [0.0, {u}] did not converge (ier=2): round-off detected\n"
+    for u in ("1000000.0", "1000000.1106953226", "1000000.9950041752"))
+
+
+@pytest.mark.parametrize("level, stderr", [
+    (None, ""),
+    ("error", ""),
+    ("info", _CATENOID_WARNINGS + "INFO catenary: trace: 3 samples, termination=reached_smax\n"),
+    ("debug", _CATENOID_WARNINGS + "INFO catenary: trace: 3 samples, termination=reached_smax\n"),
+])
+def test_log_levels_print_exactly_their_diagnostics(level, stderr):
+    import os
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items() if k != "CATENARY_LOG"}
+    if level is not None:
+        env["CATENARY_LOG"] = level
+    proc = subprocess.run([sys.executable, "-m", "catenary.cli", "trace", "--surface",
+                           "catenoid", "--u0", "1e6", "--phi0", "0.1", "--smax", "1", "--embed"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.count("\n") == 4
+    assert proc.stderr == stderr
+
+
+def test_a_quiet_run_after_a_verbose_one_in_process_logs_nothing(monkeypatch, caplog, tmp_path):
+    import logging
+
+    # a copy of the root's handlers (caplog's among them), so that any handler basicConfig
+    # adds is dropped afterwards
+    monkeypatch.setattr(logging.root, "handlers", logging.root.handlers[:])
+    out = str(tmp_path / "t.csv")
+    try:
+        monkeypatch.setenv("CATENARY_LOG", "info")
+        assert run(["trace", "--surface", "sphere", "--u0", "0.7", "--phi0", "1.0",
+                    "--smax", "1", "--out", out]) == 0
+        assert "trace:" in caplog.text
+        caplog.clear()
+        monkeypatch.setenv("CATENARY_LOG", "error")
+        assert run(["trace", "--surface", "catenoid", "--u0", "1e6", "--phi0", "0.1",
+                    "--smax", "1", "--embed", "--out", out]) == 0
+        assert caplog.records == []
+    finally:
+        logging.getLogger("catenary").setLevel(logging.NOTSET)
+
+
 def test_catalog_command(capsys):
     assert run(["catalog"]) == 0
     out = capsys.readouterr().out

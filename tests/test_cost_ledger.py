@@ -13,7 +13,8 @@ Three ledgers, all plain counts that do not depend on the host's speed:
   one.  They are counted by wrapping ``quadpack._qk21`` and ``quadpack._qk15i``.
 * The sorted ``catenary.*`` modules that each CLI subcommand leaves in
   ``sys.modules``, one fresh interpreter per subcommand, and the absence there of
-  the costly stdlib modules ``ast``, ``dataclasses``, ``dis`` and ``inspect``.
+  the stdlib modules it does not use: ``ast``, ``csv``, ``dataclasses``, ``dis``,
+  ``inspect`` and ``logging`` after each, ``json`` after those that write no JSON.
 
 A change that moves a count must say why; a refactor that claims to keep the
 work as it was leaves this file untouched.
@@ -214,25 +215,30 @@ _CLI = {
     "validate": ["validate", "--all"],
 }
 
-# every subcommand imports the package; quadpack loads on the first integral and
-# validation only for validate
-_PACKAGE = ["catenary", "catenary.cli", "catenary.closed_forms", "catenary.curvature",
-            "catenary.errors", "catenary.revolution", "catenary.surfaces", "catenary.tracing"]
+# a subcommand loads the modules it uses, on top of the CLI's own: quadpack on the first
+# integral, validation (and through it every other module) only for validate
+_CLI_BASE = ["catenary", "catenary.cli", "catenary.errors", "catenary.surfaces"]
+_CLAIRAUT = sorted(_CLI_BASE + ["catenary.revolution"])
+_TRACE = sorted(_CLAIRAUT + ["catenary.curvature", "catenary.tracing"])
 CLI_MODULES = {
-    "catalog": _PACKAGE,
-    "trace": _PACKAGE,
-    "trace --embed": sorted(_PACKAGE + ["catenary.quadpack"]),
-    "trace-graph": _PACKAGE,
-    "clairaut": _PACKAGE,
-    "stability": _PACKAGE,
-    "quadrature": sorted(_PACKAGE + ["catenary.quadpack"]),
-    "validate": sorted(_PACKAGE + ["catenary.quadpack", "catenary.validation"]),
+    "catalog": _CLI_BASE,
+    "trace": _TRACE,
+    "trace --embed": sorted(_TRACE + ["catenary.quadpack"]),
+    "trace-graph": _TRACE,
+    "clairaut": _CLAIRAUT,
+    "stability": _CLAIRAUT,
+    "quadrature": sorted(_CLAIRAUT + ["catenary.quadpack"]),
+    "validate": sorted(_TRACE + ["catenary.closed_forms", "catenary.quadpack",
+                                 "catenary.validation"]),
 }
 
 
-# stdlib modules that no subcommand loads: ``dataclasses`` alone pulls in the other three
-# and execs generated methods for each record class, milliseconds of every process start
-_UNLOADED_STDLIB = ("ast", "dataclasses", "dis", "inspect")
+# stdlib modules these subcommands leave unloaded, json but for the two that write JSON:
+# ``dataclasses`` alone pulls in ast, dis and inspect and execs generated methods for each
+# record class, milliseconds of every process start; ``logging`` loads only for
+# CATENARY_LOG info or debug or a non-converged integral, and ``csv`` only for --profile
+_UNLOADED_STDLIB = ("ast", "csv", "dataclasses", "dis", "inspect", "json", "logging")
+_WRITES_JSON = {"clairaut", "stability"}
 
 
 @pytest.mark.parametrize("name", sorted(_CLI))
@@ -245,4 +251,4 @@ def test_cli_module_sets_are_pinned(name):
                          check=True)
     modules, stdlib = out.stdout.strip().split("\n")
     assert modules == f"0 {CLI_MODULES[name]!r}"
-    assert stdlib == "[]"
+    assert stdlib == repr(["json"] if name in _WRITES_JSON else [])
