@@ -5,6 +5,8 @@ raises ConfigError."""
 
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -149,3 +151,40 @@ _JET = curvature.CurveJet2(0.7, 0.0, 1.0, 0.0, 0.0, 0.0)
 def test_a_float_where_a_record_belongs_raises_config_error(call):
     with pytest.raises(errors.ConfigError, match="of type float is not a"):
         call()
+
+
+class _FloatOnly:
+    """Has __float__ but is no number: it does not compare with floats."""
+
+    def __float__(self):
+        return 0.5
+
+
+_NO_NUMBER = _FloatOnly()
+
+
+# the first eight leaked a TypeError from comparing or computing with the object; the
+# last takes MetricPatch.evaluate's branch for a coordinate that is not a number
+@pytest.mark.parametrize("call", [
+    lambda: eval_metric(_SPHERE, _NO_NUMBER, 0.0),
+    lambda: closed_form_family("euclidean").value(_NO_NUMBER),
+    lambda: euclidean_catenary(1.0, 0.0, _NO_NUMBER),
+    lambda: trace_catenary(_SPHERE, 1.0, tracing.CatenaryState(_NO_NUMBER, 0.0, 1.0), 1.0),
+    lambda: trace_graph(_SPHERE, 1.0, _NO_NUMBER, 0.0, (0.0, 1.0)),
+    lambda: critical_parallels(_SPHERE, _NO_NUMBER),
+    lambda: geodesic_curvature(_SPHERE, curvature.CurveJet2(_NO_NUMBER, 0.0, 1.0, 0.0,
+                                                            0.0, 0.0)),
+    lambda: parallel_catenary_check(_SPHERE, _NO_NUMBER, 0.5, [0.0]),
+    lambda: eval_metric(_SPHERE, "x", 0.0),
+], ids=["eval_metric-u", "closed_form_value-t", "euclidean_catenary-t",
+        "trace_catenary-start.u", "trace_graph-u0", "critical_parallels-alpha",
+        "geodesic_curvature-jet.u", "parallel_catenary_check-alpha", "eval_metric-str"])
+def test_a_value_that_is_no_number_raises_config_error(call):
+    with pytest.raises(errors.ConfigError, match="is not a number"):
+        call()
+
+
+def test_numbers_of_other_types_are_finite_numbers():
+    errors.check_finite(d=Decimal("0.5"), f=Fraction(1, 3), b=True, i=7, x=0.5)
+    with pytest.raises(errors.ConfigError, match="must be finite"):
+        errors.check_finite(d=Decimal("Infinity"))

@@ -1,6 +1,6 @@
 """Work ledger: pinned counts of the work a fixed set of calls does.
 
-Three ledgers, all plain counts that do not depend on the host's speed:
+Four ledgers, all plain counts that do not depend on the host's speed:
 
 * Steps accepted and rejected, ``stats["rhs_evals"]`` and metric-kernel calls
   of the fixed traces of ``test_trace_digest.py``, and the kernel calls of
@@ -11,6 +11,8 @@ Three ledgers, all plain counts that do not depend on the host's speed:
   applies for a fixed list of ``quadrature_v``, ``conformal_coordinate`` and
   ``embed_revolution`` calls, on a catalog profile and on a 40-knot tabulated
   one.  They are counted by wrapping ``quadpack._qk21`` and ``quadpack._qk15i``.
+* The kernel calls and checked ``MetricPatch.evaluate`` calls of
+  ``check_criterion_equivalence``, per surface it builds.
 * The sorted ``catenary.*`` modules that each CLI subcommand leaves in
   ``sys.modules``, one fresh interpreter per subcommand, and the absence there of
   the stdlib modules it does not use: ``ast``, ``csv``, ``dataclasses``, ``dis``,
@@ -40,7 +42,8 @@ from catenary import (
     trace_catenary,
     turning_points,
 )
-from catenary import quadpack
+from catenary import quadpack, validation
+from catenary.surfaces import MetricPatch
 
 
 def _tabulated():
@@ -117,6 +120,36 @@ def test_rhs_evals_miss_the_stages_of_failed_steps():
     assert trace.termination == "left_domain"
     assert (trace.stats["steps_accepted"], trace.stats["steps_rejected"],
             trace.stats["rhs_evals"], trace.spec.patch.metric.calls) == (14, 64, 87, 135)
+
+
+# (kind, kernel calls, MetricPatch.evaluate calls) of each catalog_surface call of
+# check_criterion_equivalence: each of its 10,000 random jets per kind and 100 exact
+# jets on the plane reads the kernel once, unchecked; the sphere then takes an
+# alpha = 0 trace and its conformal-geodesic oracle
+CRITERION_WORK = [(kind, 10_000, 0) for kind in (
+    "plane", "cylinder", "sphere", "hyperbolic", "cone", "catenoid", "helicoid",
+    "binormal", "grusin")] + [("plane", 100, 0), ("sphere", 1420, 54)]
+
+
+def test_criterion_equivalence_work_is_pinned(monkeypatch):
+    kernels, evaluates = [], []
+    evaluate = MetricPatch.evaluate
+
+    def counted_surface(kind, **params):
+        spec = _counted(catalog_surface(kind, **params))
+        kernels.append((kind, spec.patch.metric))
+        return spec
+
+    def counted_evaluate(patch, u, v):
+        evaluates.append(patch.metric)
+        return evaluate(patch, u, v)
+
+    monkeypatch.setattr(validation, "catalog_surface", counted_surface)
+    monkeypatch.setattr(MetricPatch, "evaluate", counted_evaluate)
+    validation.check_criterion_equivalence()
+    got = [(kind, kernel.calls, sum(k is kernel for k in evaluates))
+           for kind, kernel in kernels]
+    assert got == CRITERION_WORK
 
 
 # kernel calls of one root scan each

@@ -93,12 +93,22 @@ def test_empty_interval_is_zero_without_a_call():
     assert [_bits(x) for x in scipy_quad(math.exp, 2.0, 2.0)] == [_bits(0.0)] * 2
 
 
-@pytest.mark.parametrize("fn, a, b", [
-    (lambda x: 1.0 / x, 0.0, 1.0),
-    (lambda x: math.sin(1.0 / x), 1e-8, 1.0),
+TIGHT = {"epsabs": 1e-14, "epsrel": 1e-14, "limit": 50}
+
+
+@pytest.mark.parametrize("fn, a, b, options", [
+    (lambda x: 1.0 / x, 0.0, 1.0, {}),
+    (lambda x: math.sin(1.0 / x), 1e-8, 1.0, {}),
+    # _finish: roundoff in the extrapolation table (ierro 3) with ier still 0
+    (lambda x: x ** -2, 0.0, 1.0, TIGHT),
+    (lambda x: abs(x - 0.3) ** -0.5 if x != 0.3 else 0.0, 0.0, 1.0, TIGHT),
+    # the main loop's ier-5 stop, then _finish's "probably divergent" test
+    (lambda x: x ** -0.9999, 0.0, 1.0, TIGHT),
+    # the ier-5 stop on the infinite range
+    (lambda x: x ** -1.5, 0.0, math.inf, TIGHT),
 ])
-def test_quad_matches_scipy_when_it_does_not_converge(fn, a, b, caplog):
-    _, [message] = _assert_same(caplog, fn, a, b)
+def test_quad_matches_scipy_when_it_does_not_converge(fn, a, b, options, caplog):
+    _, [message] = _assert_same(caplog, fn, a, b, **options)
     assert "did not converge (ier=" in message
 
 

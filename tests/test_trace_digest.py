@@ -5,7 +5,8 @@ the termination, the step counts and ``at()`` at fixed parameters.  They pin
 the tracers bit for bit: a change to the stepper, the dense output or the
 per-sample curvature that alters any number, even in its last bit, changes a
 digest.  The root-scan digests do the same for the ``repr`` of
-``critical_parallels`` and ``turning_points``.
+``critical_parallels`` and ``turning_points``, and the report digests for
+the stdout and ``--out`` JSON of ``catenary validate --all``.
 """
 
 import bisect
@@ -26,6 +27,7 @@ from catenary import (
     turning_points,
 )
 from catenary import tracing
+from catenary.cli import run
 from catenary.surfaces import CATALOG_KINDS
 from catenary.tracing import _hermite
 
@@ -155,6 +157,22 @@ def test_root_scan_digest_is_pinned(name, alpha):
         spec, c = tabulated_profile([(u, 1.2 + math.cos(3.0 * u)) for u in us]), 1.0
     roots = (critical_parallels(spec, alpha), turning_points(spec, alpha, c))
     assert hashlib.sha256(repr(roots).encode()).hexdigest() == EXPECTED_ROOTS[name, alpha]
+
+
+# sha256 of the stdout and of the --out JSON of ``catenary validate --all``; a change
+# that moves a reported value re-pins them and says why
+EXPECTED_REPORT = (
+    "9254110b8b834f3f3d218a6e2565960a03d030a15e68fd303be490585927c00a",
+    "3dbd5532cc5c3535e885e1ec9f192e9e5c4f6c2e6788258973195b1687695660",
+)
+
+
+def test_validate_report_digest_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["validate", "--all", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest()) == EXPECTED_REPORT
 
 
 def _reference_at(trace, t):

@@ -1,7 +1,6 @@
 """The validation suite's own shortcuts against the public functions and oracles."""
 
 import math
-import random
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -22,19 +21,45 @@ import oracles
 from oracles import conformal_geodesic_oracle
 
 
-def test_jet_criteria_match_public_functions_bit_for_bit():
-    # the first 300 jets of each surface, drawn as check_criterion_equivalence
-    # draws them: one generator over all surfaces, every jet of a surface drawn
-    rng = random.Random(validation._JET_SEED)
-    for kind, box in validation._JET_BOXES.items():
+def _recording(fn, log):
+    """fn, appending (args, result) of each call to log."""
+    def recorder(*args):
+        result = fn(*args)
+        log.append((args, result))
+        return result
+    return recorder
+
+
+def test_jet_criteria_match_public_functions_bit_for_bit(monkeypatch):
+    # the check's own kappa, residual and target on the first 300 jets of each
+    # surface, recorded as the check runs: each jet forms one target, and its own
+    # (kappa, residual) comes before those of its twins, which differ only in ddv
+    targets, criteria = [], []
+    monkeypatch.setattr(validation, "_target", _recording(validation._target, targets))
+    monkeypatch.setattr(validation, "_kappa_residual",
+                        _recording(validation._kappa_residual, criteria))
+    assert validation.check_criterion_equivalence()[0].passed
+    jets = [(args[4:], result) for k, (args, result) in enumerate(criteria)
+            if k == 0 or args[4:8] != criteria[k - 1][0][4:8]]
+    per_surface = validation._JETS_PER_SURFACE
+    assert len(jets) == len(targets) == 9 * per_surface + 100
+    for j, kind in enumerate(validation._JET_BOXES):
         spec = catalog_surface(kind)
-        for jet in list(validation._jet_draws(rng, *box))[:300]:
-            g, gu, gv = spec.patch.evaluate(jet[0], jet[1])
-            got = validation._jet_criteria(g, gu, gv, *jet)
+        for k in range(j * per_surface, j * per_surface + 300):
+            (jet, (kappa, r)), target = jets[k], targets[k][1]
             public = CurveJet2(*jet)
             want = (catenary_residual(spec, 1.0, public), geodesic_curvature(spec, public),
                     catenary_target_curvature(spec, 1.0, public))
-            assert [x.hex() for x in got] == [x.hex() for x in want], (kind, jet)
+            assert [x.hex() for x in (r, kappa, target)] == [x.hex() for x in want], (kind, jet)
+
+
+@pytest.mark.parametrize("kind", sorted(validation._JET_BOXES))
+def test_jet_boxes_lie_inside_their_domains(kind):
+    # the check reads the kernel unchecked at u in [u_lo, u_hi), v in [-3, 3)
+    u_lo, u_hi = validation._JET_BOXES[kind]
+    u_min, u_max, v_min, v_max = catalog_surface(kind).domain
+    assert u_min < u_lo < u_hi < u_max
+    assert (v_min, v_max) == (-math.inf, math.inf)
 
 
 def test_criterion_equivalence_loads_no_numpy():
@@ -48,10 +73,11 @@ def test_criterion_equivalence_loads_no_numpy():
     assert out.stdout.strip() == "True 0 disagreements out of 108100 jets []"
 
 
-def test_jet_criteria_reject_zero_velocity():
-    g, gu, gv = catalog_surface("sphere").patch.evaluate(0.7, 0.0)
+def test_jet_criteria_reject_zero_velocity(monkeypatch):
+    monkeypatch.setattr(validation, "_jet_draws",
+                        lambda rng, u_lo, u_hi: iter([(u_lo, 0.0, 0.0, 0.0, 1.0, 0.0)]))
     with pytest.raises(SingularJetError):
-        validation._jet_criteria(g, gu, gv, 0.7, 0.0, 0.0, 0.0, 1.0, 0.0)
+        validation.check_criterion_equivalence()
 
 
 @pytest.mark.parametrize("kind, alpha, start, s_span", [
