@@ -135,8 +135,8 @@ def test_criterion_equivalence_work_is_pinned(monkeypatch):
     kernels, evaluates = [], []
     evaluate = MetricPatch.evaluate
 
-    def counted_surface(kind, **params):
-        spec = _counted(catalog_surface(kind, **params))
+    def counted_surface(kind):
+        spec = _counted(catalog_surface(kind))
         kernels.append((kind, spec.patch.metric))
         return spec
 
