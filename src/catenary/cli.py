@@ -29,6 +29,7 @@ from .surfaces import (
     CATALOG_KINDS,
     CATALOG_PARAMS,
     SurfaceSpec,
+    _clairaut,
     catalog_surface,
     load_profile_csv,
     tabulated_profile,
@@ -96,7 +97,6 @@ def _write_json(doc, path: str | None) -> None:
 
 
 def _trace_text(trace: Trace, format: str, embed: bool) -> str:
-    from .revolution import _embedding, clairaut_constant
     from .tracing import TraceSample
 
     if not trace.samples:
@@ -107,16 +107,19 @@ def _trace_text(trace: Trace, format: str, embed: bool) -> str:
     if spec.is_revolution:
         columns.append("clairaut_c")
         for row, s in zip(rows, trace.samples):
-            row.append(clairaut_constant(spec, trace.alpha, s))
+            row.append(_clairaut(spec, trace.alpha, s.u, s.phi))
     if embed:
         if not spec.is_revolution:
             raise ConfigError("--embed requires a rotationally symmetric surface")
+        from .revolution import _embedding
+
         columns += ["x", "y", "z"]
         for row, xyz in zip(rows, _embedding(spec, [(s.u, s.v) for s in trace.samples])):
             row.extend(xyz)
     if format == "csv":
         lines = [",".join(columns)]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
+        row_format = ",".join(["%.17g"] * len(columns))  # what _fmt gives, per cell
+        lines += [row_format % tuple(row) for row in rows]
         return "\n".join(lines) + "\n"
     if format == "json":
         import json

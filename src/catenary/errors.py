@@ -46,8 +46,8 @@ class NotRealizableError(CatenaryError):
 def check_finite(**values: float) -> None:
     """Raise ConfigError naming the first non-number, NaN or infinite value; not for hot loops."""
     for name, value in values.items():
-        try:  # a number also compares with floats; a bare __float__ does not
-            finite = math.isfinite(value) and value < math.inf
+        try:  # a number adds to a float; Decimal and a bare __float__ do not
+            finite = math.isfinite(value + 0.0)
         except TypeError:
             raise ConfigError(f"{name}={value!r} is not a number") from None
         except OverflowError:  # an int past the float range; its repr may be too long

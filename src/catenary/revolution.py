@@ -36,7 +36,7 @@ from .errors import (
     _positive,
     check_finite,
 )
-from .surfaces import RevolutionProfile, SurfaceSpec, _far_end, _linspace
+from .surfaces import RevolutionProfile, SurfaceSpec, _clairaut, _far_end, _linspace
 
 __all__ = [
     "CriticalParallel",
@@ -138,7 +138,7 @@ def _inside(spec: SurfaceSpec, name: str, u, closed=False, improper=False):
     """
     lo, hi, _, _ = spec.domain
     try:
-        if (math.isfinite(u) or improper and u == math.inf) and (
+        if (math.isfinite(u + 0.0) or improper and u == math.inf) and (
                 lo < u < hi or closed and lo <= u <= hi):
             return u
     except (TypeError, OverflowError):  # not a number, or an int past the float range
@@ -179,8 +179,7 @@ def clairaut_constant(spec: SurfaceSpec, alpha: float, state) -> float:
         raise ConfigError(f"state of type {type(state).__name__} is not a CatenaryState "
                           "or TraceSample") from None
     check_finite(alpha=alpha, phi=phi)
-    u = _inside(spec, "u", u)
-    return u ** alpha * spec.profile.a(u) * math.sin(phi)
+    return _clairaut(spec, alpha, _inside(spec, "u", u), phi)
 
 
 def _scan_range(spec: SurfaceSpec, u_range) -> tuple[float, float]:

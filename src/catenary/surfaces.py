@@ -75,6 +75,9 @@ class MetricPatch(NamedTuple):
             raise
         try:
             values = self.metric(u, v)
+        except TypeError:  # a number that does not mix with floats: check_finite says so
+            check_finite(u=u, v=v)
+            raise
         except (ArithmeticError, ValueError) as exc:
             raise DegenerateMetricError(f"metric of {self.identifier} fails at "
                                         f"({_shown('u', u)}, {_shown('v', v)}): {exc}") from exc
@@ -128,6 +131,11 @@ class SurfaceSpec(NamedTuple):
     @property
     def is_revolution(self) -> bool:
         return self.profile is not None
+
+
+def _clairaut(spec: SurfaceSpec, alpha: float, u: float, phi: float) -> float:
+    """u^alpha * a(u) * sin(phi) on a surface of revolution, unchecked."""
+    return u ** alpha * spec.profile.a(u) * math.sin(phi)
 
 
 def eval_metric(spec: SurfaceSpec, u: float, v: float) -> tuple[float, float, float]:

@@ -16,12 +16,14 @@ Two independent formulations are provided:
   valid away from points where the curve turns vertical.
 
 Both use an embedded Dormand-Prince 5(4) pair with PI step-size control and
-cubic Hermite dense output on accepted steps, which only this module reads:
-``Trace.at`` and the queries beside it (``find_turnings``, ``v_at_u``,
-``u_of_v``).  A trace ends after at most ``MAX_STEPS`` steps.  The events
-(domain margins, blow-up, |dphi/ds| and vertical tangents) are bounds that
-one chained comparison checks at every accepted step end; a bound that fails
-is located by bisection on that step's cubic.  The metric kernel is called
+its own fourth-order continuous extension on accepted steps (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.6), which only this module reads: ``Trace.at``
+and the queries beside it (``find_turnings``, ``v_at_u``, ``u_of_v``).  A
+trace ends after at most ``MAX_STEPS`` steps.  The events (domain margins,
+blow-up, |dphi/ds| and vertical tangents) are bounds that one chained
+comparison checks at every accepted step end.  Every root, a failing bound's
+included, is found by one safeguarded Illinois iteration, ``_root``, on the
+step's quartic.  The metric kernel is called
 once per stage, behind an inline copy of ``MetricPatch.evaluate``'s checks,
 and never per sample: the right-hand side returns the metric it read, and a
 step-end sample reuses the step's last (first-same-as-last) stage.  A point
@@ -110,7 +112,7 @@ class Trace:
         self._starts = [seg[0] for seg in self._segments]
 
     def at(self, t: float) -> tuple[float, ...]:
-        """Cubic-Hermite dense output of the integrated state at parameter t.
+        """Dense output of the integrated state at parameter t: DOPRI5's quartic on its step.
 
         t is clamped to the traced range; NaN or a non-number raises
         ConfigError.  The segment holding t is found by
@@ -127,43 +129,45 @@ class Trace:
                 t = t0 if t < t0 else t1
         except TypeError:
             raise ConfigError(f"t={t!r} is not a number") from None
-        return _hermite(self._segments[bisect_right(self._starts, t) - 1], t)
+        return _dense(self._segments[bisect_right(self._starts, t) - 1], t)
 
 
-def _bisect_dense(before, a, b):
-    """Parameter in [a, b] where ``before(t)`` turns from true to false, to 1e-13."""
-    a, b = _bisect(before, a, b, 1e-13)
+def _crossing(gap, a, b, ga, gb):
+    """Parameter in [a, b] where ``gap`` turns from > 0 to <= 0, to 1e-13; ga, gb at a, b."""
+    a, b = _root(gap, a, b, ga, gb, 1e-13)
     return 0.5 * (a + b)
 
 
 def find_turnings(trace: Trace) -> list[float]:
-    """Arc-length values where the meridional velocity cos(phi) changes sign."""
+    """Arc-length values where du/ds = cos(phi), stored at each step end, changes sign;
+    the last interval ends at the final sample, where an event may have cut it short."""
     out = []
-    samples, segments = trace.samples, trace._segments
-    for i in range(len(samples) - 1):
-        c0, c1 = math.cos(samples[i].phi), math.cos(samples[i + 1].phi)
-        # cos of a finite double is never exactly 0, so a sign change is all there is
-        if (c0 < 0.0) != (c1 < 0.0):
-            # samples i and i + 1 bound segment i, so its cubic is what
-            # Trace.at would look up at every probe
-            out.append(_bisect_dense(
-                lambda t: (c0 < 0.0) == (math.cos(_hermite(segments[i], t)[2]) < 0.0),
-                samples[i].s, samples[i + 1].s))
+    segments, ts = trace._segments, trace._starts + [trace._t_final]
+    # cos of a finite double is never exactly 0, so a sign change is all there is
+    cs = [seg[2][0] for seg in segments] + [math.cos(trace.samples[-1].phi)]
+    for i, seg in enumerate(segments):
+        if (cs[i] < 0.0) != (cs[i + 1] < 0.0):
+            sign = -1.0 if cs[i] < 0.0 else 1.0
+            out.append(_crossing(lambda t: sign * math.cos(_dense(seg, t)[2]),
+                                 ts[i], ts[i + 1], sign * cs[i], sign * cs[i + 1]))
     return out
 
 
 def v_at_u(trace: Trace, u_target: float, s_hi: float) -> float:
     """v where a monotone-in-u stretch of the trace first reaches u_target."""
     s_lo = trace.samples[0].s
-    increasing = trace.at(s_hi)[0] > trace.at(s_lo)[0]
-    s = _bisect_dense(lambda t: (trace.at(t)[0] < u_target) == increasing, s_lo, s_hi)
+    u_lo, u_hi = trace.at(s_lo)[0], trace.at(s_hi)[0]
+    sign = 1.0 if u_hi > u_lo else -1.0
+    s = _crossing(lambda t: sign * (u_target - trace.at(t)[0]), s_lo, s_hi,
+                  sign * (u_target - u_lo), sign * (u_target - u_hi))
     return trace.at(s)[1]
 
 
 def u_of_v(trace: Trace, v_target: float) -> float:
     """u at a given v along a trace with strictly monotone v(s)."""
-    s = _bisect_dense(lambda t: trace.at(t)[1] < v_target,
-                      trace.samples[0].s, trace.samples[-1].s)
+    first, last = trace.samples[0], trace.samples[-1]
+    s = _crossing(lambda t: v_target - trace.at(t)[1], first.s, last.s,
+                  v_target - first.v, v_target - last.v)
     return trace.at(s)[0]
 
 
@@ -190,18 +194,23 @@ _MAX_SHRINK = 5.0
 _MIN_FAC = 1.0 / 10.0  # at most tenfold growth per step
 
 
-def _hermite(seg, t):
-    t0, y0, f0, t1, y1, f1 = seg
+# DOPRI5's dense-output weights: each step keeps h * sum(d_i k_i), Hairer's rcont5
+_D = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+      701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
+
+
+def _dense(seg, t):
+    """The step's continuous extension at t (Hairer's CONTD5): a quartic in t that
+    matches the state and its derivative at both ends."""
+    t0, (ya, yb, yc), f0, t1, (za, zb, zc), f1, (ra, rb, rc) = seg
     h = t1 - t0
     x = (t - t0) / h
-    x2, x3 = x * x, x * x * x
-    h00 = 2 * x3 - 3 * x2 + 1
-    h01 = -2 * x3 + 3 * x2
-    g10 = (x3 - 2 * x2 + x) * h
-    g11 = (x3 - x2) * h
-    return (h00 * y0[0] + g10 * f0[0] + h01 * y1[0] + g11 * f1[0],
-            h00 * y0[1] + g10 * f0[1] + h01 * y1[1] + g11 * f1[1],
-            h00 * y0[2] + g10 * f0[2] + h01 * y1[2] + g11 * f1[2])
+    x1 = 1.0 - x
+    da, db, dc = za - ya, zb - yb, zc - yc
+    ba, bb, bc = h * f0[0] - da, h * f0[1] - db, h * f0[2] - dc
+    return (ya + x * (da + x1 * (ba + x * (da - h * f1[0] - ba + x1 * ra))),
+            yb + x * (db + x1 * (bb + x * (db - h * f1[1] - bb + x1 * rb))),
+            yc + x * (dc + x1 * (bc + x * (dc - h * f1[2] - bc + x1 * rc))))
 
 
 def _initial_step(f, t0, y0, f0, span, tol, max_step):
@@ -257,41 +266,49 @@ def _gap(b: _Bounds, i: int, t: float, y: tuple, fy: tuple | None) -> float:
 def _first_exit(f, b: _Bounds, seg: tuple):
     """(t_star, termination, flag, calls) of the earliest limit failing at seg's end, or None.
 
-    Each failing limit is bisected on the step's cubic Hermite to 1e-12
-    relative; t_star is the first point of the final bracket past it.  calls
-    counts f at dense points (where a raising f lies past the |dphi/ds| limit).
+    Each failing limit is located by ``_root`` on the step's quartic to 1e-12
+    relative; t_star is the failing end of the final bracket.  calls counts f
+    at dense points (where a raising f lies past the |dphi/ds| limit).
     """
-    t0, _, _, t1, y1, f1 = seg
+    t0, y0, f0, t1, y1, f1, _ = seg
     calls = 0
 
-    def inside(i, t):
+    def gap(i, t):
         nonlocal calls
-        y = _hermite(seg, t)
+        y = _dense(seg, t)
         if i < 5 or b.graph:
-            return not _gap(b, i, t, y, None) <= 0.0
+            return _gap(b, i, t, y, None)
         calls += 1
         try:
-            fy = f(t, y)
+            return _gap(b, i, t, y, f(t, y))
         except _STAGE_ERRORS:
-            return False
-        return not _gap(b, i, t, y, fy) <= 0.0
+            return -math.inf
 
-    hits = [(_bisect(lambda t: inside(i, t), t0, t1, 1e-12)[1], i)
-            for i in range(6) if _gap(b, i, t1, y1, f1) <= 0.0]
+    hits = [(_root(lambda t: gap(i, t), t0, t1, _gap(b, i, t0, y0, f0), g1, 1e-12)[1], i)
+            for i in range(6) if (g1 := _gap(b, i, t1, y1, f1)) <= 0.0]
     if not hits:
         return None
     t_star, i = min(hits)
     return (t_star, *(_EXITS[i] if i < 5 else _RATE_EXITS[b.graph]), calls)
 
 
-def _bisect(before, a, b, rtol):
-    """Halve [a, b], where ``before`` holds at a and fails at b, to rtol * max(1, |b|)."""
-    while (b - a) > rtol * max(1.0, abs(b)):
-        mid = 0.5 * (a + b)
-        if before(mid):
-            a = mid
+def _root(gap, a, b, ga, gb, rtol):
+    """Final bracket (a, b), b - a <= rtol * max(1, |b|), of where ``gap`` turns from > 0
+    at a (NaN holds) to <= 0 at b; ga, gb are its values there.  Illinois false position
+    (Dowell & Jarratt, BIT 11, 1971), bisecting when a value is not finite or the last two
+    steps did not cut the bracket below half."""
+    kept = 0  # the end the last step kept: 1 for a, -1 for b
+    w1 = w2 = math.inf  # the widths one and two steps ago
+    while (w := b - a) > rtol * max(1.0, abs(b)):
+        t = a + w * (ga / (ga - gb))
+        if not a < t < b or w + w >= w2:  # a NaN or infinite value gives no t in (a, b)
+            t = 0.5 * (a + b)
+        w2, w1 = w1, w
+        g = gap(t)
+        if g <= 0.0:
+            b, gb, ga, kept = t, g, (0.5 * ga if kept == 1 else ga), 1
         else:
-            b = mid
+            a, ga, gb, kept = t, g, (0.5 * gb if kept == -1 else gb), -1
     return a, b
 
 
@@ -314,7 +331,8 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     One chained comparison checks each accepted step end against every
     limit; ``_first_exit`` runs only where it fails.  When a limit fails
     inside a step the full segment is kept for dense output and
-    (t_final, y_final) is the bisected event point.  Stage failures inside
+    (t_final, y_final) is the located event point.  A segment is (t, y, f, t_new,
+    y_new, f_new, r): r is the row the step adds for ``_dense``.  Stage failures inside
     the domain guard are handled by shrinking the step, so the integration
     only ever ends on t_end, an event, or step underflow.  Both tests on the
     step are written so that a NaN step size or error fails them.
@@ -327,6 +345,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
         (a61, a62, a63, a64, a65) = _A[1:]
     b1, b2, b3, b4, b5, b6 = _B
     e1, e2, e3, e4, e5, e6, e7 = _E
+    d1, d3, d4, d5, d6, d7 = _D
     c2, c3, c4, c5 = _C[1:5]
     u_lo, u_hi, v_lo, v_hi, blow_up, rate, graph = bounds
     u_top = min(u_hi, blow_up)
@@ -395,7 +414,10 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
 
         accepted += 1
         t_new = t_end if h >= t_end - t else t + h  # a step clipped to t_end ends there
-        seg = (t, y, fy, t_new, y_new, f_new)
+        seg = (t, y, fy, t_new, y_new, f_new,
+               (h * (0.0 + d1 * k1a + d3 * k3a + d4 * k4a + d5 * k5a + d6 * k6a + d7 * k7a),
+                h * (0.0 + d1 * k1b + d3 * k3b + d4 * k4b + d5 * k5b + d6 * k6b + d7 * k7b),
+                h * (0.0 + d1 * k1c + d3 * k3c + d4 * k4c + d5 * k5c + d6 * k6c + d7 * k7c)))
         segments.append(seg)
 
         # passing this comparison proves every gap of _gap positive
@@ -407,7 +429,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
             hit = _first_exit(f, bounds, seg)
             if hit is not None:
                 t, termination, flag, calls = hit
-                y = _hermite(seg, t)
+                y = _dense(seg, t)
                 fy = f(t, y)
                 evals += calls + 1
                 break
@@ -490,7 +512,7 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, bounds,
             f, t0, y0, f0, t_end, tol, max_step, bounds
         )
         samples = [sample(alpha, t0, y0, f0)]
-        samples += [sample(alpha, t, y, fy) for _, _, _, t, y, fy in segments[:-1]]
+        samples += [sample(alpha, t, y, fy) for _, _, _, t, y, fy, _ in segments[:-1]]
         if segments:
             samples.append(sample(alpha, t_final, y_final, f_final))
     except ArithmeticError as exc:
@@ -535,9 +557,9 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
         tol: per-step error tolerance, a number within [1e-12, 1e-3].
         max_step: cap on the step size, > 0.  The default inf leaves the step
             to the error control, which already holds every step to ``tol``.
-            A smaller cap buys more samples and a more accurate cubic-Hermite
-            dense output (``Trace.at``) with proportionally more steps, each
-            costing six metric evaluations.
+            A smaller cap buys more samples with proportionally more steps,
+            each costing six metric evaluations; the dense output
+            (``Trace.at``) is DOPRI5's own, fourth-order at any step size.
 
     Returns:
         A Trace with one sample per accepted step (kappa and the normalized

@@ -238,7 +238,7 @@ def check_sphere_oscillation() -> list[CheckResult]:
     u_m, u_M = tp[0], tp[-1]
     ustar = critical_parallels(sphere, 1.0)[0].u
     tr = trace_catenary(sphere, 1.0, CatenaryState(u_m, 0.0, math.pi / 2),
-                        s_max=100.0, tol=1e-9, max_step=0.02)
+                        s_max=100.0, tol=1e-9)
     s_turn = find_turnings(tr)
     u_ext = [tr.at(s)[0] for s in s_turn]
     maxima = [u for u in u_ext if u > ustar]
@@ -321,11 +321,10 @@ def check_triple_oracle() -> list[CheckResult]:
     for kind, u0, v0, phi0, u_probe, v_probe in cases:
         spec = catalog_surface(kind)
         start = CatenaryState(u0, v0, phi0)
-        flow = trace_catenary(spec, 1.0, start, s_max=4.0, tol=1e-9, max_step=0.02)
+        flow = trace_catenary(spec, 1.0, start, s_max=4.0, tol=1e-9)
         g0 = eval_metric(spec, u0, v0)[0]
         du0 = g0 * math.cos(phi0) / math.sin(phi0)
-        graph = trace_graph(spec, 1.0, u0, du0, (v0, v0 + v_probe), tol=1e-9,
-                            max_step=v_probe / 40.0)
+        graph = trace_graph(spec, 1.0, u0, du0, (v0, v0 + v_probe), tol=1e-9)
         worst = 0.0
         for smp in graph.samples[1:]:
             worst = max(worst, abs(u_of_v(flow, smp.v) - smp.u))
@@ -409,8 +408,7 @@ def check_criterion_equivalence() -> list[CheckResult]:
                            f"{bad} disagreements out of {total} jets"))
 
     sphere = catalog_surface("sphere")
-    tr = trace_catenary(sphere, 0.0, CatenaryState(0.7, 0.0, 1.0), s_max=5.0,
-                        tol=1e-9, max_step=0.05)
+    tr = trace_catenary(sphere, 0.0, CatenaryState(0.7, 0.0, 1.0), s_max=5.0, tol=1e-9)
     worst_kappa = max(abs(s.kappa) for s in tr.samples)
     out.append(_result("geodesic_kappa[alpha=0]", worst_kappa, 1e-8))
 

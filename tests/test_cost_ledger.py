@@ -1,6 +1,6 @@
 """Work ledger: pinned counts of the work a fixed set of calls does.
 
-Four ledgers, all plain counts that do not depend on the host's speed:
+Plain counts that do not depend on the host's speed:
 
 * Steps accepted and rejected, ``stats["rhs_evals"]`` and metric-kernel calls
   of the fixed traces of ``test_trace_digest.py``, and the kernel calls of
@@ -16,7 +16,9 @@ Four ledgers, all plain counts that do not depend on the host's speed:
 * The sorted ``catenary.*`` modules that each CLI subcommand leaves in
   ``sys.modules``, one fresh interpreter per subcommand, and the absence there of
   the stdlib modules it does not use: ``ast``, ``csv``, ``dataclasses``, ``dis``,
-  ``inspect`` and ``logging`` after each, ``json`` after those that write no JSON.
+  ``inspect`` and ``logging`` after each, ``json`` after those that write no JSON;
+  and the modules that importing one public name of each module loads.
+* The probes of each ``tracing._root`` search of a few turnings, lookups and exits.
 
 A change that moves a count must say why; a refactor that claims to keep the
 work as it was leaves this file untouched.
@@ -92,7 +94,7 @@ TRACE_WORK = {
     "exit_hit_lower_u": (86, 50, 567, 609),
     "exit_u_max": (19, 82, 117, 197),
     "exit_blow_up_u": (17, 0, 105, 105),
-    "exit_blow_up_dphi": (13, 0, 117, 117),
+    "exit_blow_up_dphi": (13, 0, 89, 89),
     "exit_vertical_tangent": (526, 2, 3171, 3171),
 }
 
@@ -125,10 +127,11 @@ def test_rhs_evals_miss_the_stages_of_failed_steps():
 # (kind, kernel calls, MetricPatch.evaluate calls) of each catalog_surface call of
 # check_criterion_equivalence: each of its 10,000 random jets per kind and 100 exact
 # jets on the plane reads the kernel once, unchecked; the sphere then takes an
-# alpha = 0 trace and its conformal-geodesic oracle
+# uncapped alpha = 0 trace and its conformal-geodesic oracle: the trace runs into the
+# pole, and each of its 66 stage failures there goes through the checked evaluate
 CRITERION_WORK = [(kind, 10_000, 0) for kind in (
     "plane", "cylinder", "sphere", "hyperbolic", "cone", "catenoid", "helicoid",
-    "binormal", "grusin")] + [("plane", 100, 0), ("sphere", 1420, 54)]
+    "binormal", "grusin")] + [("plane", 100, 0), ("sphere", 1378, 66)]
 
 
 def test_criterion_equivalence_work_is_pinned(monkeypatch):
@@ -248,21 +251,22 @@ _CLI = {
     "validate": ["validate", "--all"],
 }
 
-# a subcommand loads the modules it uses, on top of the CLI's own: quadpack on the first
-# integral, validation (and through it every other module) only for validate
+# a subcommand loads the modules it uses, on top of the CLI's own: revolution only for
+# Clairaut analysis and --embed, quadpack on the first integral, validation (and through
+# it every other module) only for validate
 _CLI_BASE = ["catenary", "catenary.cli", "catenary.errors", "catenary.surfaces"]
 _CLAIRAUT = sorted(_CLI_BASE + ["catenary.revolution"])
-_TRACE = sorted(_CLAIRAUT + ["catenary.curvature", "catenary.tracing"])
+_TRACE = sorted(_CLI_BASE + ["catenary.curvature", "catenary.tracing"])
 CLI_MODULES = {
     "catalog": _CLI_BASE,
     "trace": _TRACE,
-    "trace --embed": sorted(_TRACE + ["catenary.quadpack"]),
+    "trace --embed": sorted(_TRACE + ["catenary.quadpack", "catenary.revolution"]),
     "trace-graph": _TRACE,
     "clairaut": _CLAIRAUT,
     "stability": _CLAIRAUT,
     "quadrature": sorted(_CLAIRAUT + ["catenary.quadpack"]),
     "validate": sorted(_TRACE + ["catenary.closed_forms", "catenary.quadpack",
-                                 "catenary.validation"]),
+                                 "catenary.revolution", "catenary.validation"]),
 }
 
 
@@ -285,3 +289,79 @@ def test_cli_module_sets_are_pinned(name):
     modules, stdlib = out.stdout.strip().split("\n")
     assert modules == f"0 {CLI_MODULES[name]!r}"
     assert stdlib == repr(["json"] if name in _WRITES_JSON else [])
+
+
+# the catenary.* modules a fresh interpreter holds after importing one public name of
+# each module: its own module and what that imports, never a module found by a search
+_BASE = ["catenary", "catenary.errors", "catenary.surfaces"]
+NAME_MODULES = {
+    "CatenaryError": ["catenary", "catenary.errors"],
+    "catalog_surface": _BASE,
+    "geodesic_curvature": sorted(_BASE + ["catenary.curvature"]),
+    "trace_catenary": sorted(_BASE + ["catenary.curvature", "catenary.tracing"]),
+    "quadrature_v": sorted(_BASE + ["catenary.revolution"]),
+    "closed_form_family": sorted(_BASE + ["catenary.closed_forms", "catenary.curvature",
+                                          "catenary.revolution"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAME_MODULES))
+def test_public_name_module_sets_are_pinned(name):
+    code = (f"from catenary import {name}; import sys\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'catenary'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == repr(NAME_MODULES[name])
+
+
+def _probes_per_search(monkeypatch, thunk):
+    """Probes of each ``tracing._root`` search that thunk makes, in order."""
+    from catenary import tracing
+
+    counts, root = [], tracing._root
+
+    def counted(gap, *args):
+        counts.append(0)
+
+        def probe(t):
+            counts[-1] += 1
+            return gap(t)
+
+        return root(probe, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tracing, "_root", counted)
+        thunk()
+    return counts
+
+
+def _searches():
+    from catenary import tracing
+
+    sphere = catalog_surface("sphere")
+    flow = trace_catenary(sphere, 1.0, CatenaryState(0.7, 0.0, 1.0), s_max=4.0)
+    return {
+        "sphere find_turnings": lambda: tracing.find_turnings(flow),
+        "sphere u_of_v": lambda: tracing.u_of_v(trace_catenary(
+            sphere, 1.0, CatenaryState(0.7, 0.0, 1.3), s_max=1.0), 0.5),
+        "sphere v_at_u": lambda: tracing.v_at_u(flow, 1.0, 1.0),
+        "exit_u_max": lambda: trace_catenary(sphere, 1.0, CatenaryState(1.2, 0.1, 0.0),
+                                             s_max=4.0),
+        "exit_hit_lower_u": lambda: trace_catenary(sphere, -1.0,
+                                                   CatenaryState(1.2, 0.1, 0.3), s_max=4.0),
+    }
+
+
+# probes per _root search (bisection to the same widths takes about 40 each)
+ROOT_PROBES = {
+    "sphere find_turnings": [29, 4],
+    "sphere u_of_v": [16],
+    "sphere v_at_u": [16],
+    "exit_u_max": [11],
+    "exit_hit_lower_u": [9],
+}
+
+
+def test_root_probes_are_pinned(monkeypatch):
+    got = {label: _probes_per_search(monkeypatch, thunk) for label, thunk in _searches().items()}
+    assert got == ROOT_PROBES

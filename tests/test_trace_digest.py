@@ -29,7 +29,7 @@ from catenary import (
 from catenary import tracing
 from catenary.cli import run
 from catenary.surfaces import CATALOG_KINDS
-from catenary.tracing import _hermite
+from catenary.tracing import _dense
 
 
 def _fixed_traces():
@@ -83,25 +83,25 @@ def _digest(trace):
 
 EXPECTED = {
     # plane/cylinder and catenoid/helicoid/binormal are isometric pairs
-    "plane": "ea27b7e8ce779f42cee7a4ee798a0694d0560ce64eb22c38bc388c650c640372",
-    "cylinder": "ea27b7e8ce779f42cee7a4ee798a0694d0560ce64eb22c38bc388c650c640372",
-    "sphere": "18f003f83c67a1ad64090ce6c00589610c7580c09ce4cc03c974d883f7505737",
-    "hyperbolic": "ef856d696715f1ba7dedd0dfe7207352418572c42b42f5bc68b1ec9c91a779ff",
-    "cone": "ad730dae622b6f32dd23c27961072c5571df4275beb0a323e779aa093074ae8e",
-    "catenoid": "f971b7ee1d84963bd23379f0b038689c8b1c364a92025dc7448e73a7e15dbce2",
-    "helicoid": "f971b7ee1d84963bd23379f0b038689c8b1c364a92025dc7448e73a7e15dbce2",
-    "binormal": "f971b7ee1d84963bd23379f0b038689c8b1c364a92025dc7448e73a7e15dbce2",
-    "grusin": "6c84380c8f0142986e8306d3ad54d4ca11aaad3437281cc205c93657418acb2b",
-    "cone_graph": "040399f8eb46ec07f2e1105e2232ce035f7936ab511d664c38a070b703d01900",
-    "tabulated": "43d6d6169d188e515b944f270f94679403902bf6e8466a3c8425fb66eb535910",
-    "ruled": "514c014cea163d29d6ab28f316e80a11d1ccb220f57f8013e24b31cf76b9b4ae",
-    "ruled_graph": "9d26dcca493627678a9e971ffeb75cfdb2a09b84f8d94ad66e3028080793d3d6",
-    "exit_hit_lower_u": "30a0682f406da0d16998db8f6991bdcc6f5aaeedb99496a149f80c40943cdcef",
-    "exit_u_max": "ce834657d8a5bc4f580e8328197d2d95ddab164a7982da26b90873c3f3f718b8",
-    "exit_blow_up_u": "ac09a4e07dc8f983686ba635c5e4777c9dc04b29387630207d5afaefa97b4e34",
-    "exit_blow_up_dphi": "9b5f84caf4e6b936375529fc6cbd3964c5783f83220e4232fd1e1f6a6db006ba",
+    "plane": "0eb782491ae2955fd021f27bc6fe029d1de4279434041a283dad0c69b9aea395",
+    "cylinder": "0eb782491ae2955fd021f27bc6fe029d1de4279434041a283dad0c69b9aea395",
+    "sphere": "4f45516de1211dd922411f451cd3291d7ff92423ee6da9db87d9ba844e71acf6",
+    "hyperbolic": "130193ffc64b997584aaf8c30d41efce086856d0af91c8ac0ec4f77fabf7e03e",
+    "cone": "bb7d638e5c2da5d5e1a7b473dc203e0d7bf60a7ed67280e0b7c32cc44efc4719",
+    "catenoid": "4c4faba1de9a14510304bc8eab67daac0745631fea94e3cc3fa4b7e2fa15a768",
+    "helicoid": "4c4faba1de9a14510304bc8eab67daac0745631fea94e3cc3fa4b7e2fa15a768",
+    "binormal": "4c4faba1de9a14510304bc8eab67daac0745631fea94e3cc3fa4b7e2fa15a768",
+    "grusin": "9a3f82f105866d004174e19593afe9f3e364eef9edba9f42818fecc2e2c243dd",
+    "cone_graph": "bd1d947985c9e2c1a8562aee75cb1dc41392993bd92d2dd41ab392b6d649b4dc",
+    "tabulated": "d96f953c7640b3a8568f645e49057f8d2a6634ac024a052b2a083afe0f3116ec",
+    "ruled": "e22af7f6e664470875fd8701d552097d005ed5fa7f43c88cdce031beeded0bf1",
+    "ruled_graph": "050b289e0aa7b8bc2a7f4f59577c23d2588f0d008949334959f2ea842b3f4c0e",
+    "exit_hit_lower_u": "32fdf2ee837e67a8081d34a30a28872157c5e87652bc3c673467c0ae918f93cc",
+    "exit_u_max": "91ab2565d13222d42a2cf8fba6e2df70268436f15e081d4cb225e92b0428389d",
+    "exit_blow_up_u": "f6b459d47f3c6a3b853c5c8442e06d4c79928fd195727d105b38879ac561e2bb",
+    "exit_blow_up_dphi": "8d0ae7081e5680501c2cba5a79ecfebf4b52d7e972ce593f2c99655e1b0193bd",
     "exit_vertical_tangent":
-        "1eb06a2308faaa66e98184315948bc8aa3bb0376a7c430f66eac69d4247e0a8d",
+        "96daa8d3321ebc9492f6a848229e4e933d3f95b17478603528d1787186d3a7bf",
 }
 
 # termination and "vertical_tangent" flag of the traces that end on an event;
@@ -162,8 +162,8 @@ def test_root_scan_digest_is_pinned(name, alpha):
 # sha256 of the stdout and of the --out JSON of ``catenary validate --all``; a change
 # that moves a reported value re-pins them and says why
 EXPECTED_REPORT = (
-    "9254110b8b834f3f3d218a6e2565960a03d030a15e68fd303be490585927c00a",
-    "3dbd5532cc5c3535e885e1ec9f192e9e5c4f6c2e6788258973195b1687695660",
+    "dec77beae7ab1ae44f13b81b8e03eba937c2eaa0cfa4680299723f8e558fce7a",
+    "ef89ad6506d27a6fdcd689fbd218a0d0f080e87152d4acbdbd7ac8872b8433e1",
 )
 
 
@@ -181,7 +181,7 @@ def _reference_at(trace, t):
     t = min(max(t, segs[0][0]), trace._t_final)
     starts = [seg[0] for seg in segs]
     idx = min(max(bisect.bisect_right(starts, t) - 1, 0), len(segs) - 1)
-    return _hermite(segs[idx], t)
+    return _dense(segs[idx], t)
 
 
 def _probe_points(trace, rng):

@@ -1,4 +1,6 @@
+import bisect
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from catenary import (
 )
 from catenary import tracing
 from catenary.tracing import _Bounds, _flow_f
+import test_trace_digest
 from oracles import USTAR, conformal_geodesic_oracle
 
 # limits that never fail, for driving a bare right-hand side
@@ -445,10 +448,10 @@ def test_one_metric_evaluation_per_rhs_call():
 
 
 @pytest.mark.parametrize("kind, run, termination, evaluations, samples", [
-    # the dphi event is located by bisection on the dense output, with one
-    # RHS call per probe; the exit point's derivative is one more call
+    # the dphi event is located by _root on the dense output, with one RHS
+    # call per probe; the exit point's derivative is one more call
     ("sphere", lambda spec: trace_catenary(spec, 1.0, CatenaryState(1.0, 0.0, 1.2),
-                                           s_max=5.0), "blow_up", 117, 14),
+                                           s_max=5.0), "blow_up", 89, 14),
     ("cone", lambda spec: trace_graph(spec, 1.0, 1.0, 0.3, (0.0, 1.5)),
      "left_domain", 2925, 488),
 ], ids=["sphere_dphi", "cone_graph"])
@@ -471,7 +474,7 @@ def test_dphi_limit_ends_trace_on_blow_up(monkeypatch):
     assert tr.termination == "blow_up"
     assert len(tr.samples) == 14
     last = tr.samples[-1]
-    assert last.s == 0.40993796986360853
+    assert last.s == 0.40993733481717887
     assert abs(abs(_flow_f(sphere, 1.0)(last.s, (last.u, last.v, last.phi))[2]) - 1.0) < 1e-9
 
 
@@ -563,7 +566,7 @@ def _exit_point():
     return tr.samples[-1].u, tr.samples[-1].v
 
 
-_POLE_V = "(1.570796325795039, 0.1)"
+_POLE_V = "(1.5707963257948965, 0.1)"
 
 
 @pytest.mark.parametrize("run, message", [
@@ -721,3 +724,76 @@ def test_at_rejects_nan_and_non_numbers(t):
     trace = trace_catenary(catalog_surface("sphere"), 1.0, CatenaryState(0.7, 0.0, 1.0), 1.0)
     with pytest.raises(ConfigError, match="is not a number"):
         trace.at(t)
+
+
+def _bisection(gap, a, b, rtol):
+    """Plain bisection of [a, b], where gap holds (> 0) at a and fails at b: (a, b, probes)."""
+    probes = 0
+    while (b - a) > rtol * max(1.0, abs(b)):
+        mid = 0.5 * (a + b)
+        probes += 1
+        if gap(mid) <= 0.0:
+            b = mid
+        else:
+            a = mid
+    return a, b, probes
+
+
+def _cubic_cases():
+    rng = random.Random(11)
+    for _ in range(300):
+        roots = sorted(rng.uniform(-3.0, 3.0) for _ in range(3))
+        scale = rng.choice((1e-6, 1.0, 1e6))
+        # a bracket around the middle root that holds no other
+        yield (lambda t, r=roots, k=scale: k * (t - r[0]) * (t - r[1]) * (t - r[2]),
+               rng.uniform(roots[0], roots[1]), rng.uniform(roots[1], roots[2]))
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-13])
+def test_root_lands_with_bisection_in_at_most_twice_its_probes(rtol):
+    for cubic, a, b in _cubic_cases():
+        ga, gb = cubic(a), cubic(b)
+        if (ga > 0.0) == (gb > 0.0):
+            continue
+        sign = 1.0 if ga > 0.0 else -1.0
+        gap = lambda t: sign * cubic(t)  # noqa: E731
+        lo, hi, bisect_probes = _bisection(gap, a, b, rtol)
+        probes = [0]
+
+        def counted(t):
+            probes[0] += 1
+            return gap(t)
+
+        ra, rb = tracing._root(counted, a, b, sign * ga, sign * gb, rtol)
+        # the width test reads the final bracket's b, as bisection's does
+        width = rtol * max(1.0, abs(rb), abs(hi))
+        assert gap(ra) > 0.0 >= gap(rb) and rb - ra <= rtol * max(1.0, abs(rb))
+        assert abs(0.5 * (ra + rb) - 0.5 * (lo + hi)) <= width
+        assert probes[0] <= 2 * bisect_probes
+
+
+def test_root_bisects_through_nan_and_raising_values():
+    # a NaN value holds and -inf fails, as _first_exit's gap gives them: no secant step
+    # can use them, and the bracket still closes on the sign change at 0.3
+    def gap(t):
+        return math.nan if t < 0.2 else -math.inf if t > 0.3 else 0.3 - t
+
+    a, b = tracing._root(gap, 0.0, 1.0, math.nan, -math.inf, 1e-12)
+    assert a <= 0.3 <= b and b - a <= 1e-12
+
+
+def test_turnings_land_with_bisection_on_the_digest_traces():
+    # the same turnings, to the width tolerance, as plain bisection on the same quartic
+    for name in ("sphere", "exit_hit_lower_u"):
+        trace = test_trace_digest._fixed_traces()[name]
+        turns = tracing.find_turnings(trace)
+        assert turns
+        for s in turns:
+            i = bisect.bisect_right(trace._starts, s) - 1
+            seg = trace._segments[i]
+            c0 = math.cos(tracing._dense(seg, seg[0])[2])
+            sign = 1.0 if c0 > 0.0 else -1.0
+            hi = min(seg[3], trace._t_final)
+            lo, hi, _ = _bisection(lambda t: sign * math.cos(tracing._dense(seg, t)[2]),
+                                   seg[0], hi, 1e-13)
+            assert abs(s - 0.5 * (lo + hi)) <= 1e-13 * max(1.0, abs(hi))
