@@ -5,16 +5,16 @@ where u is the distance to the reference curve u = 0.  The library traces
 the critical curves of the functional int u^alpha ds (alpha = 1 is the
 hanging chain, alpha = 0 gives geodesics), analyzes rotationally symmetric
 metrics through their Clairaut radius, and validates itself against the
-closed-form solution families it ships.  The package's public names are
-those listed in the ``__all__`` of each module of ``_MODULES``; a name's own module is
-imported on its first use, so a process loads only what it uses.
+closed-form solution families it ships.  ``_MODULES`` is the one list of the
+public names, by module, and each module reads its ``__all__`` from it; a name's own
+module is imported on its first use, so a process loads only what it uses.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# each module's public names, in its ``__all__`` order (tests/test_api.py checks them)
+# each module's public names, in order
 _MODULES = {
     "errors": "CatenaryError DomainError ConfigError DegenerateMetricError SingularJetError "
               "KindError InaccessibleRegionError NotCriticalError NotRealizableError",

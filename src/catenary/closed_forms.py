@@ -14,22 +14,14 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
+from . import _MODULES
 from .curvature import CurveJet2, catenary_residual
 from .errors import (ConfigError, DomainError, _instance, _positive, _read_params, _sequence,
                      check_finite)
 from .revolution import quadrature_v
 from .surfaces import SurfaceSpec, catalog_surface, eval_metric
 
-__all__ = [
-    "ClosedFormFamily",
-    "closed_form_family",
-    "euclidean_catenary",
-    "cone_catenary",
-    "grusin_catenary",
-    "grusin_geodesic",
-    "hyperbolic_quadrature",
-    "validate_closed_form",
-]
+__all__ = _MODULES["closed_forms"].split()
 
 
 class ClosedFormFamily(NamedTuple):

@@ -18,17 +18,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from . import _MODULES
 from .errors import SingularJetError, _instance, _sequence, check_finite
 from .surfaces import SurfaceSpec, eval_metric
 
-__all__ = [
-    "CurveJet2",
-    "geodesic_curvature",
-    "catenary_target_curvature",
-    "catenary_residual",
-    "normal_transversality",
-    "parallel_catenary_check",
-]
+__all__ = _MODULES["curvature"].split()
 
 
 class CurveJet2(NamedTuple):

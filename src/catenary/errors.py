@@ -2,9 +2,9 @@
 
 import math
 
-__all__ = ["CatenaryError", "DomainError", "ConfigError", "DegenerateMetricError",
-           "SingularJetError", "KindError", "InaccessibleRegionError", "NotCriticalError",
-           "NotRealizableError"]
+from . import _MODULES
+
+__all__ = _MODULES["errors"].split()
 
 
 class CatenaryError(Exception):

@@ -23,6 +23,7 @@ import functools
 import math
 from typing import NamedTuple
 
+from . import _MODULES
 from .errors import (
     ConfigError,
     DegenerateMetricError,
@@ -38,16 +39,7 @@ from .errors import (
 )
 from .surfaces import RevolutionProfile, SurfaceSpec, _clairaut, _far_end, _linspace
 
-__all__ = [
-    "CriticalParallel",
-    "clairaut_constant",
-    "critical_parallels",
-    "turning_points",
-    "quadrature_v",
-    "conformal_coordinate",
-    "stability_exponent",
-    "embed_revolution",
-]
+__all__ = _MODULES["revolution"].split()
 
 SCAN_POINTS_PER_DECADE = 1000
 ROOT_XTOL = 1e-12

@@ -14,24 +14,11 @@ import bisect
 import math
 from typing import Callable, NamedTuple, Sequence
 
+from . import _MODULES
 from .errors import (ConfigError, DegenerateMetricError, DomainError, _instance, _interval,
                      _positive, _read_params, _shown, check_finite)
 
-__all__ = [
-    "Domain",
-    "MetricPatch",
-    "RevolutionProfile",
-    "SurfaceSpec",
-    "CATALOG_KINDS",
-    "CATALOG_PARAMS",
-    "catalog_surface",
-    "eval_metric",
-    "ruled_surface",
-    "ruled_surface_from_samples",
-    "tabulated_profile",
-    "profile_surface",
-    "load_profile_csv",
-]
+__all__ = _MODULES["surfaces"].split()
 
 _INF = math.inf
 

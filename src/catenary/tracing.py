@@ -39,19 +39,13 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
+from . import _MODULES
 from .curvature import _kappa_residual
 from .errors import (CatenaryError, ConfigError, DomainError, _instance, _pair, _positive,
                      check_finite)
 from .surfaces import SurfaceSpec
 
-__all__ = [
-    "CatenaryState",
-    "TraceSample",
-    "Trace",
-    "TERMINATIONS",
-    "trace_catenary",
-    "trace_graph",
-]
+__all__ = _MODULES["tracing"].split()
 
 TERMINATIONS = ("reached_smax", "hit_lower_u", "blow_up", "left_domain", "step_underflow",
                 "max_steps")

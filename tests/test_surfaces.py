@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -62,6 +63,13 @@ def test_extended_sphere_rejects_negative_G():
         eval_metric(extended, 1.8, 0.0)
     with pytest.raises(DomainError):
         eval_metric(default, 1.8, 0.0)
+
+
+def test_numbers_of_other_types_are_coordinates():
+    # Decimal is refused (tests/test_api.py); these compare with and add to floats
+    hyperbolic = catalog_surface("hyperbolic")
+    for u in (Fraction(3, 10), np.float64(0.3), np.float32(0.3), np.int64(1), True, 1):
+        assert eval_metric(hyperbolic, u, 0.0)[0] > 0.0
 
 
 def test_catalog_matches_expected_profiles():
