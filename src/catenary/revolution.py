@@ -555,7 +555,11 @@ def _embedding(spec: SurfaceSpec, points, u_ref: float | None = None
 
     heights = _integrals(db, profile, u_ref, [u for u, _ in points])
     out = []
-    for (u, v), (b, _) in zip(points, heights):
+    for (u, v), (b, abserr) in zip(points, heights):
+        # conformal_coordinate's rule: a height QUADPACK cannot vouch for is refused
+        if not abserr <= 1e-9 * max(1.0, abs(b)):
+            raise DomainError(f"height b(u={u!r}) from u_ref={u_ref!r} has abserr {abserr:.3g} "
+                              "above 1e-9 relative; choose an anchor nearer u")
         a_val = profile.a(u)
         if not math.isfinite(a_val):  # b and v are finite; a(u) may overflow
             raise ConfigError(f"embedding of u={u!r} on {spec.identifier} leaves the float "
@@ -569,6 +573,7 @@ def embed_revolution(spec: SurfaceSpec, u: float, v: float,
     """Euclidean point (a(u) cos v, a(u) sin v, b(u)) of the revolution surface.
 
     The height b(u) integrates sqrt(1 - a'(t)^2) from the anchor, which
-    requires |a'| <= 1 along the way (arc-length realizability).
+    requires |a'| <= 1 along the way (arc-length realizability).  A height with
+    abserr above 1e-9 * max(1, |b|) raises DomainError (far out on the catenoid).
     """
     return _embedding(spec, [(u, v)], u_ref)[0]

@@ -23,10 +23,11 @@ trace ends after at most ``MAX_STEPS`` steps.  The events (domain margins,
 blow-up, |dphi/ds| and vertical tangents) are bounds that one chained
 comparison checks at every accepted step end.  Every root, a failing bound's
 included, is found by one safeguarded Illinois iteration, ``_root``, on the
-step's quartic.  The metric kernel is called
-once per stage, behind an inline copy of ``MetricPatch.evaluate``'s checks,
-and never per sample: the right-hand side returns the metric it read, and a
-step-end sample reuses the step's last (first-same-as-last) stage.  A point
+step's quartic.  A stage that fails rejects its step; when the trace heads
+for a u limit within reach, the retry is aimed just past it instead of halved.
+The right-hand side takes the state as scalars, ``f(t, a, b, c)``, and calls
+the metric kernel once, behind an inline copy of ``MetricPatch.evaluate``'s
+checks; it returns the metric it read, which a step-end sample reuses.  A point
 that fails the checks goes to ``evaluate``, so its error is the patch's own.
 Runtime exits are reported through ``Trace.termination``, never as
 exceptions; float arithmetic that overflows where no step can avoid it raises
@@ -215,8 +216,7 @@ def _initial_step(f, t0, y0, f0, span, tol, max_step):
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, max_step)
     try:
-        y1 = tuple(y0[i] + h0 * f0[i] for i in range(n))
-        f1 = f(t0 + h0, y1)
+        f1 = f(t0 + h0, *(y0[i] + h0 * f0[i] for i in range(n)))
         d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(n)) / n) / h0
     except _STAGE_ERRORS:
         d2 = d1
@@ -230,7 +230,7 @@ class _Bounds(NamedTuple):
 
     u = y[0] stays above u_lo and below u_hi and blow_up.  v stays within
     (v_lo, v_hi): v is y[1] in arc-length mode and the parameter t in graph
-    mode.  ``rate`` bounds |dphi/ds| = |f(t, y)[2]| in arc-length mode and the
+    mode.  ``rate`` bounds |dphi/ds| = |f(t, *y)[2]| in arc-length mode and the
     slope |du/dv| = |y[1]| in graph mode.  An infinite limit never fails.
     """
 
@@ -250,7 +250,7 @@ _RATE_EXITS = {False: ("blow_up", None), True: ("left_domain", "vertical_tangent
 
 
 def _gap(b: _Bounds, i: int, t: float, y: tuple, fy: tuple | None) -> float:
-    """How far (t, y) lies inside limit i of b: <= 0 fails, NaN holds; fy = f(t, y) or None."""
+    """How far (t, y) lies inside limit i of b: <= 0 fails, NaN holds; fy = f(t, *y) or None."""
     if i == 5:
         return b.rate - abs(y[1] if b.graph else fy[2])
     v = t if b.graph else y[1]
@@ -274,7 +274,7 @@ def _first_exit(f, b: _Bounds, seg: tuple):
             return _gap(b, i, t, y, None)
         calls += 1
         try:
-            return _gap(b, i, t, y, f(t, y))
+            return _gap(b, i, t, y, f(t, *y))
         except _STAGE_ERRORS:
             return -math.inf
 
@@ -309,31 +309,26 @@ def _root(gap, a, b, ga, gb, rtol):
 def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     """Adaptive RK5(4) from t0 to t_end, ending early where a limit of ``bounds`` fails.
 
-    The right-hand side ``f(t, y)`` returns (dy0, dy1, dy2, m): the derivative
-    of the 3-state y and, in the slot m, whatever the caller wants kept with
-    it (the tracers put the metric (G, G_u, G_v) they read at y there).
-    ``_drive`` never looks at m; it keeps the whole tuple as the derivative of
-    each step end, in the segments and in f_final, so a sample there needs no
-    new evaluation.  f0 = f(t0, y0) follows the same contract.
+    The right-hand side ``f(t, a, b, c)`` takes the 3-state as scalars and
+    returns (da, db, dc, m): its derivative and, in the slot m, what the caller
+    wants kept with it (the tracers put the metric they read there).  The whole
+    tuple is kept as the derivative of each step end, so a sample there needs no
+    new call.  f0 = f(t0, *y0) follows the same contract.  ``rhs_evals`` counts
+    every call of f, those of failed steps included.
 
-    ``rhs_evals`` counts f0 = f(t0, y0) (from the caller), the initial-step
-    probe, the calls that locate a |dphi/ds| exit and the derivative at an
-    event exit.  Returns (segments, termination, flag, stats, t_final,
-    y_final, f_final), where f_final is the derivative at the final point;
-    every exit but "max_steps" (the loop's MAX_STEPS passes used up) leaves
-    the loop by ``break``, and the return is built once.
-    One chained comparison checks each accepted step end against every
-    limit; ``_first_exit`` runs only where it fails.  When a limit fails
-    inside a step the full segment is kept for dense output and
-    (t_final, y_final) is the located event point.  A segment is (t, y, f, t_new,
-    y_new, f_new, r): r is the row the step adds for ``_dense``.  Stage failures inside
-    the domain guard are handled by shrinking the step, so the integration
-    only ever ends on t_end, an event, or step underflow.  Both tests on the
-    step are written so that a NaN step size or error fails them.
+    Returns (segments, termination, flag, stats, t_final, y_final, f_final).
+    A segment is (t, y, f, t_new, y_new, f_new, r), y and y_new 3-tuples and r
+    the row the step adds for ``_dense``.  One chained comparison checks each
+    accepted step end against every limit; ``_first_exit`` runs only where it
+    fails, and (t_final, y_final) is then the located event point.  A stage
+    that fails (the domain guard, an overflow) rejects the step.  When the slope
+    of u at the step start reaches the u limit ahead within h/2, the retry is
+    aimed to end halfway between that limit and the domain edge, where the event
+    fires; otherwise h halves.  A NaN step size or error fails both step tests.
 
-    The state has dimension 3; each stage sum is spelled out in the order
-    0 + a1*k1 + a2*k2 + ..., zero coefficients included, because that order
-    fixes every rounding and signed zero (tests/test_trace_digest.py pins it).
+    Each stage sum is spelled out in the order 0 + a1*k1 + a2*k2 + ..., zero
+    coefficients included, because that order fixes every rounding and signed
+    zero (tests/test_trace_digest.py pins it).
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]
@@ -341,8 +336,11 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     e1, e2, e3, e4, e5, e6, e7 = _E
     d1, d3, d4, d5, d6, d7 = _D
     c2, c3, c4, c5 = _C[1:5]
+    sqrt, expo, beta, safety, min_fac, max_shrink = (math.sqrt, _EXPO, _BETA, _SAFETY,
+                                                      _MIN_FAC, _MAX_SHRINK)
     u_lo, u_hi, v_lo, v_hi, blow_up, rate, graph = bounds
     u_top = min(u_hi, blow_up)
+    lo_aim, hi_aim = u_lo - 0.5 * LOWER_MARGIN, u_hi + 0.5 * LOWER_MARGIN
     accepted, rejected, evals = 0, 0, 2
     segments: list = []
     termination, flag = "reached_smax", None
@@ -360,35 +358,38 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
             break
         ya, yb, yc = y
         k1a, k1b, k1c, _ = fy
+        k2a = k3a = k4a = k5a = k6a = None  # each stage that returns rebinds its own
         try:
-            k2a, k2b, k2c, _ = f(t + c2 * h, (ya + h * (0.0 + a21 * k1a),
-                                              yb + h * (0.0 + a21 * k1b),
-                                              yc + h * (0.0 + a21 * k1c)))
-            k3a, k3b, k3c, _ = f(t + c3 * h, (ya + h * (0.0 + a31 * k1a + a32 * k2a),
-                                              yb + h * (0.0 + a31 * k1b + a32 * k2b),
-                                              yc + h * (0.0 + a31 * k1c + a32 * k2c)))
-            k4a, k4b, k4c, _ = f(t + c4 * h, (
-                ya + h * (0.0 + a41 * k1a + a42 * k2a + a43 * k3a),
-                yb + h * (0.0 + a41 * k1b + a42 * k2b + a43 * k3b),
-                yc + h * (0.0 + a41 * k1c + a42 * k2c + a43 * k3c)))
-            k5a, k5b, k5c, _ = f(t + c5 * h, (
-                ya + h * (0.0 + a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
-                yb + h * (0.0 + a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
-                yc + h * (0.0 + a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c)))
-            k6a, k6b, k6c, _ = f(t + h, (
+            k2a, k2b, k2c, _ = f(t + c2 * h, ya + h * (0.0 + a21 * k1a),
+                                 yb + h * (0.0 + a21 * k1b),
+                                 yc + h * (0.0 + a21 * k1c))
+            k3a, k3b, k3c, _ = f(t + c3 * h, ya + h * (0.0 + a31 * k1a + a32 * k2a),
+                                 yb + h * (0.0 + a31 * k1b + a32 * k2b),
+                                 yc + h * (0.0 + a31 * k1c + a32 * k2c))
+            k4a, k4b, k4c, _ = f(t + c4 * h, ya + h * (0.0 + a41 * k1a + a42 * k2a + a43 * k3a),
+                                 yb + h * (0.0 + a41 * k1b + a42 * k2b + a43 * k3b),
+                                 yc + h * (0.0 + a41 * k1c + a42 * k2c + a43 * k3c))
+            k5a, k5b, k5c, _ = f(t + c5 * h,
+                                 ya + h * (0.0 + a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
+                                 yb + h * (0.0 + a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
+                                 yc + h * (0.0 + a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c))
+            k6a, k6b, k6c, _ = f(
+                t + h,
                 ya + h * (0.0 + a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
                 yb + h * (0.0 + a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
-                yc + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c)))
-            y_new = na, nb, nc = (
-                ya + h * (0.0 + b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a),
-                yb + h * (0.0 + b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b),
-                yc + h * (0.0 + b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c))
-            f_new = k7a, k7b, k7c, _ = f(t + h, y_new)
+                yc + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c))
+            na = ya + h * (0.0 + b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
+            nb = yb + h * (0.0 + b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
+            nc = yc + h * (0.0 + b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
+            f_new = k7a, k7b, k7c, _ = f(t + h, na, nb, nc)
             evals += 6
         except _STAGE_ERRORS:
-            # a stage left the metric's domain or overflowed: shrink and retry
+            # the failing call and each stage before it; then aim at the middle of the band
+            # past the u limit ahead if u reaches it within h/2 (never at inf), else halve
+            evals += 1 + sum(k is not None for k in (k2a, k3a, k4a, k5a, k6a))
             rejected += 1
-            h *= 0.5
+            aim = (lo_aim - ya) / k1a if k1a < 0.0 else (hi_aim - ya) / k1a if k1a > 0.0 else h
+            h = aim if 0.0 < aim <= 0.5 * h else 0.5 * h
             continue
 
         ea = h * (0.0 + e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
@@ -397,17 +398,19 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
         # RMS of the error, each component scaled by tol * (1 + max(|y|, |y_new|));
         # "t if t > s else s" gives what max(s, t) gives, NaNs included, without a call
         sa, sb, sc, ta, tb, tc = abs(ya), abs(yb), abs(yc), abs(na), abs(nb), abs(nc)
-        err = math.sqrt(((ea / (tol + tol * (ta if ta > sa else sa))) ** 2
-                         + (eb / (tol + tol * (tb if tb > sb else sb))) ** 2
-                         + (ec / (tol + tol * (tc if tc > sc else sc))) ** 2) / 3)
+        err = sqrt(((ea / (tol + tol * (ta if ta > sa else sa))) ** 2
+                    + (eb / (tol + tol * (tb if tb > sb else sb))) ** 2
+                    + (ec / (tol + tol * (tc if tc > sc else sc))) ** 2) / 3)
 
         if not err <= 1.0:
             rejected += 1
-            h /= min(_MAX_SHRINK, err ** _EXPO / _SAFETY)
+            fac = err ** expo / safety  # h /= min(_MAX_SHRINK, fac)
+            h /= fac if fac < max_shrink else max_shrink
             continue
 
         accepted += 1
         t_new = t_end if h >= t_end - t else t + h  # a step clipped to t_end ends there
+        y_new = (na, nb, nc)
         seg = (t, y, fy, t_new, y_new, f_new,
                (h * (0.0 + d1 * k1a + d3 * k3a + d4 * k4a + d5 * k5a + d6 * k6a + d7 * k7a),
                 h * (0.0 + d1 * k1b + d3 * k3b + d4 * k4b + d5 * k5b + d6 * k6b + d7 * k7b),
@@ -424,7 +427,7 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
             if hit is not None:
                 t, termination, flag, calls = hit
                 y = _dense(seg, t)
-                fy = f(t, y)
+                fy = f(t, *y)
                 evals += calls + 1
                 break
 
@@ -433,8 +436,8 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
             break
 
         # max(_MIN_FAC, min(_MAX_SHRINK, fac)) and max(err, 1e-4)
-        fac = err ** _EXPO / facold ** _BETA / _SAFETY
-        fac = (fac if fac > _MIN_FAC else _MIN_FAC) if fac < _MAX_SHRINK else _MAX_SHRINK
+        fac = err ** expo / facold ** beta / safety
+        fac = (fac if fac > min_fac else min_fac) if fac < max_shrink else max_shrink
         facold = 1e-4 if 1e-4 > err else err
         h /= fac
     else:
@@ -455,9 +458,9 @@ _OUT = (0.0, 0.0, 0.0)
 def _flow_f(spec: SurfaceSpec, alpha: float):
     metric, evaluate = spec.patch.metric, spec.patch.evaluate
     u_min, u_max, v_min, v_max = spec.domain
+    sin, cos = math.sin, math.cos
 
-    def f(t, y):
-        u, v, phi = y
+    def f(t, u, v, phi):
         # MetricPatch.evaluate's checks, inline: a point that fails them gets
         # g = 0.0 and goes to evaluate, which raises its error
         try:
@@ -466,8 +469,8 @@ def _flow_f(spec: SurfaceSpec, alpha: float):
             g = 0.0
         if not g > 0.0:
             g, gu, _ = m = evaluate(u, v)
-        sin_phi = math.sin(phi)
-        return (math.cos(phi), sin_phi / g, -sin_phi * (alpha / u + gu / g), m)
+        sin_phi = sin(phi)
+        return (cos(phi), sin_phi / g, -sin_phi * (alpha / u + gu / g), m)
 
     return f
 
@@ -501,7 +504,7 @@ def _sampled_trace(spec, alpha, f, sample, t0, y0, t_end, tol, max_step, bounds,
     sample (float range exceeded) raises ConfigError.
     """
     try:
-        f0 = f(t0, y0)
+        f0 = f(t0, *y0)
         segments, termination, flag, stats, t_final, y_final, f_final = _drive(
             f, t0, y0, f0, t_end, tol, max_step, bounds
         )
@@ -584,9 +587,9 @@ def trace_catenary(spec: SurfaceSpec, alpha: float, start: CatenaryState,
 def _graph_f(spec: SurfaceSpec, alpha: float):
     metric, evaluate = spec.patch.metric, spec.patch.evaluate
     u_min, u_max, v_min, v_max = spec.domain
+    sqrt = math.sqrt
 
-    def f(v, y):
-        u, w, _ = y
+    def f(v, u, w, _):
         # the guard of _flow_f
         try:
             g, gu, gv = m = metric(u, v) if u_min < u < u_max and v_min < v < v_max else _OUT
@@ -596,7 +599,7 @@ def _graph_f(spec: SurfaceSpec, alpha: float):
             g, gu, gv = m = evaluate(u, v)
         ddu = ((alpha * g / u) * (w * w + g * g) + gv * w + 2.0 * gu * w * w
                + g * g * gu) / g
-        return (w, ddu, math.sqrt(w * w + g * g), m)
+        return (w, ddu, sqrt(w * w + g * g), m)
 
     return f
 

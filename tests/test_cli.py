@@ -330,12 +330,17 @@ _CATENOID_WARNINGS = "".join(
     f"WARNING catenary: integral over [0.0, {u}] did not converge (ier=2): round-off detected\n"
     for u in ("1000000.0", "1000000.1106953226", "1000000.9950041752"))
 
+# the heights carry those integrals' abserr, far above 1e-9 relative: the embedding refuses
+# the first, so the run exits 2 at every level and writes no row
+_CATENOID_REFUSAL = ("error: height b(u=1000000.0) from u_ref=0.0 has abserr 0.000169 above "
+                     "1e-9 relative; choose an anchor nearer u\n")
+
 
 @pytest.mark.parametrize("level, stderr", [
     (None, ""),
     ("error", ""),
-    ("info", _CATENOID_WARNINGS + "INFO catenary: trace: 3 samples, termination=reached_smax\n"),
-    ("debug", _CATENOID_WARNINGS + "INFO catenary: trace: 3 samples, termination=reached_smax\n"),
+    ("info", _CATENOID_WARNINGS),
+    ("debug", _CATENOID_WARNINGS),
 ])
 def test_log_levels_print_exactly_their_diagnostics(level, stderr):
     import os
@@ -348,8 +353,9 @@ def test_log_levels_print_exactly_their_diagnostics(level, stderr):
     proc = subprocess.run([sys.executable, "-m", "catenary.cli", "trace", "--surface",
                            "catenoid", "--u0", "1e6", "--phi0", "0.1", "--smax", "1", "--embed"],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout.count("\n") == 4
-    assert proc.stderr == stderr
+    assert proc.returncode == 2 and proc.stdout == ""
+    # stderr is the level's log records, then the refusal
+    assert proc.stderr == stderr + _CATENOID_REFUSAL
 
 
 def test_a_quiet_run_after_a_verbose_one_in_process_logs_nothing(monkeypatch, caplog, tmp_path):
@@ -366,8 +372,9 @@ def test_a_quiet_run_after_a_verbose_one_in_process_logs_nothing(monkeypatch, ca
         assert "trace:" in caplog.text
         caplog.clear()
         monkeypatch.setenv("CATENARY_LOG", "error")
+        # the embedding refuses the far-out heights: exit 2, and still no log record
         assert run(["trace", "--surface", "catenoid", "--u0", "1e6", "--phi0", "0.1",
-                    "--smax", "1", "--embed", "--out", out]) == 0
+                    "--smax", "1", "--embed", "--out", out]) == 2
         assert caplog.records == []
     finally:
         logging.getLogger("catenary").setLevel(logging.NOTSET)

@@ -442,6 +442,26 @@ def test_embed_cylinder_and_sphere():
         assert z == pytest.approx(math.sin(u), abs=1e-9)
 
 
+def test_catenoid_heights_are_right_or_refused():
+    # b(u) = asinh u from the anchor 0; far out 1 - a'^2 cancels, and a height whose
+    # abserr is above 1e-9 relative raises instead of coming back wrong (once 1.2e-7
+    # off at u = 1e6).  Up to u = 1e3 the heights hold 1e-12; past that the rule only
+    # vouches for 1e-9, until the integrand is formed without the cancellation
+    catenoid = catalog_surface("catenoid")
+    refused = 0
+    for k in range(50):
+        u = 10.0 ** (-3.0 + 11.0 * k / 49)
+        try:
+            z = embed_revolution(catenoid, u, 0.0)[2]
+        except DomainError as exc:
+            assert f"u={u!r}" in str(exc) and "u_ref=0.0" in str(exc)
+            refused += 1
+            continue
+        rel = abs(z - math.asinh(u)) / math.asinh(u)
+        assert rel <= (1e-12 if u <= 1e3 else 1e-9), u
+    assert refused == 15
+
+
 def test_embed_rejects_steep_profiles():
     steep = profile_surface(lambda u: 1.0 + 1.2 * u, lambda u: 1.2,
                             lambda u: 0.0, (0.0, 10.0))

@@ -41,7 +41,7 @@ def dense_u_at_v(trace, v_target):
 def test_rhs_meridian_is_invariant():
     for kind in ("plane", "sphere", "catenoid"):
         spec = catalog_surface(kind)
-        du, dv, dphi, metric = _flow_f(spec, 1.0)(0.0, (0.8, 0.3, 0.0))
+        du, dv, dphi, metric = _flow_f(spec, 1.0)(0.0, 0.8, 0.3, 0.0)
         assert (du, dv, dphi) == (1.0, 0.0, -0.0)
         # the RHS hands back the metric it read at (u, v)
         assert metric == spec.patch.evaluate(0.8, 0.3)
@@ -49,7 +49,7 @@ def test_rhs_meridian_is_invariant():
 
 def test_rhs_sphere_critical_parallel_is_fixed_profile():
     sphere = catalog_surface("sphere")
-    du, dv, dphi, metric = _flow_f(sphere, 1.0)(0.0, (USTAR, 0.0, math.pi / 2))
+    du, dv, dphi, metric = _flow_f(sphere, 1.0)(0.0, USTAR, 0.0, math.pi / 2)
     assert metric == (math.cos(USTAR), -math.sin(USTAR), 0.0)
     assert abs(du) < 1e-16
     assert dv == pytest.approx(1.0 / math.cos(USTAR), rel=1e-15)
@@ -58,7 +58,7 @@ def test_rhs_sphere_critical_parallel_is_fixed_profile():
 
 def test_rhs_plane_vertex():
     plane = catalog_surface("plane")
-    du, dv, dphi, metric = _flow_f(plane, 1.0)(0.0, (1.0, 0.0, math.pi / 2))
+    du, dv, dphi, metric = _flow_f(plane, 1.0)(0.0, 1.0, 0.0, math.pi / 2)
     assert metric == (1.0, 0.0, 0.0)
     assert abs(du) < 1e-15
     assert dv == 1.0
@@ -322,7 +322,7 @@ def test_graph_rhs_reduces_to_helicoid_equation():
         f = _graph_f(heli, alpha)
         for _ in range(100):
             u, w = float(rng.uniform(0.2, 4.0)), float(rng.normal())
-            ddu = f(0.0, (u, w, 0.0))[1]
+            ddu = f(0.0, u, w, 0.0)[1]
             res = (u * (1 + u * u) * ddu - (2 * u * u + alpha * (1 + u * u)) * w * w
                    - (1 + 2 * alpha) * u * u - (1 + alpha) * u ** 4 - alpha)
             assert abs(res) < 1e-11
@@ -336,7 +336,7 @@ def test_graph_rhs_reduces_to_catenoid_equation():
     rng = np.random.default_rng(22)
     for _ in range(100):
         u, w = float(rng.uniform(0.2, 4.0)), float(rng.normal())
-        ddu = f(0.0, (u, w, 0.0))[1]
+        ddu = f(0.0, u, w, 0.0)[1]
         res = u * (1 + u * u) * ddu - (1 + 3 * u * u) * w * w - 2 * u ** 4 \
             - 3 * u * u - 1
         assert abs(res) < 1e-11
@@ -352,7 +352,7 @@ def test_graph_rhs_reduces_to_grusin_equation():
         f = _graph_f(grusin, alpha)
         for _ in range(100):
             u, w = float(rng.uniform(0.3, 3.0)), float(rng.normal())
-            ddu = f(0.0, (u, w, 0.0))[1]
+            ddu = f(0.0, u, w, 0.0)[1]
             lhs = (u ** 4 / (1 + u * u * w * w)) * (ddu / u + 2 * w * w / (u * u)
                                                     + 1 / u ** 4)
             assert abs(lhs - alpha) < 1e-12
@@ -408,13 +408,13 @@ def test_nan_step_is_never_accepted():
     # and end on step underflow instead of carrying NaN into the trace
     from catenary.tracing import _drive
 
-    def f(t, y):
-        # the fourth slot stands for the metric read at y
-        return (1.0, 0.0, 0.0, y[0]) if y[0] <= 1.5 else (1.0, 0.0, math.nan, y[0])
+    def f(t, u, v, phi):
+        # the fourth slot stands for the metric read at (u, v, phi)
+        return (1.0, 0.0, 0.0, u) if u <= 1.5 else (1.0, 0.0, math.nan, u)
 
     y0 = (1.0, 0.0, 0.0)
     segments, termination, _, _, _, y_final, f_final = _drive(
-        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, _OPEN)
+        f, 0.0, y0, f(0.0, *y0), 10.0, 1e-9, math.inf, _OPEN)
     assert termination == "step_underflow"
     assert all(math.isfinite(x) for seg in segments for x in seg[4])
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
@@ -475,7 +475,7 @@ def test_dphi_limit_ends_trace_on_blow_up(monkeypatch):
     assert len(tr.samples) == 14
     last = tr.samples[-1]
     assert last.s == 0.40993733481717887
-    assert abs(abs(_flow_f(sphere, 1.0)(last.s, (last.u, last.v, last.phi))[2]) - 1.0) < 1e-9
+    assert abs(abs(_flow_f(sphere, 1.0)(last.s, last.u, last.v, last.phi)[2]) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("error", [OverflowError, ValueError, ZeroDivisionError])
@@ -484,14 +484,14 @@ def test_arithmetic_error_in_stage_halves_the_step(error):
     # failure and ends on step underflow instead of leaking the exception
     from catenary.tracing import _drive
 
-    def f(t, y):
-        if y[0] > 1.5:
+    def f(t, u, v, phi):
+        if u > 1.5:
             raise error("math range error")
-        return (1.0, 0.0, 0.0, y[0])
+        return (1.0, 0.0, 0.0, u)
 
     y0 = (1.0, 0.0, 0.0)
     segments, termination, _, stats, _, y_final, f_final = _drive(
-        f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, _OPEN)
+        f, 0.0, y0, f(0.0, *y0), 10.0, 1e-9, math.inf, _OPEN)
     assert termination == "step_underflow"
     assert stats["steps_rejected"] > 0
     assert 1.5 - 1e-9 < y_final[0] <= 1.5
@@ -672,15 +672,15 @@ def test_step_budget_counts_rejected_steps(monkeypatch):
     # toward underflow; the budget ends the run of rejections first
     from catenary.tracing import _drive
 
-    def f(t, y):
+    def f(t, u, v, phi):
         if t > 0.0:
             raise ArithmeticError
         return (1.0, 0.0, 0.0, None)
 
     y0 = (1.0, 0.0, 0.0)
-    assert _drive(f, 0.0, y0, f(0.0, y0), 10.0, 1e-9, math.inf, _OPEN)[1] == "step_underflow"
+    assert _drive(f, 0.0, y0, f(0.0, *y0), 10.0, 1e-9, math.inf, _OPEN)[1] == "step_underflow"
     monkeypatch.setattr(tracing, "MAX_STEPS", 10)
-    segments, termination, _, stats, t, y, _ = _drive(f, 0.0, y0, f(0.0, y0), 10.0, 1e-9,
+    segments, termination, _, stats, t, y, _ = _drive(f, 0.0, y0, f(0.0, *y0), 10.0, 1e-9,
                                                       math.inf, _OPEN)
     assert termination == "max_steps" and segments == [] and (t, y) == (0.0, y0)
     assert stats["steps_accepted"] == 0 and stats["steps_rejected"] == 10
