@@ -16,6 +16,7 @@ it does not depend on the parametrization speed.
 from __future__ import annotations
 
 import math
+from math import sqrt
 from typing import NamedTuple, Sequence
 
 from . import _MODULES
@@ -66,7 +67,7 @@ def _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv):
         raise SingularJetError(f"zero-velocity jet at (u={u!r}, v={v!r})")
     bend = dv * (gv * du * dv + 2.0 * gu * du * du + g * g * gu * dv * dv)
     turn = g * (du * ddv - ddu * dv)
-    kappa = -(bend + turn) / math.sqrt(speed_sq) ** 3
+    kappa = -(bend + turn) / sqrt(speed_sq) ** 3
     if alpha is None:
         return kappa, None
     return kappa, ((alpha * dv * g / u) * speed_sq + bend + turn) / speed_sq ** 1.5

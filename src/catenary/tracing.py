@@ -88,6 +88,9 @@ class TraceSample(NamedTuple):
     residual: float
 
 
+_new = tuple.__new__  # _new(TraceSample, row) == TraceSample(*row), with no Python call
+
+
 class Trace:
     """Result of a trace: per-step samples, diagnostics and the exit reason.
 
@@ -209,15 +212,15 @@ def _dense(seg, t):
 
 
 def _initial_step(f, t0, y0, f0, span, tol, max_step):
-    n = len(y0)
-    sc = [tol + tol * abs(y0[i]) for i in range(n)]
-    d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(n)) / n)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(n)) / n)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span, max_step)
+    (ya, yb, yc), (fa, fb, fc, _) = y0, f0
+    sa, sb, sc = tol + tol * abs(ya), tol + tol * abs(yb), tol + tol * abs(yc)
+    d0 = math.sqrt(((ya / sa) ** 2 + (yb / sb) ** 2 + (yc / sc) ** 2) / 3)
+    d1 = math.sqrt(((fa / sa) ** 2 + (fb / sb) ** 2 + (fc / sc) ** 2) / 3)
+    h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, span, max_step)
     try:
-        f1 = f(t0 + h0, *(y0[i] + h0 * f0[i] for i in range(n)))
-        d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(n)) / n) / h0
+        ga, gb, gc, _ = f(t0 + h0, ya + h0 * fa, yb + h0 * fb, yc + h0 * fc)
+        d2 = math.sqrt((((ga - fa) / sa) ** 2 + ((gb - fb) / sb) ** 2
+                        + ((gc - fc) / sc) ** 2) / 3) / h0
     except _STAGE_ERRORS:
         d2 = d1
     dm = max(d1, d2)
@@ -326,14 +329,15 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
     aimed to end halfway between that limit and the domain edge, where the event
     fires; otherwise h halves.  A NaN step size or error fails both step tests.
 
-    Each stage sum is spelled out in the order 0 + a1*k1 + a2*k2 + ..., zero
-    coefficients included, because that order fixes every rounding and signed
-    zero (tests/test_trace_digest.py pins it).
+    Each sum runs a1*k1 + a2*k2 + ..., the order that fixes every rounding, with no
+    0.0 seed and no product by b2 = e2 = 0: x + (+-0.0) is x for x != 0, a seed only
+    made an all -0.0 sum +0.0 (tests/test_trace_digest.py pins starts at -0.0), and
+    a non-finite k2 fails a later stage's guard before any b or e sum runs.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]
-    b1, b2, b3, b4, b5, b6 = _B
-    e1, e2, e3, e4, e5, e6, e7 = _E
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
     d1, d3, d4, d5, d6, d7 = _D
     c2, c3, c4, c5 = _C[1:5]
     sqrt, expo, beta, safety, min_fac, max_shrink = (math.sqrt, _EXPO, _BETA, _SAFETY,
@@ -360,27 +364,26 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
         k1a, k1b, k1c, _ = fy
         k2a = k3a = k4a = k5a = k6a = None  # each stage that returns rebinds its own
         try:
-            k2a, k2b, k2c, _ = f(t + c2 * h, ya + h * (0.0 + a21 * k1a),
-                                 yb + h * (0.0 + a21 * k1b),
-                                 yc + h * (0.0 + a21 * k1c))
-            k3a, k3b, k3c, _ = f(t + c3 * h, ya + h * (0.0 + a31 * k1a + a32 * k2a),
-                                 yb + h * (0.0 + a31 * k1b + a32 * k2b),
-                                 yc + h * (0.0 + a31 * k1c + a32 * k2c))
-            k4a, k4b, k4c, _ = f(t + c4 * h, ya + h * (0.0 + a41 * k1a + a42 * k2a + a43 * k3a),
-                                 yb + h * (0.0 + a41 * k1b + a42 * k2b + a43 * k3b),
-                                 yc + h * (0.0 + a41 * k1c + a42 * k2c + a43 * k3c))
+            k2a, k2b, k2c, _ = f(t + c2 * h, ya + h * (a21 * k1a), yb + h * (a21 * k1b),
+                                 yc + h * (a21 * k1c))
+            k3a, k3b, k3c, _ = f(t + c3 * h, ya + h * (a31 * k1a + a32 * k2a),
+                                 yb + h * (a31 * k1b + a32 * k2b),
+                                 yc + h * (a31 * k1c + a32 * k2c))
+            k4a, k4b, k4c, _ = f(t + c4 * h, ya + h * (a41 * k1a + a42 * k2a + a43 * k3a),
+                                 yb + h * (a41 * k1b + a42 * k2b + a43 * k3b),
+                                 yc + h * (a41 * k1c + a42 * k2c + a43 * k3c))
             k5a, k5b, k5c, _ = f(t + c5 * h,
-                                 ya + h * (0.0 + a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
-                                 yb + h * (0.0 + a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
-                                 yc + h * (0.0 + a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c))
+                                 ya + h * (a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
+                                 yb + h * (a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
+                                 yc + h * (a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c))
             k6a, k6b, k6c, _ = f(
                 t + h,
-                ya + h * (0.0 + a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
-                yb + h * (0.0 + a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
-                yc + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c))
-            na = ya + h * (0.0 + b1 * k1a + b2 * k2a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
-            nb = yb + h * (0.0 + b1 * k1b + b2 * k2b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
-            nc = yc + h * (0.0 + b1 * k1c + b2 * k2c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
+                ya + h * (a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a + a65 * k5a),
+                yb + h * (a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b + a65 * k5b),
+                yc + h * (a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c + a65 * k5c))
+            na = ya + h * (b1 * k1a + b3 * k3a + b4 * k4a + b5 * k5a + b6 * k6a)
+            nb = yb + h * (b1 * k1b + b3 * k3b + b4 * k4b + b5 * k5b + b6 * k6b)
+            nc = yc + h * (b1 * k1c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
             f_new = k7a, k7b, k7c, _ = f(t + h, na, nb, nc)
             evals += 6
         except _STAGE_ERRORS:
@@ -392,9 +395,9 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
             h = aim if 0.0 < aim <= 0.5 * h else 0.5 * h
             continue
 
-        ea = h * (0.0 + e1 * k1a + e2 * k2a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
-        eb = h * (0.0 + e1 * k1b + e2 * k2b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
-        ec = h * (0.0 + e1 * k1c + e2 * k2c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
+        ea = h * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a)
+        eb = h * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b)
+        ec = h * (e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c)
         # RMS of the error, each component scaled by tol * (1 + max(|y|, |y_new|));
         # "t if t > s else s" gives what max(s, t) gives, NaNs included, without a call
         sa, sb, sc, ta, tb, tc = abs(ya), abs(yb), abs(yc), abs(na), abs(nb), abs(nc)
@@ -412,9 +415,9 @@ def _drive(f, t0, y0, f0, t_end, tol, max_step, bounds: _Bounds):
         t_new = t_end if h >= t_end - t else t + h  # a step clipped to t_end ends there
         y_new = (na, nb, nc)
         seg = (t, y, fy, t_new, y_new, f_new,
-               (h * (0.0 + d1 * k1a + d3 * k3a + d4 * k4a + d5 * k5a + d6 * k6a + d7 * k7a),
-                h * (0.0 + d1 * k1b + d3 * k3b + d4 * k4b + d5 * k5b + d6 * k6b + d7 * k7b),
-                h * (0.0 + d1 * k1c + d3 * k3c + d4 * k4c + d5 * k5c + d6 * k6c + d7 * k7c)))
+               (h * (d1 * k1a + d3 * k3a + d4 * k4a + d5 * k5a + d6 * k6a + d7 * k7a),
+                h * (d1 * k1b + d3 * k3b + d4 * k4b + d5 * k5b + d6 * k6b + d7 * k7b),
+                h * (d1 * k1c + d3 * k3c + d4 * k4c + d5 * k5c + d6 * k6c + d7 * k7c)))
         segments.append(seg)
 
         # passing this comparison proves every gap of _gap positive
@@ -482,7 +485,7 @@ def _flow_sample(alpha: float, t: float, y: tuple, fy: tuple) -> TraceSample:
     ddu = -sin_phi * dphi
     ddv = (du * dphi) / g - sin_phi * (gu * du + gv * dv) / (g * g)
     kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, du, dv, ddu, ddv)
-    return TraceSample(t, u, v, phi, kappa, residual)
+    return _new(TraceSample, (t, u, v, phi, kappa, residual))
 
 
 def _check_config(tol: float, max_step: float, finite: dict) -> None:
@@ -609,7 +612,7 @@ def _graph_sample(alpha: float, v: float, y: tuple, fy: tuple) -> TraceSample:
     _, ddu, _, (g, gu, gv) = fy
     kappa, residual = _kappa_residual(alpha, g, gu, gv, u, v, w, 1.0, ddu, 0.0)
     phi = math.atan2(g, w)
-    return TraceSample(s, u, v, phi, kappa, residual)
+    return _new(TraceSample, (s, u, v, phi, kappa, residual))
 
 
 def trace_graph(spec: SurfaceSpec, alpha: float, u0: float, du0: float,

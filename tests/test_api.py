@@ -4,6 +4,7 @@ Its records are immutable NamedTuples with pinned fields; ``Trace`` is a plain c
 wrong object where a record belongs raises ConfigError."""
 
 import math
+import pickle
 import subprocess
 import sys
 from decimal import Decimal
@@ -101,6 +102,35 @@ def test_records_are_immutable_named_tuples(record, fields, defaults):
             setattr(made, name, 0.0)
     changed = made._replace(**{fields[-1]: "new"})
     assert changed == (*made[:-1], "new") and made[-1] == values[fields[-1]]
+
+
+_SAMPLE_FIELDS = ("s", "u", "v", "phi", "kappa", "residual")
+
+
+@pytest.mark.parametrize("mode", ["flow", "graph"])
+def test_tracer_built_samples_keep_the_record_contract(mode):
+    # the tracers build each sample from a tuple of its fields, not through __new__
+    cone = surfaces.catalog_surface("cone")
+    if mode == "flow":
+        traced = tracing.trace_catenary(cone, 1.0, tracing.CatenaryState(0.7, 0.1, 1.0), 1.0)
+    else:
+        traced = tracing.trace_graph(cone, 1.0, 1.0, 0.3, (0.0, 1.0))
+    assert len(traced.samples) > 2
+    for sample in traced.samples:
+        assert type(sample) is tracing.TraceSample
+        assert sample._fields == _SAMPLE_FIELDS
+        row = tuple(sample)
+        assert len(row) == 6 and all(type(x) is float for x in row)
+        assert tuple(getattr(sample, name) for name in _SAMPLE_FIELDS) == row
+        assert sample == tracing.TraceSample(*row) == tracing.TraceSample._make(row)
+        assert sample._asdict() == dict(zip(_SAMPLE_FIELDS, row))
+        assert sample._replace(kappa=0.5) == (*row[:4], 0.5, row[5])
+        assert repr(sample) == repr(tracing.TraceSample(*row))
+        assert repr(sample).startswith("TraceSample(s=")
+        copied = pickle.loads(pickle.dumps(sample))
+        assert type(copied) is tracing.TraceSample and copied == sample
+        with pytest.raises(AttributeError):
+            sample.u = 0.0
 
 
 def test_check_result_to_dict_keeps_the_field_order():

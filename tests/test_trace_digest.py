@@ -4,7 +4,8 @@ The trace digests are sha256 sums of the ``.17g`` text of every sample row,
 the termination, the step counts and ``at()`` at fixed parameters.  They pin
 the tracers bit for bit: a change to the stepper, the dense output or the
 per-sample curvature that alters any number, even in its last bit, changes a
-digest.  The root-scan digests do the same for the ``repr`` of
+digest.  The signed-zero digest pins the sample rows and ``at()`` values of 32
+traces that start at v or phi = -0.0.  The root-scan digests do the same for the ``repr`` of
 ``critical_parallels`` and ``turning_points``, and the report digests for
 the stdout and ``--out`` JSON of ``catenary validate --all``.
 """
@@ -136,6 +137,27 @@ def test_pinned_trace_ends_on_its_event(traces, name):
     trace = traces[name]
     assert trace.termination == termination
     assert trace.stats.get("vertical_tangent", False) is vertical
+
+
+# sha256 of the .17g sample rows and at(j/8), j = 0..8, of 32 flow traces from u = 0.7
+# with v0 and/or phi0 = -0.0, s_max = 1: every signed zero the stepper makes is in it
+SIGNED_ZERO_STARTS = ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 1.0))
+EXPECTED_SIGNED_ZEROS = "605cdb910961cb0424abeecfb5d42153280cb6e155fc89e8754a9b3010afeb2b"
+
+
+def test_signed_zero_starts_are_pinned():
+    lines, negative_zeros = [], 0
+    for kind in ("plane", "sphere", "cone", "grusin"):
+        for alpha in (0.0, 1.0):
+            for v0, phi0 in SIGNED_ZERO_STARTS:
+                trace = trace_catenary(catalog_surface(kind), alpha,
+                                       CatenaryState(0.7, v0, phi0), s_max=1.0)
+                rows = list(trace.samples) + [trace.at(j / 8) for j in range(9)]
+                text = [",".join(format(x, ".17g") for x in row) for row in rows]
+                negative_zeros += sum(line.split(",").count("-0") for line in text)
+                lines += text
+    assert negative_zeros == 191
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXPECTED_SIGNED_ZEROS
 
 
 # sha256 of repr((critical_parallels, turning_points)) on the sphere with c = 0.3 and
